@@ -65,8 +65,6 @@ from .trainers import (
     irgan_pairwise_epoch,
     irgan_pointwise_epoch,
     pretrain_mle,
-    reinforce_reward_baselined,
-    reinforce_reward_raw,
     run_trainer,
     single_d_epoch,
     value_function_baseline,

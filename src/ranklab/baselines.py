@@ -45,12 +45,3 @@ def parse_baseline(text: str) -> BaselineSpec:
         return MonteCarloValueBaseline(int(arg) if arg else 1000)
     raise ValueError(f"unknown baseline {text!r}")
 
-
-def format_baseline(spec: BaselineSpec) -> str:
-    if isinstance(spec, ConstantBaseline):
-        return f"constant:{spec.value!r}"
-    if isinstance(spec, ValueFunctionBaseline):
-        return "value-exact"
-    if isinstance(spec, MonteCarloValueBaseline):
-        return f"value-mc:{spec.n}"
-    raise TypeError(f"not a baseline spec: {spec!r}")

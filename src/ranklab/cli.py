@@ -40,14 +40,12 @@ from .dataio import (
     split_queries,
     synth_retrieval,
 )
-from .metrics import evaluate_model, write_eval_csv
+from .metrics import _parse_metric, evaluate_model, write_eval_csv
 from .pgvar import (
     StudyConfig,
     partition_actions,
-    sparsity_vs_bound_study,
-    study_instance,
+    study_point,
     variance_lower_bound,
-    verify_variance_bound,
     write_study_csv,
 )
 from .scorers import Scorer, build_scorer, save_checkpoint
@@ -128,6 +126,23 @@ class Conf:
         if raw is None:
             return default if default is not None else []
         return [item.strip() for item in raw.split(",") if item.strip()]
+
+    def _typed_list(self, section, key, default, convert, type_name):
+        values = []
+        for item in self.get_list(section, key, default):
+            try:
+                values.append(convert(item))
+            except (TypeError, ValueError):
+                raise CliConfigError(
+                    f"bad {type_name} {item!r} in '{key}' in [{section}]"
+                ) from None
+        return values
+
+    def get_int_list(self, section, key, default=None):
+        return self._typed_list(section, key, default, int, "integer")
+
+    def get_float_list(self, section, key, default=None):
+        return self._typed_list(section, key, default, float, "number")
 
 
 def load_dataset(conf: Conf) -> Dataset:
@@ -217,6 +232,17 @@ def build_model(conf: Conf, dataset: Dataset, role: str, base_seed: int) -> Scor
     return build_scorer(kind, dims, scale=scale, seed=seed)
 
 
+def eval_metrics(conf: Conf) -> tuple[str, ...]:
+    """The [eval] metrics, each checked by name; empty when unset."""
+    names = tuple(conf.get_list("eval", "metrics"))
+    for name in names:
+        try:
+            _parse_metric(name)
+        except ValueError:
+            raise CliConfigError(f"bad metric {name!r} in 'metrics' in [eval]") from None
+    return names
+
+
 def default_metrics(dataset: Dataset) -> tuple[str, ...]:
     if dataset.kind.value == "qa":
         return ("p@1",)
@@ -252,7 +278,6 @@ def cmd_pretrain(conf: Conf, args) -> int:
 
 
 def cmd_train(conf: Conf, args) -> int:
-    dataset = load_dataset(conf)
     cfg = load_train_config(conf, args.seed)
     trainer = conf.get("trainer", "name", required=True)
     if trainer not in TRAINER_NAMES:
@@ -260,11 +285,11 @@ def cmd_train(conf: Conf, args) -> int:
             f"bad value for 'name' in [trainer]: {trainer!r} "
             f"(expected one of {', '.join(TRAINER_NAMES)})"
         )
+    metric_names = eval_metrics(conf)
+    dataset = load_dataset(conf)
+    metric_names = metric_names or default_metrics(dataset)
     run_dir = prepare_run_dir(conf, args)
     train_set, eval_set = split_for_eval(conf, dataset)
-    metric_names = tuple(
-        conf.get_list("eval", "metrics", default=list(default_metrics(dataset)))
-    )
     models = {role: build_model(conf, dataset, role, cfg.seed)
               for role in TRAINER_ROLES[trainer]}
     result = run_trainer(trainer, train_set, cfg, models,
@@ -294,7 +319,6 @@ def parity_outer_epochs(budget: int, inner: int) -> int:
 
 
 def cmd_compare(conf: Conf, args) -> int:
-    dataset = load_dataset(conf)
     cfg = load_train_config(conf, args.seed)
     trainers = conf.get_list("compare", "trainers", required=True)
     if len(trainers) < 2:
@@ -302,14 +326,14 @@ def cmd_compare(conf: Conf, args) -> int:
     for name in trainers:
         if name not in TRAINER_NAMES:
             raise CliConfigError(f"bad trainer {name!r} in [compare]")
-    seeds = [int(s) for s in conf.get_list("compare", "seeds", default=["1"])]
+    seeds = conf.get_int_list("compare", "seeds", default=["1"])
     budget = conf.get_int("compare", "budget_epochs", default=cfg.epochs_outer)
     dual_override = conf.get_int("compare", "dual_d_outer", default=None)
+    metric_names = eval_metrics(conf)
+    dataset = load_dataset(conf)
+    metric_names = metric_names or default_metrics(dataset)
     run_dir = prepare_run_dir(conf, args)
     train_set, eval_set = split_for_eval(conf, dataset)
-    metric_names = tuple(
-        conf.get_list("eval", "metrics", default=list(default_metrics(dataset)))
-    )
 
     warnings = []
     per_seed_rows = []
@@ -350,9 +374,38 @@ def cmd_compare(conf: Conf, args) -> int:
     return EXIT_OK
 
 
+def _opt(v):
+    return v if v is not None else "undefined"
+
+
+def _variance_point(study_cfg: StudyConfig, fraction: float, seed: int, sweep):
+    """One study fraction: its study row, its bound-chain row and, for each b
+    in ``sweep``, the bound at the partition frozen at the configured b.
+    The fraction's instance is built once and released on return."""
+    instance, policy, rep, row = study_point(study_cfg, fraction, seed)
+    chain = (
+        fraction, rep.b, rep.exact_var, rep.below_term, rep.above_term,
+        _opt(rep.lower_bound), rep.below_mass, _opt(rep.max_below),
+        rep.pointwise_ok, rep.holds_for_below_term, rep.holds_for_total,
+    )
+    frozen = partition_actions(instance, study_cfg.b)
+    sweep_rows = []
+    for b in sweep:
+        if frozen.defined:
+            bound = variance_lower_bound(instance, policy, b, frozen)
+            sweep_rows.append((b, frozen.max_below, bound))
+        else:
+            sweep_rows.append((b, "undefined", "undefined"))
+    return row, chain, sweep_rows
+
+
 def cmd_variance(conf: Conf, args) -> int:
-    fractions = [float(f) for f in
-                 conf.get_list("variance", "fractions", default=["0.002", "0.005", "0.015"])]
+    fractions = conf.get_float_list("variance", "fractions",
+                                    default=["0.002", "0.005", "0.015"])
+    if not fractions:
+        raise CliConfigError("need at least one entry for 'fractions' in [variance]")
+    sweep = conf.get_float_list("variance", "b_sweep",
+                                default=[str(round(0.1 * i, 1)) for i in range(1, 10)])
     seed = conf.get_int("variance", "seed", default=7)
     if args.seed is not None:
         seed = args.seed
@@ -369,41 +422,19 @@ def cmd_variance(conf: Conf, args) -> int:
         mc_samples=conf.get_int("variance", "mc_samples", default=100_000),
     )
     run_dir = prepare_run_dir(conf, args)
-    rows = sparsity_vs_bound_study(fractions, study_cfg, seed)
+    # The b-sweep runs on the first fraction's instance.
+    rows, chain_rows, sweeps = zip(*(
+        _variance_point(study_cfg, fraction, seed, sweep if i == 0 else ())
+        for i, fraction in enumerate(fractions)
+    ))
     write_study_csv(rows, run_dir / "study.csv")
-
-    def opt(v):
-        return v if v is not None else "undefined"
-
-    chain_rows = []
-    for fraction in fractions:
-        instance, policy = study_instance(study_cfg, fraction, seed)
-        rep = verify_variance_bound(instance, policy, study_cfg.b)
-        chain_rows.append((
-            fraction, rep.b, rep.exact_var, rep.below_term, rep.above_term,
-            opt(rep.lower_bound), rep.below_mass, opt(rep.max_below),
-            rep.pointwise_ok, rep.holds_for_below_term, rep.holds_for_total,
-        ))
     write_csv(
         run_dir / "bound_chain.csv",
         ("fraction", "b", "exact_variance", "term_below", "term_above",
          "bound_rhs", "p_below", "q_max", "pointwise_ok", "holds_below", "holds_total"),
         chain_rows,
     )
-
-    sweep = conf.get_list("variance", "b_sweep",
-                          default=[str(round(0.1 * i, 1)) for i in range(1, 10)])
-    instance, policy = study_instance(study_cfg, fractions[0], seed)
-    frozen = partition_actions(instance, study_cfg.b)
-    sweep_rows = []
-    for b_text in sweep:
-        b = float(b_text)
-        if frozen.defined:
-            bound = variance_lower_bound(instance, policy, b, frozen)
-            sweep_rows.append((b, opt(frozen.max_below), bound))
-        else:
-            sweep_rows.append((b, "undefined", "undefined"))
-    write_csv(run_dir / "b_sweep.csv", ("b", "q_max", "bound_rhs"), sweep_rows)
+    write_csv(run_dir / "b_sweep.csv", ("b", "q_max", "bound_rhs"), sweeps[0])
     print(f"variance: wrote {run_dir / 'study.csv'}")
     return EXIT_OK
 

@@ -97,7 +97,7 @@ def build_instance(dataset: Dataset, model: Scorer,
         pool = dataset.pool(q.id)
         states.append(q)
         pools.append(pool)
-        qvals.append(reward.many(model, q, pool))
+        qvals.append(reward(model, q, pool))
     n = len(states)
     return MDPInstance(tuple(states), tuple(pools), tuple(qvals),
                        np.full(n, 1.0 / n))
@@ -140,32 +140,43 @@ def gradient_sample(instance: MDPInstance, policy: SoftmaxPolicy,
     return gradlog[a] * (instance.q_values[s][a] - b)
 
 
-def exact_gradient_mean(instance: MDPInstance, policy: SoftmaxPolicy,
-                        baseline: BaselineSpec) -> np.ndarray:
-    """E[g(b)] by full enumeration over states and actions."""
+def _state_policies(instance: MDPInstance, policy: SoftmaxPolicy):
+    """One policy pass: (s, rho, probs, gradlog) for every visited state."""
     _check_enumerable(instance)
-    mean = np.zeros(policy.scorer.params.layout.size)
-    for s, rho in enumerate(instance.visitation):
-        if rho == 0.0:
-            continue
-        probs, gradlog = _state_policy(instance, policy, s)
+    return [(s, rho, *_state_policy(instance, policy, s))
+            for s, rho in enumerate(instance.visitation) if rho != 0.0]
+
+
+def _mean_gradient(instance, states, baseline: BaselineSpec) -> np.ndarray:
+    mean = 0.0
+    for s, rho, probs, gradlog in states:
         b = _baseline_value(instance, baseline, probs, s)
         mean += rho * (gradlog.T @ (probs * (instance.q_values[s] - b)))
     return mean
 
 
+def _squared_deviations(instance, states, baseline: BaselineSpec):
+    """Per visited state, (s, rho, probs, ||g(b) - E[g(b)]||^2 per action)."""
+    mean = _mean_gradient(instance, states, baseline)
+    for s, rho, probs, gradlog in states:
+        b = _baseline_value(instance, baseline, probs, s)
+        g = gradlog * (instance.q_values[s] - b)[:, None]
+        yield s, rho, probs, ((g - mean) ** 2).sum(axis=1)
+
+
+def exact_gradient_mean(instance: MDPInstance, policy: SoftmaxPolicy,
+                        baseline: BaselineSpec) -> np.ndarray:
+    """E[g(b)] by full enumeration over states and actions."""
+    return _mean_gradient(instance, _state_policies(instance, policy), baseline)
+
+
 def exact_variance(instance: MDPInstance, policy: SoftmaxPolicy,
                    baseline: BaselineSpec) -> float:
     """E[||g(b) - E[g(b)]||^2] by full enumeration."""
-    mean = exact_gradient_mean(instance, policy, baseline)
     total = 0.0
-    for s, rho in enumerate(instance.visitation):
-        if rho == 0.0:
-            continue
-        probs, gradlog = _state_policy(instance, policy, s)
-        b = _baseline_value(instance, baseline, probs, s)
-        g = gradlog * (instance.q_values[s] - b)[:, None]
-        total += rho * float(probs @ ((g - mean) ** 2).sum(axis=1))
+    for _, rho, probs, sq in _squared_deviations(
+            instance, _state_policies(instance, policy), baseline):
+        total += rho * float(probs @ sq)
     return total
 
 
@@ -246,42 +257,31 @@ def variance_decomposition(instance: MDPInstance, policy: SoftmaxPolicy,
     """Split the exact variance at constant baseline b into the contributions
     of below-baseline and at-or-above-baseline actions.  Both terms center on
     the global mean gradient, so they sum to the exact variance."""
-    _check_enumerable(instance)
-    part = partition_actions(instance, b)
-    baseline = ConstantBaseline(b)
-    mean = exact_gradient_mean(instance, policy, baseline)
+    return _decomposition(instance, _state_policies(instance, policy),
+                          partition_actions(instance, b))
+
+
+def _decomposition(instance, states, part: BaselinePartition) -> tuple[float, float]:
     below_term = above_term = 0.0
-    for s, rho in enumerate(instance.visitation):
-        if rho == 0.0:
-            continue
-        probs, gradlog = _state_policy(instance, policy, s)
-        g = gradlog * (instance.q_values[s] - b)[:, None]
-        sq = ((g - mean) ** 2).sum(axis=1)
+    for s, rho, probs, sq in _squared_deviations(instance, states,
+                                                 ConstantBaseline(part.b)):
         below_term += rho * float(probs[part.below[s]] @ sq[part.below[s]])
         above_term += rho * float(probs[part.above[s]] @ sq[part.above[s]])
     return below_term, above_term
 
 
-def _centered_gradlog_term(instance, policy, partition):
+def _centered_gradlog_term(states, partition):
     """E over states of P(below) * E_below[||grad log pi - global mean||^2].
 
     The global mean of grad log pi is identically zero (score-function
     identity); both the centered and uncentered forms are computed and must
     agree.
     """
-    _check_enumerable(instance)
-    nu = np.zeros(policy.scorer.params.layout.size)
-    cache = []
-    for s, rho in enumerate(instance.visitation):
-        probs, gradlog = _state_policy(instance, policy, s)
-        cache.append((probs, gradlog))
-        if rho > 0.0:
-            nu += rho * (gradlog.T @ probs)
+    nu = 0.0
+    for _, rho, probs, gradlog in states:
+        nu += rho * (gradlog.T @ probs)
     centered = uncentered = 0.0
-    for s, rho in enumerate(instance.visitation):
-        if rho == 0.0:
-            continue
-        probs, gradlog = cache[s]
+    for s, rho, probs, gradlog in states:
         lo = partition.below[s]
         centered += rho * float(probs[lo] @ ((gradlog[lo] - nu) ** 2).sum(axis=1))
         uncentered += rho * float(probs[lo] @ (gradlog[lo] ** 2).sum(axis=1))
@@ -306,7 +306,11 @@ def variance_lower_bound(instance: MDPInstance, policy: SoftmaxPolicy,
         raise UndefinedBoundError(
             "no action is valued below the baseline; the bound anchor is undefined"
         )
-    term = _centered_gradlog_term(instance, policy, partition)
+    return _lower_bound(_state_policies(instance, policy), b, partition)
+
+
+def _lower_bound(states, b: float, partition: BaselinePartition) -> float:
+    term = _centered_gradlog_term(states, partition)
     factor = (partition.max_below - b) ** 2
     if b != 0.0:
         alt_factor = b * b * (partition.max_below / b - 1.0) ** 2
@@ -346,21 +350,19 @@ def verify_variance_bound(instance: MDPInstance, policy: SoftmaxPolicy,
     the assumption that almost all probability mass sits on below-baseline
     actions, so both verdicts are reported separately.
     """
+    states = _state_policies(instance, policy)
     part = partition_actions(instance, b)
-    below_term, above_term = variance_decomposition(instance, policy, b)
+    below_term, above_term = _decomposition(instance, states, part)
     exact = below_term + above_term
     below_mass = 0.0
+    for s, rho, probs, _ in states:
+        below_mass += float(rho) * float(probs[part.below[s]].sum())
     pointwise_ok = True
-    for s, rho in enumerate(instance.visitation):
-        probs, _ = _state_policy(instance, policy, s)
-        lo = part.below[s]
-        below_mass += float(rho) * float(probs[lo].sum())
-        if part.defined and lo.size:
-            gaps = (instance.q_values[s][lo] - b) ** 2
-            if np.any(gaps < (part.max_below - b) ** 2 - 1e-15):
-                pointwise_ok = False
     if part.defined:
-        bound = variance_lower_bound(instance, policy, b, part)
+        floor = (part.max_below - b) ** 2 - 1e-15
+        pointwise_ok = not any(np.any((q[lo] - b) ** 2 < floor)
+                               for q, lo in zip(instance.q_values, part.below))
+        bound = _lower_bound(states, b, part)
         holds_below = below_term >= bound - 1e-12
         holds_total = exact >= bound - 1e-12
     else:
@@ -441,6 +443,24 @@ def study_instance(cfg: StudyConfig, fraction: float,
     return build_instance(dataset, model, cfg.reward_kind), uniform
 
 
+def study_point(cfg: StudyConfig, fraction: float, seed: int):
+    """One fraction of the study: (instance, policy, bound report, study row).
+
+    The instance is built once and serves both the bound check and the
+    Monte-Carlo variance at the configured constant baseline.
+    """
+    instance, uniform = study_instance(cfg, fraction, seed)
+    report = verify_variance_bound(instance, uniform, cfg.b)
+    mc_var, mc_se = mc_variance(instance, uniform, ConstantBaseline(cfg.b),
+                                cfg.mc_samples, np.random.default_rng(seed))
+    row = StudyRow(
+        fraction=fraction, b=cfg.b, max_below=report.max_below,
+        lower_bound=report.lower_bound, exact_var=report.exact_var,
+        mc_var=mc_var, mc_se=mc_se, below_mass=report.below_mass,
+    )
+    return instance, uniform, report, row
+
+
 def sparsity_vs_bound_study(fractions: Sequence[float], cfg: StudyConfig,
                             seed: int) -> list[StudyRow]:
     """For each relevant-fraction, build the same synthetic pool geometry,
@@ -448,18 +468,7 @@ def sparsity_vs_bound_study(fractions: Sequence[float], cfg: StudyConfig,
     bound anchor, the bound, and the exact and Monte-Carlo variances at the
     configured constant baseline under a uniform policy.
     """
-    rows = []
-    for fraction in fractions:
-        instance, uniform = study_instance(cfg, fraction, seed)
-        report = verify_variance_bound(instance, uniform, cfg.b)
-        mc_var, mc_se = mc_variance(instance, uniform, ConstantBaseline(cfg.b),
-                                    cfg.mc_samples, np.random.default_rng(seed))
-        rows.append(StudyRow(
-            fraction=fraction, b=cfg.b, max_below=report.max_below,
-            lower_bound=report.lower_bound, exact_var=report.exact_var,
-            mc_var=mc_var, mc_se=mc_se, below_mass=report.below_mass,
-        ))
-    return rows
+    return [study_point(cfg, fraction, seed)[3] for fraction in fractions]
 
 
 def write_study_csv(rows: Sequence[StudyRow], path) -> None:

@@ -22,7 +22,7 @@ frozen snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -109,16 +109,6 @@ DEFAULT_TRAIN_CONFIGS: dict[str, TrainConfig] = {
                       epochs_outer=20, epochs_inner=1, seed=40),
 }
 
-# Matching model shapes (feature size 46 for web, embedding 20 / 100 for
-# recommendation / QA).
-DEFAULT_MODEL_HINTS = {
-    "web-search": {"kind": "mlp1", "feature_dim": 46, "hidden": 46},
-    "recommendation": {"kind": "matfac", "embed_dim": 20},
-    "qa": {"kind": "text", "embed_dim": 100},
-    "synthetic": {"kind": "mlp1", "feature_dim": 46, "hidden": 46},
-}
-
-
 # -- run history --------------------------------------------------------------
 
 
@@ -182,65 +172,47 @@ class RunRecord:
 # -- rewards ------------------------------------------------------------------
 
 
-class RewardFn:
-    def __call__(self, model: Scorer, query, doc) -> float:
-        raise NotImplementedError
-
-    def many(self, model: Scorer, query, docs) -> np.ndarray:
-        return np.array([self(model, query, d) for d in docs])
+# A reward maps (model, query, docs) to one reward per document.
+RewardFn = Callable[[Scorer, Query | None, Sequence[Document]], np.ndarray]
 
 
-class RawReward(RewardFn):
+def _raw_reward(model, query, docs):
     """softplus(f): the reward attached to the raw policy-gradient update."""
-
-    def __call__(self, model, query, doc):
-        return float(softplus(model.score(query, doc)))
-
-    def many(self, model, query, docs):
-        return softplus(model.score_many(query, docs))
+    return softplus(model.score_many(query, docs))
 
 
-class SigmoidReward(RewardFn):
+def _sigmoid_reward(model, query, docs):
     """sigmoid(f) with no embedded baseline."""
-
-    def __call__(self, model, query, doc):
-        return float(sigmoid(model.score(query, doc)))
-
-    def many(self, model, query, docs):
-        return sigmoid(model.score_many(query, docs))
+    return sigmoid(model.score_many(query, docs))
 
 
-@dataclass(frozen=True)
-class SigmoidBaselinedReward(RewardFn):
-    """2 * (sigmoid(f) - b): the training-friendly reward with b folded in."""
-
-    b: float = 0.5
-
-    def __call__(self, model, query, doc):
-        return float(2.0 * (sigmoid(model.score(query, doc)) - self.b))
-
-    def many(self, model, query, docs):
-        return 2.0 * (sigmoid(model.score_many(query, docs)) - self.b)
+def _sigmoid_baselined_reward(model, query, docs):
+    """2 * (sigmoid(f) - 0.5): the training-friendly reward, range (-1, 1)."""
+    return 2.0 * (sigmoid(model.score_many(query, docs)) - 0.5)
 
 
-def reinforce_reward_raw(model: Scorer, query, doc) -> float:
-    """softplus(f(d, q)), overflow-safe at any score magnitude."""
-    return RawReward()(model, query, doc)
-
-
-def reinforce_reward_baselined(model: Scorer, query, doc, b: float = 0.5) -> float:
-    """2 * (sigmoid(f) - b); with b = 0.5 the range is (-1, 1)."""
-    return SigmoidBaselinedReward(b)(model, query, doc)
+_REWARDS = {
+    "raw": _raw_reward,
+    "sigmoid": _sigmoid_reward,
+    "sigmoid-baselined": _sigmoid_baselined_reward,
+}
 
 
 def make_reward(kind: str) -> RewardFn:
-    if kind == "raw":
-        return RawReward()
-    if kind == "sigmoid":
-        return SigmoidReward()
-    if kind == "sigmoid-baselined":
-        return SigmoidBaselinedReward(0.5)
-    raise InvalidConfigError(f"reward must be one of {REWARD_NAMES}")
+    if kind not in _REWARDS:
+        raise InvalidConfigError(f"reward must be one of {REWARD_NAMES}")
+    return _REWARDS[kind]
+
+
+def _pairwise_reward(anchor: Document) -> RewardFn:
+    """2 * (sigmoid(f(d) - f(anchor)) - 0.5): pairwise analog of the pointwise
+    baselined reward, where the anchor is the paired relevant document."""
+
+    def reward(model, query, docs):
+        f_anchor = model.score(query, anchor)
+        return 2.0 * (sigmoid(model.score_many(query, docs) - f_anchor) - 0.5)
+
+    return reward
 
 
 # -- baselines over pools ------------------------------------------------------
@@ -250,7 +222,7 @@ def value_function_baseline(policy: SoftmaxPolicy, model: Scorer, query, pool,
                             reward_fn: RewardFn) -> float:
     """Exact expected reward under the policy: sum_d p(d|q) * reward(d, q)."""
     probs = policy_probs(policy, query, pool)
-    return float(probs @ reward_fn.many(model, query, pool))
+    return float(probs @ reward_fn(model, query, pool))
 
 
 def value_function_baseline_mc(policy: SoftmaxPolicy, model: Scorer, query, pool,
@@ -260,7 +232,7 @@ def value_function_baseline_mc(policy: SoftmaxPolicy, model: Scorer, query, pool
     if n < 2:
         raise ValueError("Monte-Carlo baseline needs n >= 2")
     docs = sample_docs(policy, query, pool, n, rng)
-    rewards = reward_fn.many(model, query, docs)
+    rewards = reward_fn(model, query, docs)
     return float(rewards.mean()), float(rewards.std(ddof=1) / np.sqrt(n))
 
 
@@ -293,7 +265,7 @@ def generator_gradient(policy: SoftmaxPolicy, model: Scorer, query, pool, k: int
     idx = rng.choice(len(pool), size=k, replace=True, p=probs)
     b = resolve_baseline(baseline, policy, model, query, pool, reward_fn, rng)
     unique, counts = np.unique(idx, return_counts=True)
-    advantages = reward_fn.many(model, query, [pool[i] for i in unique]) - b
+    advantages = reward_fn(model, query, [pool[i] for i in unique]) - b
     weights = -probs * float(counts @ advantages)
     np.add.at(weights, unique, counts * advantages)
     return policy.scorer.grad_weighted_sum(query, pool, weights) / (k * policy.temperature)
@@ -395,18 +367,63 @@ def pretrain_mle(policy: SoftmaxPolicy, dataset: Dataset, cfg: TrainConfig) -> R
 # -- epoch operations --------------------------------------------------------------
 
 
-def _batches(queries: Sequence[Query], size: int):
-    for i in range(0, len(queries), size):
-        yield queries[i : i + size]
+def _negative_entries(dataset: Dataset, cfg: TrainConfig):
+    """One entry per query of ``dataset.queries``: (query, positives, negative
+    pool), or None when the query cannot produce both; and the skip count."""
+    entries = []
+    for q in dataset.queries:
+        pos = dataset.positives(q.id)
+        neg_pool = candidate_pool(dataset, q.id, cfg.exclude_positives)
+        entries.append((q, pos, neg_pool) if pos and neg_pool else None)
+    return entries, entries.count(None)
 
 
-def _usable_for_negatives(dataset, query, exclude_positives):
-    """(positives, negative pool) or None when the query cannot produce both."""
-    pos = dataset.positives(query.id)
-    neg_pool = candidate_pool(dataset, query.id, exclude_positives)
-    if not pos or not neg_pool:
-        return None
-    return pos, neg_pool
+def _active_batches(entries, size: int):
+    """The usable entries of each batch.  Batches are slices of the query
+    list, unusable queries included; a batch with no usable entry is skipped."""
+    for i in range(0, len(entries), size):
+        active = [e for e in entries[i : i + size] if e is not None]
+        if active:
+            yield active
+
+
+def _negative_step(model: Scorer, active, draw, lr: float) -> float:
+    """One discriminator step on every positive of the batch against the
+    negatives ``draw(query, positives, pool)`` returns for its query; returns
+    the step's objective per example."""
+    positives, negatives = [], []
+    for q, pos, neg_pool in active:
+        positives.extend((q, p) for p in pos)
+        negatives.extend((q, n) for n in draw(q, pos, neg_pool))
+    obj = discriminator_step(model, positives, negatives, lr)
+    return obj / (len(positives) + len(negatives))
+
+
+def _negative_epoch(model: Scorer, entries, draw, cfg: TrainConfig) -> float:
+    """One negative step per batch; returns the mean per-example objective."""
+    return _mean([_negative_step(model, active, draw, cfg.learning_rate)
+                  for active in _active_batches(entries, cfg.batch_size)])
+
+
+def _generator_step(generator: SoftmaxPolicy, discriminator: Scorer, units,
+                    cfg: TrainConfig, rng: np.random.Generator) -> None:
+    """One policy-gradient step averaged over (query, pool, reward) units."""
+    grad = np.zeros(generator.scorer.params.layout.size)
+    for q, pool, reward_fn in units:
+        grad += generator_gradient(generator, discriminator, q, pool, cfg.k_samples,
+                                   reward_fn, cfg.baseline, rng)
+    generator.scorer.params.values += cfg.learning_rate * grad / len(units)
+
+
+def _mean(values) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
+def _reward_mean(rewards) -> float:
+    """Mean over every document of a list of per-draw reward arrays."""
+    if not rewards:
+        return 0.0
+    return sum(float(r.sum()) for r in rewards) / sum(len(r) for r in rewards)
 
 
 def irgan_pointwise_epoch(generator: SoftmaxPolicy, discriminator: Scorer,
@@ -416,60 +433,28 @@ def irgan_pointwise_epoch(generator: SoftmaxPolicy, discriminator: Scorer,
     positives and down on generator samples, then the generator takes a
     policy-gradient step on the configured reward/baseline."""
     reward_fn = make_reward(cfg.reward)
-    skipped = 0
-    d_obj = d_n = 0.0
-    reward_sum = reward_n = 0.0
-    for batch in _batches(dataset.queries, cfg.batch_size):
-        active = []
-        for q in batch:
-            usable = _usable_for_negatives(dataset, q, cfg.exclude_positives)
-            if usable is None:
-                skipped += 1
-                continue
-            active.append((q, *usable))
-        if not active:
-            continue
+    entries, skipped = _negative_entries(dataset, cfg)
+    d_objs, rewards = [], []
+
+    def draw(q, pos, neg_pool):
+        negs = sample_docs(generator, q, neg_pool, cfg.k_samples, rng)
+        rewards.append(reward_fn(discriminator, q, negs))
+        return negs
+
+    for active in _active_batches(entries, cfg.batch_size):
         for _ in range(cfg.d_steps):
-            positives, negatives = [], []
-            for q, pos, neg_pool in active:
-                negs = sample_docs(generator, q, neg_pool, cfg.k_samples, rng)
-                reward_sum += float(reward_fn.many(discriminator, q, negs).sum())
-                reward_n += len(negs)
-                positives.extend((q, p) for p in pos)
-                negatives.extend((q, n) for n in negs)
-            obj = discriminator_step(discriminator, positives, negatives, cfg.learning_rate)
-            d_obj += obj / (len(positives) + len(negatives))
-            d_n += 1
+            d_objs.append(_negative_step(discriminator, active, draw, cfg.learning_rate))
+        units = [(q, neg_pool, reward_fn) for q, _, neg_pool in active]
         for _ in range(cfg.g_steps):
-            grad = np.zeros(generator.scorer.params.layout.size)
-            for q, _, neg_pool in active:
-                grad += generator_gradient(generator, discriminator, q, neg_pool,
-                                           cfg.k_samples, reward_fn, cfg.baseline, rng)
-            generator.scorer.params.values += cfg.learning_rate * grad / len(active)
+            _generator_step(generator, discriminator, units, cfg, rng)
     objective = irgan_objective(generator, discriminator, dataset, n_mc=1000,
                                 rng=np.random.default_rng(0))
     return [
         RunRow(epoch, "GAN", "objective", objective),
-        RunRow(epoch, "D", "objective_mean", d_obj / d_n if d_n else 0.0),
-        RunRow(epoch, "G", "reward_mean", reward_sum / reward_n if reward_n else 0.0),
+        RunRow(epoch, "D", "objective_mean", _mean(d_objs)),
+        RunRow(epoch, "G", "reward_mean", _reward_mean(rewards)),
         RunRow(epoch, "G", "queries_skipped", skipped),
     ]
-
-
-@dataclass(frozen=True)
-class _PairwiseReward(RewardFn):
-    """2 * (sigmoid(f(d) - f(anchor)) - 0.5): pairwise analog of the pointwise
-    baselined reward, where the anchor is the paired relevant document."""
-
-    anchor: Document
-
-    def __call__(self, model, query, doc):
-        delta = model.score(query, doc) - model.score(query, self.anchor)
-        return float(2.0 * (sigmoid(delta) - 0.5))
-
-    def many(self, model, query, docs):
-        f_anchor = model.score(query, self.anchor)
-        return 2.0 * (sigmoid(model.score_many(query, docs) - f_anchor) - 0.5)
 
 
 def irgan_pairwise_epoch(generator: SoftmaxPolicy, discriminator: Scorer,
@@ -477,89 +462,53 @@ def irgan_pairwise_epoch(generator: SoftmaxPolicy, discriminator: Scorer,
                          rng: np.random.Generator, epoch: int = 1) -> list[RunRow]:
     """Adversarial epoch over triples: the discriminator learns to rank each
     relevant document above a generator-sampled one."""
-    skipped = 0
-    d_obj = d_n = 0.0
-    reward_sum = reward_n = 0.0
-    for batch in _batches(dataset.queries, cfg.batch_size):
-        active = []
-        for q in batch:
-            usable = _usable_for_negatives(dataset, q, cfg.exclude_positives)
-            if usable is None:
-                skipped += 1
-                continue
-            active.append((q, *usable))
-        if not active:
-            continue
+    entries, skipped = _negative_entries(dataset, cfg)
+    d_objs, rewards = [], []
+    for active in _active_batches(entries, cfg.batch_size):
+        pairs = [(q, anchor, neg_pool) for q, pos, neg_pool in active for anchor in pos]
         for _ in range(cfg.d_steps):
             triples = []
-            for q, pos, neg_pool in active:
-                for anchor in pos:
-                    sampled = sample_docs(generator, q, neg_pool, 1, rng)[0]
-                    triples.append((q, anchor, sampled))
-                    reward_sum += _PairwiseReward(anchor)(discriminator, q, sampled)
-                    reward_n += 1
+            for q, anchor, neg_pool in pairs:
+                sampled = sample_docs(generator, q, neg_pool, 1, rng)[0]
+                triples.append((q, anchor, sampled))
+                rewards.append(_pairwise_reward(anchor)(discriminator, q, [sampled]))
             obj = discriminator_pair_step(discriminator, triples, cfg.learning_rate)
-            d_obj += obj / len(triples)
-            d_n += 1
+            d_objs.append(obj / len(triples))
+        units = [(q, neg_pool, _pairwise_reward(anchor)) for q, anchor, neg_pool in pairs]
         for _ in range(cfg.g_steps):
-            grad = np.zeros(generator.scorer.params.layout.size)
-            count = 0
-            for q, pos, neg_pool in active:
-                for anchor in pos:
-                    grad += generator_gradient(generator, discriminator, q, neg_pool,
-                                               cfg.k_samples, _PairwiseReward(anchor),
-                                               cfg.baseline, rng)
-                    count += 1
-            generator.scorer.params.values += cfg.learning_rate * grad / count
+            _generator_step(generator, discriminator, units, cfg, rng)
     return [
-        RunRow(epoch, "D", "objective_mean", d_obj / d_n if d_n else 0.0),
-        RunRow(epoch, "G", "reward_mean", reward_sum / reward_n if reward_n else 0.0),
+        RunRow(epoch, "D", "objective_mean", _mean(d_objs)),
+        RunRow(epoch, "G", "reward_mean", _reward_mean(rewards)),
         RunRow(epoch, "G", "queries_skipped", skipped),
     ]
 
 
-def _contrastive_batches(model: Scorer, sampler_probs, dataset, cfg, rng):
+def _contrastive_batches(model: Scorer, table, entries, cfg, rng):
     """Shared inner loop for single-d and dual-d: positives from judgments,
-    negatives drawn from ``sampler_probs`` (a qid -> (pool, probs) map)."""
-    obj = n = 0.0
-    for batch in _batches(dataset.queries, cfg.batch_size):
-        positives, negatives = [], []
-        for q in batch:
-            entry = sampler_probs.get(q.id)
-            if entry is None:
-                continue
-            pos, neg_pool, probs = entry
-            idx = rng.choice(len(neg_pool), size=len(pos), replace=True, p=probs)
-            positives.extend((q, p) for p in pos)
-            negatives.extend((q, neg_pool[i]) for i in idx)
-        if not positives:
-            continue
-        step_obj = discriminator_step(model, positives, negatives, cfg.learning_rate)
-        obj += step_obj / (len(positives) + len(negatives))
-        n += 1
-    return obj / n if n else 0.0
+    negatives drawn from the sampler ``table`` (qid -> probs over the pool)."""
+
+    def draw(q, pos, neg_pool):
+        idx = rng.choice(len(neg_pool), size=len(pos), replace=True, p=table[q.id])
+        return [neg_pool[i] for i in idx]
+
+    return _negative_epoch(model, entries, draw, cfg)
 
 
-def _sampler_table(sampler: Scorer, dataset, cfg):
-    """Precompute the sampler's normalized output distribution per query."""
-    table = {}
-    skipped = 0
-    for q in dataset.queries:
-        usable = _usable_for_negatives(dataset, q, cfg.exclude_positives)
-        if usable is None:
-            skipped += 1
-            continue
-        pos, neg_pool = usable
-        table[q.id] = (pos, neg_pool, discriminator_sampling_probs(sampler, q, neg_pool))
-    return table, skipped
+def _sampler_table(sampler: Scorer, entries):
+    """The sampler's normalized output distribution over each usable query's
+    negative pool."""
+    return {q.id: discriminator_sampling_probs(sampler, q, neg_pool)
+            for q, _, neg_pool in filter(None, entries)}
 
 
 def single_d_epoch(model: Scorer, dataset: Dataset, cfg: TrainConfig,
                    rng: np.random.Generator, epoch: int = 1) -> list[RunRow]:
     """Self-contrastive epoch: negatives sampled from the model's own
     normalized output over the (positives-excluded) pool."""
-    table, skipped = _sampler_table(model, dataset, cfg)
-    mean_obj = _contrastive_batches(model, table, dataset, cfg, rng)
+    entries, skipped = _negative_entries(dataset, cfg)
+    table = _sampler_table(model, entries)
+    mean_obj = _contrastive_batches(model, table, entries, cfg, rng)
     return [
         RunRow(epoch, "M", "objective_mean", mean_obj),
         RunRow(epoch, "M", "queries_skipped", skipped),
@@ -578,17 +527,18 @@ def dual_d_outer_epoch(model_a: Scorer, model_b: Scorer, dataset: Dataset,
     """
     phase_seed = int(rng.integers(2**63))
     snap_a, snap_b = model_a.snapshot(), model_b.snapshot()
+    entries, skipped = _negative_entries(dataset, cfg)
     rows = []
-    for active, frozen, other, tag in (
+    for model, frozen, other, tag in (
         (model_a, snap_b, model_b, "A"),
         (model_b, snap_a, model_a, "B"),
     ):
         partner_sum = other.checksum()
-        table, skipped = _sampler_table(frozen, dataset, cfg)
+        table = _sampler_table(frozen, entries)
         phase_rng = np.random.default_rng(phase_seed)
         mean_obj = 0.0
         for _ in range(cfg.epochs_inner):
-            mean_obj = _contrastive_batches(active, table, dataset, cfg, phase_rng)
+            mean_obj = _contrastive_batches(model, table, entries, cfg, phase_rng)
         if other.checksum() != partner_sum:
             raise NumericError(f"partner of {tag} was modified during its dual-d phase")
         rows.append(RunRow(epoch, tag, "objective_mean", mean_obj))
@@ -600,30 +550,18 @@ def dns_epoch(model: Scorer, dataset: Dataset, cfg: TrainConfig,
               rng: np.random.Generator, epoch: int = 1) -> list[RunRow]:
     """Hardest-of-k negative sampling: per positive, draw dns_k uniform
     candidates (without replacement) and keep the one the model scores highest."""
-    skipped = 0
-    obj = n = 0.0
-    for batch in _batches(dataset.queries, cfg.batch_size):
-        positives, negatives = [], []
-        for q in batch:
-            usable = _usable_for_negatives(dataset, q, cfg.exclude_positives)
-            if usable is None:
-                skipped += 1
-                continue
-            pos, neg_pool = usable
-            for p in pos:
-                k = min(cfg.dns_k, len(neg_pool))
-                idx = rng.choice(len(neg_pool), size=k, replace=False)
-                cand = [neg_pool[i] for i in idx]
-                hardest = cand[int(np.argmax(model.score_many(q, cand)))]
-                positives.append((q, p))
-                negatives.append((q, hardest))
-        if not positives:
-            continue
-        step_obj = discriminator_step(model, positives, negatives, cfg.learning_rate)
-        obj += step_obj / (len(positives) + len(negatives))
-        n += 1
+    entries, skipped = _negative_entries(dataset, cfg)
+
+    def draw(q, pos, neg_pool):
+        k = min(cfg.dns_k, len(neg_pool))
+        hardest = []
+        for _ in pos:
+            cand = [neg_pool[i] for i in rng.choice(len(neg_pool), size=k, replace=False)]
+            hardest.append(cand[int(np.argmax(model.score_many(q, cand)))])
+        return hardest
+
     return [
-        RunRow(epoch, "D", "objective_mean", obj / n if n else 0.0),
+        RunRow(epoch, "D", "objective_mean", _negative_epoch(model, entries, draw, cfg)),
         RunRow(epoch, "D", "queries_skipped", skipped),
     ]
 
@@ -707,7 +645,10 @@ def run_trainer(name: str, dataset: Dataset, cfg: TrainConfig,
         if cfg.pretrain_epochs > 0:
             pre_cfg = replace(cfg, epochs_outer=cfg.pretrain_epochs,
                               learning_rate=cfg.pretrain_lr, pretrain_epochs=0)
-            record.extend(pretrain_mle(generator, dataset, pre_cfg).rows)
+            # Pretraining rows get their own tag: their epochs restart at 1
+            # and would otherwise collide with the adversarial G rows.
+            record.extend(replace(row, model="G-pretrain")
+                          for row in pretrain_mle(generator, dataset, pre_cfg).rows)
 
     if eval_dataset is not None:
         record.extend(_eval_rows(models, 0, eval_dataset, metric_names))

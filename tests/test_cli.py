@@ -1,9 +1,11 @@
 """CLI commands: outputs, exit codes, determinism, and CSV round-trips."""
 
 import filecmp
+from pathlib import Path
 
 import pytest
 
+from ranklab import cli, pgvar
 from ranklab.cli import main, parity_outer_epochs
 from ranklab.trainers import RunRecord
 from ranklab._util import read_csv
@@ -129,6 +131,20 @@ learning_rate = 0.05
         config = write_config(tmp_path, body)
         assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 2
 
+    def test_irgan_with_pretraining_exits_zero(self, tmp_path):
+        config = write_config(tmp_path, self.config("irgan-pointwise", "pretrain_epochs = 2"))
+        assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 0
+        record = RunRecord.from_csv(tmp_path / "out" / "run" / "curves.csv")
+        assert [e for e, _ in record.series("G-pretrain", "log_likelihood")] == [1, 2]
+        assert [e for e, _ in record.series("G", "queries_skipped")] == [1, 2, 3]
+
+    def test_unknown_metric_fails_before_work(self, tmp_path, capsys):
+        config = write_config(tmp_path, self.config("single-d")
+                              + "\n[eval]\nmetrics = p@5,recall@5\n")
+        assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 1
+        assert "recall@5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_changes_run(self, tmp_path):
         config = write_config(tmp_path, self.config("single-d"))
         assert run(["train", "--config", config, "--out", tmp_path / "o1"]) == 0
@@ -168,6 +184,21 @@ seeds = 1,2
         config = write_config(tmp_path, self.CONFIG.replace(
             "trainers = single-d,dns", "trainers = single-d"))
         assert run(["compare", "--config", config, "--out", tmp_path / "out"]) == 1
+
+    def test_bad_seed_fails_before_work(self, tmp_path, capsys):
+        config = write_config(tmp_path, self.CONFIG.replace("seeds = 1,2", "seeds = 1,x"))
+        assert run(["compare", "--config", config, "--out", tmp_path / "out"]) == 1
+        assert "seeds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_metric_fails_before_work(self, tmp_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(cli, "run_trainer", lambda *a, **k: trained.append(a))
+        config = write_config(tmp_path, self.CONFIG + "\n[eval]\nmetrics = bogus@3\n")
+        assert run(["compare", "--config", config, "--out", tmp_path / "out"]) == 1
+        assert "metrics" in capsys.readouterr().err
+        assert trained == []
+        assert not (tmp_path / "out").exists()
 
     def test_budget_parity_for_dual_d(self):
         assert parity_outer_epochs(budget=60, inner=30) == 1
@@ -214,6 +245,30 @@ b_sweep = 0.5,0.6,0.7,0.8,0.9
         bounds = [float(r[2]) for r in rows if float(r[0]) > anchor]
         assert len(bounds) >= 2
         assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
+
+    def test_bad_fraction_fails_before_work(self, tmp_path, capsys):
+        config = write_config(tmp_path, self.CONFIG.replace(
+            "fractions = 0.002,0.005,0.015", "fractions = abc"))
+        assert run(["variance", "--config", config, "--out", tmp_path / "out"]) == 1
+        assert "fractions" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_shipped_config_builds_each_fraction_once(self, tmp_path, monkeypatch):
+        calls = {"study_instance": 0, "verify_variance_bound": 0}
+        for name in calls:
+            original = getattr(pgvar, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            # Patch every module that binds the function, so direct calls count too.
+            for module in (pgvar, cli):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, spy)
+        config = Path(__file__).resolve().parent.parent / "configs" / "variance_study.ini"
+        assert run(["variance", "--config", config, "--out", tmp_path / "out"]) == 0
+        assert calls == {"study_instance": 3, "verify_variance_bound": 3}
 
     def test_rerun_identical(self, tmp_path):
         config = write_config(tmp_path, self.CONFIG)

@@ -414,6 +414,41 @@ class TestVerifyVarianceBound:
         assert not report.defined
 
 
+class TestPolicyPasses:
+    """Each public enumeration makes one policy pass per visited state."""
+
+    def count_passes(self, monkeypatch, fn, *args):
+        calls = []
+        original = LinearScorer.gradient_matrix
+
+        def spy(self, query, docs):
+            calls.append(query.id)
+            return original(self, query, docs)
+
+        monkeypatch.setattr(LinearScorer, "gradient_matrix", spy)
+        fn(*args)
+        return calls
+
+    def instance_with_unvisited_state(self):
+        instance, policy = low_reward_instance(5, with_rare_high_action=True)
+        n = len(instance.states)
+        visitation = np.full(n, 1.0 / (n - 1))
+        visitation[-1] = 0.0
+        return MDPInstance(instance.states, instance.pools, instance.q_values,
+                           visitation), policy
+
+    def test_verify_variance_bound(self, monkeypatch):
+        instance, policy = self.instance_with_unvisited_state()
+        calls = self.count_passes(monkeypatch, verify_variance_bound, instance, policy, 0.5)
+        assert calls == [q.id for q in instance.states[:-1]]
+
+    @pytest.mark.parametrize("baseline", [ConstantBaseline(0.5), ValueFunctionBaseline()])
+    def test_exact_variance(self, monkeypatch, baseline):
+        instance, policy = self.instance_with_unvisited_state()
+        calls = self.count_passes(monkeypatch, exact_variance, instance, policy, baseline)
+        assert calls == [q.id for q in instance.states[:-1]]
+
+
 class TestSparsityStudy:
     CFG = StudyConfig(num_queries=6, pool_size=500, mc_samples=4000)
 

@@ -34,8 +34,6 @@ from ranklab.trainers import (
     irgan_pointwise_epoch,
     make_reward,
     pretrain_mle,
-    reinforce_reward_baselined,
-    reinforce_reward_raw,
     run_trainer,
     single_d_epoch,
     value_function_baseline,
@@ -59,28 +57,30 @@ class TestRewards:
     def setup_method(self):
         self.scorer = fixed_score_scorer()
 
+    def reward_at(self, kind, score):
+        rewards = make_reward(kind)(self.scorer, None, [doc_with_score(score)])
+        assert rewards.shape == (1,)
+        return float(rewards[0])
+
     def test_raw_at_zero(self):
-        assert reinforce_reward_raw(self.scorer, None, doc_with_score(0.0)) == pytest.approx(
-            math.log(2.0), abs=1e-12
-        )
+        assert self.reward_at("raw", 0.0) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_raw_large_negative(self):
-        r = reinforce_reward_raw(self.scorer, None, doc_with_score(-1000.0))
+        r = self.reward_at("raw", -1000.0)
         assert math.isfinite(r) and 0.0 <= r < 1e-300
 
     def test_raw_large_positive(self):
-        r = reinforce_reward_raw(self.scorer, None, doc_with_score(1000.0))
-        assert r == pytest.approx(1000.0)
+        assert self.reward_at("raw", 1000.0) == pytest.approx(1000.0)
 
     def test_baselined_at_zero(self):
-        assert reinforce_reward_baselined(self.scorer, None, doc_with_score(0.0), 0.5) == 0.0
+        assert self.reward_at("sigmoid-baselined", 0.0) == 0.0
 
     def test_baselined_hand_sigmoid(self):
-        r = reinforce_reward_baselined(self.scorer, None, doc_with_score(math.log(3.0)), 0.5)
+        r = self.reward_at("sigmoid-baselined", math.log(3.0))
         assert r == pytest.approx(0.5, abs=1e-12)
 
     def test_baselined_saturates_at_one(self):
-        r = reinforce_reward_baselined(self.scorer, None, doc_with_score(1000.0), 0.5)
+        r = self.reward_at("sigmoid-baselined", 1000.0)
         assert r == pytest.approx(1.0, abs=1e-10)
 
 
@@ -91,7 +91,7 @@ class TestValueFunctionBaseline:
         policy = SoftmaxPolicy(scorer)
         reward = make_reward("sigmoid")
         assert value_function_baseline(policy, scorer, None, pool, reward) == pytest.approx(
-            reward(scorer, None, pool[0])
+            reward(scorer, None, pool)[0]
         )
 
     def test_uniform_two_docs(self):
@@ -144,8 +144,8 @@ class TestGeneratorGradient:
         # independent enumeration oracle: E[g] = sum_d p_d grad log p(d) (r_d - b)
         probs = policy_probs(policy, None, pool)
         exact = sum(
-            p * log_prob_gradient(policy, None, pool, d) * (reward(model, None, d) - 0.0)
-            for p, d in zip(probs, pool)
+            p * log_prob_gradient(policy, None, pool, d) * (r - 0.0)
+            for p, d, r in zip(probs, pool, reward(model, None, pool))
         )
         rng = np.random.default_rng(11)
         n = 100_000
@@ -563,6 +563,33 @@ class TestRunTrainer:
                              eval_dataset=dataset, metric_names=("p@5",))
         epochs = [e for e, _ in result.record.series("M", "p@5")]
         assert epochs == [0, 1, 2]
+
+    @pytest.mark.parametrize("name", ["irgan-pointwise", "irgan-pairwise"])
+    def test_pretraining_rows_tagged_apart_from_adversarial_rows(self, name):
+        dataset = small_planted()
+        models = {"G": build_scorer("linear", {"feature_dim": 4}, scale=0.1, seed=1),
+                  "D": build_scorer("linear", {"feature_dim": 4}, scale=0.1, seed=2)}
+        cfg = TrainConfig(learning_rate=0.05, epochs_outer=2, pretrain_epochs=3)
+        result = run_trainer(name, dataset, cfg, models,
+                             eval_dataset=dataset, metric_names=("p@5",))
+        record = result.record
+        assert [e for e, _ in record.series("G-pretrain", "log_likelihood")] == [1, 2, 3]
+        assert [e for e, _ in record.series("G-pretrain", "queries_skipped")] == [1, 2, 3]
+        assert [e for e, _ in record.series("G", "queries_skipped")] == [1, 2]
+        assert [e for e, _ in record.series("G", "p@5")] == [0, 1, 2]
+
+    def test_pretraining_rows_match_pretrain_mle(self):
+        dataset = small_planted()
+        g = build_scorer("linear", {"feature_dim": 4}, scale=0.1, seed=1)
+        cfg = TrainConfig(learning_rate=0.05, epochs_outer=1, pretrain_epochs=2,
+                          pretrain_lr=0.02)
+        result = run_trainer("irgan-pointwise", dataset, cfg,
+                             {"G": g.clone(), "D": build_scorer("linear", {"feature_dim": 4})})
+        alone = pretrain_mle(SoftmaxPolicy(g), dataset,
+                             TrainConfig(learning_rate=0.02, epochs_outer=2))
+        tagged = [(r.epoch, r.metric, r.value) for r in result.record.rows
+                  if r.model == "G-pretrain"]
+        assert tagged == [(r.epoch, r.metric, r.value) for r in alone.rows]
 
 
 class TestRunRecord:
