@@ -1,7 +1,10 @@
-"""Small shared helpers: deterministic CSV writing."""
+"""Small shared helpers: atomic, deterministic artifact writing."""
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,9 +21,25 @@ def fmt_cell(value) -> str:
     return str(value)
 
 
+@contextmanager
+def atomic_write(path):
+    """Text handle (UTF-8, LF) on a temporary file beside ``path``.  On a clean
+    exit the file replaces ``path`` in one step; on an error it is removed, so
+    ``path`` is never left half-written."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """UTF-8, LF line endings, repr'd floats; plain enough to parse anywhere."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(fmt_cell(c) for c in row) + "\n")

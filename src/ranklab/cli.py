@@ -59,7 +59,7 @@ from .trainers import (
     pretrain_mle,
     run_trainer,
 )
-from ._util import write_csv
+from ._util import atomic_write, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -170,31 +170,34 @@ def load_dataset(conf: Conf) -> Dataset:
     raise CliConfigError(f"bad value for 'source' in [dataset]: {source!r}")
 
 
+def _section_values(conf: Conf, section: str, base, keys) -> dict:
+    """``keys`` of [section], each read with the type of its value in ``base``,
+    the config dataclass that holds the defaults, and defaulting to it."""
+    getters = {bool: conf.get_bool, int: conf.get_int, float: conf.get_float, str: conf.get}
+    return {key: getters[type(getattr(base, key))](section, key, default=getattr(base, key))
+            for key in keys}
+
+
 def load_train_config(conf: Conf, seed_override: int | None) -> TrainConfig:
-    baseline_text = conf.get("trainer", "baseline", default="constant:0.0")
+    """The [trainer] section; every key but learning_rate defaults to TrainConfig's."""
+    base = TrainConfig()
+    baseline_text = conf.get("trainer", "baseline")
     try:
-        baseline = parse_baseline(baseline_text)
+        baseline = base.baseline if baseline_text is None else parse_baseline(baseline_text)
     except ValueError as exc:
         raise CliConfigError(f"bad value for 'baseline' in [trainer]: {exc}") from None
-    seed = conf.get_int("trainer", "seed", default=40)
+    seed = conf.get_int("trainer", "seed", default=base.seed)
     if seed_override is not None:
         seed = seed_override
-    return TrainConfig(
+    return replace(
+        base,
         learning_rate=conf.get_float("trainer", "learning_rate", required=True),
-        batch_size=conf.get_int("trainer", "batch_size", default=8),
-        epochs_outer=conf.get_int("trainer", "epochs_outer", default=30),
-        epochs_inner=conf.get_int("trainer", "epochs_inner", default=1),
-        k_samples=conf.get_int("trainer", "k_samples", default=1),
-        dns_k=conf.get_int("trainer", "dns_k", default=5),
         baseline=baseline,
-        reward=conf.get("trainer", "reward", default="sigmoid-baselined"),
         seed=seed,
-        temperature=conf.get_float("trainer", "temperature", default=1.0),
-        exclude_positives=conf.get_bool("trainer", "exclude_positives", default=True),
-        d_steps=conf.get_int("trainer", "d_steps", default=1),
-        g_steps=conf.get_int("trainer", "g_steps", default=1),
-        pretrain_epochs=conf.get_int("trainer", "pretrain_epochs", default=0),
-        pretrain_lr=conf.get_float("trainer", "pretrain_lr", default=0.01),
+        **_section_values(conf, "trainer", base, (
+            "batch_size", "epochs_outer", "epochs_inner", "k_samples", "dns_k", "reward",
+            "temperature", "exclude_positives", "d_steps", "g_steps", "pretrain_epochs",
+            "pretrain_lr")),
     )
 
 
@@ -298,8 +301,7 @@ def cmd_train(conf: Conf, args) -> int:
     for role, model in result.models.items():
         save_checkpoint(model, run_dir / "checkpoints" / f"{role}.ckpt")
     if result.chosen is not None:
-        with open(run_dir / "checkpoints" / "chosen", "w", encoding="utf-8",
-                  newline="\n") as fh:
+        with atomic_write(run_dir / "checkpoints" / "chosen") as fh:
             fh.write(result.chosen + "\n")
     reports = {
         role: evaluate_model(model, eval_set, metric_names)
@@ -355,8 +357,7 @@ def cmd_compare(conf: Conf, args) -> int:
             models = {role: build_model(conf, dataset, role, seed)
                       for role in TRAINER_ROLES[name]}
             result = run_trainer(name, train_set, seeded, models)
-            eval_role = {"irgan-pointwise": "G", "irgan-pairwise": "G",
-                         "single-d": "M", "dns": "D"}.get(name, result.chosen)
+            eval_role = result.chosen or TRAINER_ROLES[name][0]
             report = evaluate_model(result.models[eval_role], eval_set, metric_names)
             for metric, value in report.values.items():
                 per_seed_rows.append((name, seed, metric, value))
@@ -409,18 +410,10 @@ def cmd_variance(conf: Conf, args) -> int:
     seed = conf.get_int("variance", "seed", default=7)
     if args.seed is not None:
         seed = args.seed
-    study_cfg = StudyConfig(
-        num_queries=conf.get_int("variance", "num_queries", default=10),
-        pool_size=conf.get_int("variance", "pool_size", default=1000),
-        feature_dim=conf.get_int("variance", "feature_dim", default=8),
-        noise_sigma=conf.get_float("variance", "noise_sigma", default=0.0),
-        init_scale=conf.get_float("variance", "init_scale", default=0.25),
-        train_epochs=conf.get_int("variance", "train_epochs", default=5),
-        learning_rate=conf.get_float("variance", "learning_rate", default=0.05),
-        batch_size=conf.get_int("variance", "batch_size", default=8),
-        b=conf.get_float("variance", "b", default=0.5),
-        mc_samples=conf.get_int("variance", "mc_samples", default=100_000),
-    )
+    base = StudyConfig()
+    study_cfg = replace(base, **_section_values(conf, "variance", base, (
+        "num_queries", "pool_size", "feature_dim", "noise_sigma", "init_scale",
+        "train_epochs", "learning_rate", "batch_size", "b", "mc_samples")))
     run_dir = prepare_run_dir(conf, args)
     # The b-sweep runs on the first fraction's instance.
     rows, chain_rows, sweeps = zip(*(

@@ -34,6 +34,7 @@ from .core import (
     Judgment,
     build_dataset,
 )
+from ._util import atomic_write
 
 
 class ParseError(DatasetError):
@@ -156,7 +157,7 @@ def parse_letor(path) -> Dataset:
 
 def serialize_letor(dataset: Dataset, path) -> None:
     """Write a dataset in LETOR format; parse_letor(serialize_letor(ds)) == ds."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for q in dataset.queries:
             for doc in dataset.pool(q.id):
                 if doc.features is None:

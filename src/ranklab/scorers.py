@@ -28,6 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Document, Query
+from ._util import atomic_write
 
 SIGMOID_CLAMP = 30.0
 
@@ -141,11 +142,13 @@ def init_params(kind: str, dims: Mapping, scale: float, seed: int, *, zero: bool
 
 
 class Scorer:
-    """Base scoring function.  Subclasses implement score/gradient kernels.
+    """Base scoring function.  Each kind implements one kernel pair:
 
+    ``score_many(query, docs)`` returns f(d, query) for every document, and
     ``grad_weighted_sum(query, docs, weights)`` returns sum_i weights[i] *
     grad f(docs[i], query) in one vectorized pass; it is the workhorse for
-    log-softmax gradients and discriminator updates.  ``uses_query`` is False
+    log-softmax gradients and discriminator updates.  ``score``, ``gradient``
+    and ``gradient_matrix`` are views of that pair.  ``uses_query`` is False
     for kinds that score joint query-document features and ignore the query
     argument; batch updates may then lump documents across queries.
     """
@@ -156,21 +159,18 @@ class Scorer:
     def __init__(self, params: ParamVector):
         self.params = params
 
-    # -- required kernels ------------------------------------------------
-    def score(self, query: Query | None, doc: Document) -> float:
-        raise NotImplementedError
-
-    def gradient(self, query: Query | None, doc: Document) -> np.ndarray:
-        raise NotImplementedError
-
+    # -- kernels ---------------------------------------------------------
     def score_many(self, query: Query | None, docs: Sequence[Document]) -> np.ndarray:
-        return np.array([self.score(query, d) for d in docs])
+        raise NotImplementedError
 
     def grad_weighted_sum(self, query, docs, weights) -> np.ndarray:
-        total = np.zeros(self.params.layout.size)
-        for w, d in zip(weights, docs):
-            total += w * self.gradient(query, d)
-        return total
+        raise NotImplementedError
+
+    def score(self, query: Query | None, doc: Document) -> float:
+        return float(self.score_many(query, [doc])[0])
+
+    def gradient(self, query: Query | None, doc: Document) -> np.ndarray:
+        return self.grad_weighted_sum(query, [doc], np.ones(1))
 
     def gradient_matrix(self, query, docs) -> np.ndarray:
         """Stacked per-document gradients, shape (len(docs), n_params)."""
@@ -196,10 +196,12 @@ class Scorer:
         return hashlib.sha1(self.params.values.tobytes()).digest()
 
 
-def _features(doc: Document, kind: str) -> np.ndarray:
-    if doc.features is None:
-        raise RepresentationError(f"{kind} scorer needs features; doc {doc.id!r} has none")
-    return doc.features
+def _feature_matrix(docs: Sequence[Document], kind: str) -> np.ndarray:
+    """Document features stacked into rows, shape (len(docs), feature_dim)."""
+    for doc in docs:
+        if doc.features is None:
+            raise RepresentationError(f"{kind} scorer needs features; doc {doc.id!r} has none")
+    return np.array([doc.features for doc in docs])
 
 
 class LinearScorer(Scorer):
@@ -214,24 +216,16 @@ class LinearScorer(Scorer):
     def dims(self):
         return {"feature_dim": self._dim}
 
-    def score(self, query, doc):
-        x = _features(doc, self.kind)
-        return float(self.params.segment("w") @ x + self.params.segment("b")[0])
-
     def score_many(self, query, docs):
-        X = np.stack([_features(d, self.kind) for d in docs])
+        X = _feature_matrix(docs, self.kind)
         return X @ self.params.segment("w") + self.params.segment("b")[0]
 
-    def gradient(self, query, doc):
-        x = _features(doc, self.kind)
-        return np.concatenate([x, [1.0]])
-
     def gradient_matrix(self, query, docs):
-        X = np.stack([_features(d, self.kind) for d in docs])
+        X = _feature_matrix(docs, self.kind)
         return np.hstack([X, np.ones((len(docs), 1))])
 
     def grad_weighted_sum(self, query, docs, weights):
-        X = np.stack([_features(d, self.kind) for d in docs])
+        X = _feature_matrix(docs, self.kind)
         w = np.asarray(weights, dtype=np.float64)
         return np.concatenate([X.T @ w, [w.sum()]])
 
@@ -252,38 +246,31 @@ class Mlp1Scorer(Scorer):
     def dims(self):
         return {"feature_dim": self._dim, "hidden": self._hidden}
 
-    def _w1(self):
-        return self.params.segment("hidden_w").reshape(self._hidden, self._dim)
-
     def _forward(self, X: np.ndarray):
-        H = np.tanh(X @ self._w1().T + self.params.segment("hidden_b"))
+        w1 = self.params.segment("hidden_w").reshape(self._hidden, self._dim)
+        H = np.tanh(X @ w1.T + self.params.segment("hidden_b"))
         f = H @ self.params.segment("out_w") + self.params.segment("out_b")[0]
         return H, f
 
-    def score(self, query, doc):
-        _, f = self._forward(_features(doc, self.kind)[None, :])
-        return float(f[0])
+    def _backward(self, docs):
+        """(X, H, A) with A = d f / d(hidden pre-activation) = (1 - H^2) * out_w,
+        each with one row per document."""
+        X = _feature_matrix(docs, self.kind)
+        H, _ = self._forward(X)
+        return X, H, (1.0 - H * H) * self.params.segment("out_w")
 
     def score_many(self, query, docs):
-        X = np.stack([_features(d, self.kind) for d in docs])
-        return self._forward(X)[1]
-
-    def gradient(self, query, doc):
-        return self.grad_weighted_sum(query, [doc], np.ones(1))
+        return self._forward(_feature_matrix(docs, self.kind))[1]
 
     def gradient_matrix(self, query, docs):
-        X = np.stack([_features(d, self.kind) for d in docs])
-        H, _ = self._forward(X)
-        a = (1.0 - H * H) * self.params.segment("out_w")  # (n, hidden)
-        dW1 = np.einsum("nh,nd->nhd", a, X).reshape(len(docs), -1)
-        return np.hstack([dW1, a, H, np.ones((len(docs), 1))])
+        X, H, A = self._backward(docs)
+        dW1 = np.einsum("nh,nd->nhd", A, X).reshape(len(docs), -1)
+        return np.hstack([dW1, A, H, np.ones((len(docs), 1))])
 
     def grad_weighted_sum(self, query, docs, weights):
-        X = np.stack([_features(d, self.kind) for d in docs])
+        X, H, A = self._backward(docs)
         w = np.asarray(weights, dtype=np.float64)
-        H, _ = self._forward(X)
-        a = (1.0 - H * H) * self.params.segment("out_w")
-        aw = a * w[:, None]
+        aw = A * w[:, None]
         return np.concatenate(
             [(aw.T @ X).ravel(), aw.sum(axis=0), H.T @ w, [w.sum()]]
         )
@@ -316,10 +303,12 @@ class MatFacScorer(Scorer):
             raise RepresentationError(f"query {qid!r} not in factorization vocabulary")
         return self._q_index[query.id]
 
-    def _di(self, doc):
-        if doc.id not in self._d_index:
-            raise RepresentationError(f"doc {doc.id!r} not in factorization vocabulary")
-        return self._d_index[doc.id]
+    def _doc_rows(self, docs) -> np.ndarray:
+        """Row of each document in the doc tables."""
+        for doc in docs:
+            if doc.id not in self._d_index:
+                raise RepresentationError(f"doc {doc.id!r} not in factorization vocabulary")
+        return np.array([self._d_index[doc.id] for doc in docs])
 
     def _tables(self):
         k = self._k
@@ -327,22 +316,15 @@ class MatFacScorer(Scorer):
         de = self.params.segment("doc_embed").reshape(len(self.doc_ids), k)
         return qe, de, self.params.segment("doc_bias")
 
-    def score(self, query, doc):
-        qe, de, bias = self._tables()
-        return float(qe[self._qi(query)] @ de[self._di(doc)] + bias[self._di(doc)])
-
     def score_many(self, query, docs):
         qe, de, bias = self._tables()
-        idx = np.array([self._di(d) for d in docs])
+        idx = self._doc_rows(docs)
         return de[idx] @ qe[self._qi(query)] + bias[idx]
-
-    def gradient(self, query, doc):
-        return self.grad_weighted_sum(query, [doc], np.ones(1))
 
     def grad_weighted_sum(self, query, docs, weights):
         qe, de, _ = self._tables()
         qi = self._qi(query)
-        idx = np.array([self._di(d) for d in docs])
+        idx = self._doc_rows(docs)
         w = np.asarray(weights, dtype=np.float64)
         out = np.zeros(self.params.layout.size)
         layout = self.params.layout
@@ -373,49 +355,41 @@ class TextAvgEmbedScorer(Scorer):
         M = self.params.segment("bilinear").reshape(self._k, self._k)
         return E, M
 
-    def _mean_embed(self, tokens, E, who):
+    def _token_ids(self, tokens, who) -> np.ndarray:
         if tokens is None or len(tokens) == 0:
             raise RepresentationError(f"text scorer needs tokens; {who} has none")
         idx = np.asarray(tokens)
         if idx.min() < 0 or idx.max() >= self.vocab_size:
             raise RepresentationError(f"{who} has token id outside vocabulary")
-        return E[idx].mean(axis=0)
+        return idx
 
-    def score(self, query, doc):
-        E, M = self._tables()
+    def _embeds(self, query, docs, E):
+        """Token ids and mean embeddings: (query ids, query mean, then a list
+        of ids and a list of means with one entry per document)."""
         if query is None:
             raise RepresentationError("text scorer needs a query with tokens")
-        eq = self._mean_embed(query.tokens, E, f"query {query.id!r}")
-        ed = self._mean_embed(doc.tokens, E, f"doc {doc.id!r}")
-        return float(eq @ M @ ed)
+        q_idx = self._token_ids(query.tokens, f"query {query.id!r}")
+        d_ids = [self._token_ids(d.tokens, f"doc {d.id!r}") for d in docs]
+        return q_idx, E[q_idx].mean(axis=0), d_ids, [E[idx].mean(axis=0) for idx in d_ids]
 
     def score_many(self, query, docs):
         E, M = self._tables()
-        eq = self._mean_embed(query.tokens, E, f"query {query.id!r}")
+        _, eq, _, eds = self._embeds(query, docs, E)
         lhs = M.T @ eq
-        return np.array(
-            [self._mean_embed(d.tokens, E, f"doc {d.id!r}") @ lhs for d in docs]
-        )
-
-    def gradient(self, query, doc):
-        return self.grad_weighted_sum(query, [doc], np.ones(1))
+        return np.array([ed @ lhs for ed in eds])
 
     def grad_weighted_sum(self, query, docs, weights):
         E, M = self._tables()
-        eq = self._mean_embed(query.tokens, E, f"query {query.id!r}")
+        q_idx, eq, d_ids, eds = self._embeds(query, docs, E)
         w = np.asarray(weights, dtype=np.float64)
-        ed_rows = np.stack(
-            [self._mean_embed(d.tokens, E, f"doc {d.id!r}") for d in docs]
-        )
-        ed_weighted = ed_rows.T @ w  # sum_i w_i ed_i
+        ed_weighted = np.stack(eds).T @ w  # sum_i w_i ed_i
         embed_grad = np.zeros((self.vocab_size, self._k))
         # query-token contribution: each query token receives (M ed_i) / len(q)
-        q_idx = np.asarray(query.tokens)
         np.add.at(embed_grad, q_idx, (M @ ed_weighted) / len(q_idx))
-        mt_eq = M.T @ eq
-        for wi, d in zip(w, docs):
-            d_idx = np.asarray(d.tokens)
-            np.add.at(embed_grad, d_idx, wi * mt_eq / len(d_idx))
+        # doc-token contribution: each token of doc i receives w_i M^T eq / len(d_i)
+        lengths = np.array([len(idx) for idx in d_ids])
+        per_doc = (w[:, None] * (M.T @ eq)) / lengths[:, None]
+        np.add.at(embed_grad, np.concatenate(d_ids), np.repeat(per_doc, lengths, axis=0))
         bilinear_grad = np.outer(eq, ed_weighted)
         return np.concatenate([embed_grad.ravel(), bilinear_grad.ravel()])
 
@@ -423,10 +397,14 @@ class TextAvgEmbedScorer(Scorer):
 def build_scorer(kind: str, dims: Mapping, params: ParamVector | None = None, *,
                  scale: float | None = None, seed: int | None = None,
                  zero: bool = False) -> Scorer:
-    """Construct a scorer of the given kind; initialize params if not supplied."""
+    """Construct a scorer of the given kind; initialize params if not supplied.
+    Supplied params must have exactly the layout that ``kind`` and ``dims`` give."""
     if params is None:
         params = init_params(kind, dims, scale if scale is not None else 0.1,
                              seed if seed is not None else 0, zero=zero)
+    elif params.layout != (expected := layout_for(kind, dims)):
+        raise ValueError(f"parameter layout {params.layout.segments} does not match "
+                         f"the {kind} layout {expected.segments} of its dims")
     if kind == "linear":
         return LinearScorer(params)
     if kind == "mlp1":
@@ -463,7 +441,7 @@ def save_checkpoint(scorer: Scorer, path) -> None:
     for key in ("query_ids", "doc_ids"):
         if key in dims:
             dims[key] = list(dims[key])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(CHECKPOINT_VERSION + "\n")
         fh.write(json.dumps({"kind": scorer.kind, "dims": dims}, sort_keys=True) + "\n")
         for name, offset, length in scorer.params.layout.segments:
@@ -474,22 +452,34 @@ def save_checkpoint(scorer: Scorer, path) -> None:
 
 
 def load_checkpoint(path) -> Scorer:
+    """Read a checkpoint written by ``save_checkpoint``.  A truncated file, a
+    malformed line, or segments and values that disagree with the header's
+    kind and dims raise ``CheckpointError`` naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version in {path}")
-    meta = json.loads(lines[1])
-    segments, i = [], 2
-    while i < len(lines) and lines[i].startswith("segment "):
-        _, name, offset, length = lines[i].split()
-        segments.append((name, int(offset), int(length)))
-        i += 1
-    if i >= len(lines) or lines[i] != "values":
-        raise CheckpointError(f"malformed checkpoint {path}: missing values block")
-    values = np.array([float(v) for v in lines[i + 1 :]])
-    params = ParamVector(values, Layout(tuple(segments)))
-    dims = meta["dims"]
-    for key in ("query_ids", "doc_ids"):
-        if key in dims:
-            dims[key] = tuple(dims[key])
-    return build_scorer(meta["kind"], dims, params)
+    try:
+        if len(lines) < 2:
+            raise ValueError("missing header line")
+        meta = json.loads(lines[1])
+        segments, i = [], 2
+        while i < len(lines) and lines[i].startswith("segment "):
+            fields = lines[i].split()
+            if len(fields) != 4:
+                raise ValueError(f"line {i + 1} is not 'segment <name> <offset> <length>'")
+            segments.append((fields[1], int(fields[2]), int(fields[3])))
+            i += 1
+        if i >= len(lines) or lines[i] != "values":
+            raise ValueError("missing values block")
+        values = np.array([float(v) for v in lines[i + 1 :]])
+        params = ParamVector(values, Layout(tuple(segments)))
+        dims = meta["dims"]
+        for key in ("query_ids", "doc_ids"):
+            if key in dims:
+                dims[key] = tuple(dims[key])
+        return build_scorer(meta["kind"], dims, params)
+    except KeyError as exc:
+        raise CheckpointError(f"malformed checkpoint {path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint {path}: {exc}") from None

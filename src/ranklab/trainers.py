@@ -46,6 +46,8 @@ from .scorers import NumericError, Scorer, log_sigmoid, sigmoid, softplus
 from ._util import write_csv, read_csv
 
 TRAINER_NAMES = ("irgan-pointwise", "irgan-pairwise", "single-d", "dual-d", "dns")
+# Model roles each trainer trains.  Without a chosen model (dual-d picks A or
+# B by seed), the first role is the one that gets evaluated.
 TRAINER_ROLES = {
     "irgan-pointwise": ("G", "D"),
     "irgan-pairwise": ("G", "D"),
@@ -144,12 +146,6 @@ class RunRecord:
     def series(self, model: str, metric: str) -> list[tuple[int, float]]:
         return [(r.epoch, r.value) for r in self.rows
                 if r.model == model and r.metric == metric]
-
-    def value_at(self, model: str, metric: str, epoch: int) -> float:
-        for r in self.rows:
-            if r.model == model and r.metric == metric and r.epoch == epoch:
-                return r.value
-        raise KeyError((model, metric, epoch))
 
     def to_csv(self, path) -> None:
         write_csv(path, ("epoch", "model", "metric", "value"),

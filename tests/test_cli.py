@@ -1,14 +1,15 @@
 """CLI commands: outputs, exit codes, determinism, and CSV round-trips."""
 
 import filecmp
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from ranklab import cli, pgvar
 from ranklab.cli import main, parity_outer_epochs
-from ranklab.trainers import RunRecord
-from ranklab._util import read_csv
+from ranklab.trainers import RunRecord, TrainConfig
+from ranklab._util import read_csv, write_csv
 
 SYNTH_DATASET = """
 [dataset]
@@ -60,6 +61,10 @@ seed = 7
         code = run(["pretrain", "--config", config, "--out", tmp_path / "out"])
         assert code == 1
         assert "learning_rate" in capsys.readouterr().err
+
+    def test_omitted_trainer_keys_take_train_config_defaults(self, tmp_path):
+        conf = cli.Conf(write_config(tmp_path, "[trainer]\nlearning_rate = 0.05\n"))
+        assert cli.load_train_config(conf, None) == replace(TrainConfig(), learning_rate=0.05)
 
     def test_rerun_byte_identical(self, tmp_path):
         config = write_config(tmp_path, self.CONFIG)
@@ -270,6 +275,27 @@ b_sweep = 0.5,0.6,0.7,0.8,0.9
         assert run(["variance", "--config", config, "--out", tmp_path / "out"]) == 0
         assert calls == {"study_instance": 3, "verify_variance_bound": 3}
 
+    def test_omitted_keys_take_study_config_defaults(self, tmp_path, monkeypatch):
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def study_point(cfg, fraction, seed):
+            seen.append(cfg)
+            raise Stop
+
+        monkeypatch.setattr(cli, "study_point", study_point)
+        omitted = ("feature_dim", "train_epochs", "learning_rate")
+        body = "\n".join(line for line in self.CONFIG.splitlines()
+                         if not line.startswith(omitted))
+        with pytest.raises(Stop):
+            run(["variance", "--config", write_config(tmp_path, body),
+                 "--out", tmp_path / "out"])
+        defaults = pgvar.StudyConfig()
+        assert [getattr(seen[0], key) for key in omitted] == \
+            [getattr(defaults, key) for key in omitted]
+
     def test_rerun_identical(self, tmp_path):
         config = write_config(tmp_path, self.CONFIG)
         for out in ("v1", "v2"):
@@ -285,3 +311,19 @@ class TestOutputRoot:
         config = write_config(tmp_path, TestPretrain.CONFIG)
         assert run(["pretrain", "--config", config]) == 0
         assert (tmp_path / "envout" / "run" / "curves.csv").exists()
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_csv(path, ("model", "value"), [("A", 0.5)])
+        before = path.read_bytes()
+
+        def rows():
+            yield ("A", 0.25)
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            write_csv(path, ("model", "value"), rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]

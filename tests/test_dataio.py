@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ranklab.core import DatasetError, DatasetKind
+from ranklab.core import DatasetError, DatasetKind, Document, Judgment, build_dataset
 from ranklab.dataio import (
     ParseError,
     SyntheticSpec,
@@ -73,6 +73,16 @@ class TestParseLetor:
         out = tmp_path / "out.txt"
         serialize_letor(ds, out)
         assert parse_letor(out) == ds
+
+    def test_featureless_doc_leaves_previous_file(self, tmp_path):
+        pools = {"q1": [Document("a", features=np.ones(2)), Document("b", tokens=(1,))]}
+        ds = build_dataset(pools, [Judgment("q1", "a", 1)], DatasetKind.WEB_SEARCH)
+        out = tmp_path / "out.txt"
+        out.write_text("previous\n")
+        with pytest.raises(DatasetError):
+            serialize_letor(ds, out)
+        assert out.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestParseInteractions:

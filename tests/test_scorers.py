@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ranklab.core import Document, Query
 from ranklab.scorers import (
+    CheckpointError,
     LinearScorer,
     ParamVector,
     RepresentationError,
@@ -58,6 +59,86 @@ def make_kind(kind, rng, seed):
 ALL_KINDS = ("linear", "mlp1", "matfac", "text")
 
 
+def reference_score(scorer, q, d):
+    """f(d, q) from each kind's defining formula, one document at a time:
+    w.x + b, out_w.tanh(W x + b1) + out_b, u_q.v_d + b_d and
+    mean(E[q]) M mean(E[d])."""
+    p, dims = scorer.params, scorer.dims
+    if scorer.kind == "linear":
+        return float(p.segment("w") @ d.features + p.segment("b")[0])
+    if scorer.kind == "mlp1":
+        W1 = p.segment("hidden_w").reshape(dims["hidden"], dims["feature_dim"])
+        h = np.tanh(W1 @ d.features + p.segment("hidden_b"))
+        return float(p.segment("out_w") @ h + p.segment("out_b")[0])
+    if scorer.kind == "matfac":
+        k = dims["embed_dim"]
+        qi, di = dims["query_ids"].index(q.id), dims["doc_ids"].index(d.id)
+        u = p.segment("query_embed").reshape(-1, k)[qi]
+        v = p.segment("doc_embed").reshape(-1, k)[di]
+        return float(u @ v + p.segment("doc_bias")[di])
+    k = dims["embed_dim"]
+    E = p.segment("embed").reshape(-1, k)
+    M = p.segment("bilinear").reshape(k, k)
+    return float(E[list(q.tokens)].mean(axis=0) @ M @ E[list(d.tokens)].mean(axis=0))
+
+
+def reference_gradient(scorer, q, d):
+    """grad f(d, q) written out by hand per kind, one document at a time."""
+    p, dims = scorer.params, scorer.dims
+    grad = {name: np.zeros(length) for name, _, length in p.layout.segments}
+    if scorer.kind == "linear":
+        grad["w"][:] = d.features
+        grad["b"][0] = 1.0
+    elif scorer.kind == "mlp1":
+        W1 = p.segment("hidden_w").reshape(dims["hidden"], dims["feature_dim"])
+        h = np.tanh(W1 @ d.features + p.segment("hidden_b"))
+        a = p.segment("out_w") * (1.0 - h ** 2)
+        grad["hidden_w"][:] = np.outer(a, d.features).ravel()
+        grad["hidden_b"][:] = a
+        grad["out_w"][:] = h
+        grad["out_b"][0] = 1.0
+    elif scorer.kind == "matfac":
+        k = dims["embed_dim"]
+        qi, di = dims["query_ids"].index(q.id), dims["doc_ids"].index(d.id)
+        qe = p.segment("query_embed").reshape(-1, k)
+        de = p.segment("doc_embed").reshape(-1, k)
+        grad["query_embed"].reshape(-1, k)[qi] = de[di]
+        grad["doc_embed"].reshape(-1, k)[di] = qe[qi]
+        grad["doc_bias"][di] = 1.0
+    else:
+        k = dims["embed_dim"]
+        E = p.segment("embed").reshape(-1, k)
+        M = p.segment("bilinear").reshape(k, k)
+        eq, ed = E[list(q.tokens)].mean(axis=0), E[list(d.tokens)].mean(axis=0)
+        embed = grad["embed"].reshape(-1, k)
+        for t in q.tokens:
+            embed[t] += M @ ed / len(q.tokens)
+        for t in d.tokens:
+            embed[t] += M.T @ eq / len(d.tokens)
+        grad["bilinear"][:] = np.outer(eq, ed).ravel()
+    return np.concatenate([grad[name] for name in p.layout.names()])
+
+
+def edge_pool(kind, shape, rng, seed):
+    """(scorer, query, docs, weights) for one edge shape of a kernel input."""
+    scorer, q, d = make_kind(kind, rng, seed)
+    other = make_kind(kind, rng, seed)[2]
+    docs = {
+        "single": [d],
+        "repeated_doc": [d, other, d],
+        "zero_weights": [d, other],
+        "one_token": [Document("t1", tokens=(int(rng.integers(0, 7)),)), other],
+        "repeated_token": [Document("t2", tokens=(2, 5, 2, 2)), d],
+    }[shape]
+    weights = np.zeros(len(docs)) if shape == "zero_weights" else rng.normal(size=len(docs))
+    return scorer, q, docs, weights
+
+
+EDGE_CASES = [(kind, shape) for kind in ALL_KINDS
+              for shape in ("single", "repeated_doc", "zero_weights")]
+EDGE_CASES += [("text", "one_token"), ("text", "repeated_token")]
+
+
 class TestInitParams:
     def test_mlp1_layout_sizes(self):
         layout = layout_for("mlp1", {"feature_dim": 46, "hidden": 46})
@@ -105,13 +186,22 @@ class TestScore:
             scorer, q, _ = make_kind(kind, rng, seed=3)
             docs = [make_kind(kind, rng, seed=3)[2] for _ in range(4)]
             batch = scorer.score_many(q, docs)
-            singles = [scorer.score(q, d) for d in docs]
+            singles = [reference_score(scorer, q, d) for d in docs]
             np.testing.assert_allclose(batch, singles, atol=1e-12)
 
     def test_representation_mismatch(self):
         scorer = build_scorer("linear", {"feature_dim": 3}, zero=True)
         with pytest.raises(RepresentationError):
             scorer.score(None, Document("d", tokens=(1, 2)))
+
+    @pytest.mark.parametrize("kernel", ["score", "score_many", "grad_weighted_sum",
+                                        "gradient_matrix"])
+    def test_text_missing_query_rejected(self, kernel):
+        scorer, _, d = make_kind("text", np.random.default_rng(1), seed=1)
+        args = {"score": (d,), "score_many": ([d],), "grad_weighted_sum": ([d], [1.0]),
+                "gradient_matrix": ([d],)}[kernel]
+        with pytest.raises(RepresentationError):
+            getattr(scorer, kernel)(None, *args)
 
 
 class TestScoreGradient:
@@ -153,8 +243,22 @@ class TestScoreGradient:
         docs = [make_kind(kind, rng, seed=5)[2] for _ in range(5)]
         weights = rng.normal(size=5)
         fast = scorer.grad_weighted_sum(q, docs, weights)
-        slow = sum(w * scorer.gradient(q, d) for w, d in zip(weights, docs))
+        slow = sum(w * reference_gradient(scorer, q, d) for w, d in zip(weights, docs))
         np.testing.assert_allclose(fast, slow, atol=1e-10)
+
+    @settings(max_examples=60)
+    @given(case=st.sampled_from(EDGE_CASES), seed=st.integers(0, 10_000))
+    def test_kernels_match_reference_on_edge_shapes(self, case, seed):
+        rng = np.random.default_rng(seed)
+        scorer, q, docs, weights = edge_pool(*case, rng, seed)
+        ref_scores = [reference_score(scorer, q, d) for d in docs]
+        ref_grads = np.stack([reference_gradient(scorer, q, d) for d in docs])
+        np.testing.assert_allclose(scorer.score_many(q, docs), ref_scores, atol=1e-12)
+        np.testing.assert_allclose(scorer.grad_weighted_sum(q, docs, weights),
+                                   weights @ ref_grads, atol=1e-10)
+        np.testing.assert_allclose(scorer.gradient_matrix(q, docs), ref_grads, atol=1e-12)
+        assert scorer.score(q, docs[0]) == pytest.approx(ref_scores[0], abs=1e-12)
+        np.testing.assert_allclose(scorer.gradient(q, docs[0]), ref_grads[0], atol=1e-12)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_gradient_matrix_rows(self, kind):
@@ -257,3 +361,40 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         save_checkpoint(scorer, path)
         assert path.read_text().splitlines()[0] == "1"
+
+    def saved_lines(self, tmp_path, kind):
+        scorer = make_kind(kind, np.random.default_rng(11), seed=21)[0]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(scorer, path)
+        return path, path.read_text().splitlines()
+
+    def assert_rejected(self, path, lines):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match=str(path)):
+            load_checkpoint(path)
+
+    def test_version_line_only_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "linear")
+        self.assert_rejected(path, lines[:1])
+
+    def test_short_segment_line_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "linear")
+        assert lines[2].startswith("segment w ")
+        lines[2] = lines[2].rsplit(" ", 1)[0]
+        self.assert_rejected(path, lines)
+
+    def test_swapped_mlp1_segment_names_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "mlp1")
+        # hidden_b and out_w have the same length, so only the names differ.
+        i, j = (lines.index(line) for line in lines
+                if line.startswith(("segment hidden_b ", "segment out_w ")))
+        name_i, name_j = lines[i].split()[1], lines[j].split()[1]
+        lines[i] = lines[i].replace(name_i, name_j)
+        lines[j] = lines[j].replace(name_j, name_i)
+        self.assert_rejected(path, lines)
+
+    def test_header_dims_disagreeing_with_segments_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "linear")
+        assert '"feature_dim": 6' in lines[1]
+        lines[1] = lines[1].replace('"feature_dim": 6', '"feature_dim": 5')
+        self.assert_rejected(path, lines)
