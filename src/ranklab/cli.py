@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import shutil
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -201,38 +202,74 @@ def load_train_config(conf: Conf, seed_override: int | None) -> TrainConfig:
     )
 
 
-def build_model(conf: Conf, dataset: Dataset, role: str, base_seed: int) -> Scorer:
+# The size keys each scorer kind reads from [model], with their defaults; a
+# text model's vocab_size defaults to the dataset's largest token id + 1.
+MODEL_SIZES = {
+    "linear": {},
+    "mlp1": {"hidden": 46},
+    "matfac": {"embed_dim": 20},
+    "text": {"embed_dim": 100, "vocab_size": None},
+}
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """The checked [model] section.  ``init_seed`` None means the trainer seed."""
+
+    kind: str
+    init_scale: float
+    init_seed: int | None
+    sizes: dict
+
+
+def read_model(conf: Conf) -> ModelSpec:
+    """Read and check every [model] key before any work; errors name the key."""
     kind = conf.get("model", "kind", default="mlp1")
+    if kind not in MODEL_SIZES:
+        raise CliConfigError(f"bad value for 'kind' in [model]: {kind!r} "
+                             f"(expected one of {', '.join(MODEL_SIZES)})")
     scale = conf.get_float("model", "init_scale", default=0.1)
-    seed = conf.get_int("model", "init_seed", default=base_seed) + ROLE_SEED_OFFSETS[role]
-    if kind in ("linear", "mlp1"):
+    if not (scale > 0 and math.isfinite(scale)):
+        raise CliConfigError(f"bad value for 'init_scale' in [model]: {scale!r} "
+                             "(must be a positive number)")
+    sizes = {}
+    for key, default in MODEL_SIZES[kind].items():
+        sizes[key] = conf.get_int("model", key, default=default)
+        if sizes[key] is not None and sizes[key] < 1:
+            raise CliConfigError(f"bad value for '{key}' in [model]: {sizes[key]} "
+                                 "(must be >= 1)")
+    return ModelSpec(kind, scale, conf.get_int("model", "init_seed", default=None), sizes)
+
+
+def model_dims(spec: ModelSpec, dataset: Dataset) -> dict:
+    """The scorer dims of ``spec`` on ``dataset``; raises before any training
+    when the two disagree."""
+    if spec.kind in ("linear", "mlp1"):
         if dataset.feature_dim is None:
-            raise DatasetError(f"{kind} scorer needs a dataset with features")
-        dims = {"feature_dim": dataset.feature_dim}
-        if kind == "mlp1":
-            dims["hidden"] = conf.get_int("model", "hidden", default=46)
-    elif kind == "matfac":
+            raise DatasetError(f"{spec.kind} scorer needs a dataset with features")
+        return {"feature_dim": dataset.feature_dim, **spec.sizes}
+    if spec.kind == "matfac":
         doc_ids = sorted({d.id for q in dataset.queries for d in dataset.pool(q.id)})
-        dims = {
-            "query_ids": dataset.query_ids(),
-            "doc_ids": tuple(doc_ids),
-            "embed_dim": conf.get_int("model", "embed_dim", default=20),
-        }
-    elif kind == "text":
-        max_token = 0
-        for q in dataset.queries:
-            if q.tokens:
-                max_token = max(max_token, max(q.tokens))
-            for d in dataset.pool(q.id):
-                if d.tokens:
-                    max_token = max(max_token, max(d.tokens))
-        dims = {
-            "vocab_size": conf.get_int("model", "vocab_size", default=max_token + 1),
-            "embed_dim": conf.get_int("model", "embed_dim", default=100),
-        }
-    else:
-        raise CliConfigError(f"bad value for 'kind' in [model]: {kind!r}")
-    return build_scorer(kind, dims, scale=scale, seed=seed)
+        return {"query_ids": dataset.query_ids(), "doc_ids": tuple(doc_ids), **spec.sizes}
+    max_token = 0
+    for q in dataset.queries:
+        if q.tokens:
+            max_token = max(max_token, max(q.tokens))
+        for d in dataset.pool(q.id):
+            if d.tokens:
+                max_token = max(max_token, max(d.tokens))
+    vocab_size = spec.sizes["vocab_size"]
+    if vocab_size is None:
+        vocab_size = max_token + 1
+    elif vocab_size <= max_token:
+        raise CliConfigError(f"bad value for 'vocab_size' in [model]: {vocab_size} "
+                             f"(the dataset uses token id {max_token})")
+    return {"vocab_size": vocab_size, "embed_dim": spec.sizes["embed_dim"]}
+
+
+def build_model(spec: ModelSpec, dims: dict, role: str, base_seed: int) -> Scorer:
+    seed = (base_seed if spec.init_seed is None else spec.init_seed) + ROLE_SEED_OFFSETS[role]
+    return build_scorer(spec.kind, dims, scale=spec.init_scale, seed=seed)
 
 
 def eval_metrics(conf: Conf) -> tuple[str, ...]:
@@ -261,17 +298,21 @@ def prepare_run_dir(conf: Conf, args) -> Path:
     return run_dir
 
 
-def split_for_eval(conf: Conf, dataset: Dataset) -> tuple[Dataset, Dataset]:
+def read_split(conf: Conf) -> tuple[float, int]:
+    """The [dataset] holdout_fraction and split_seed, checked before any work."""
     holdout = conf.get_float("dataset", "holdout_fraction", default=0.2)
-    split_seed = conf.get_int("dataset", "split_seed", default=13)
-    return split_queries(dataset, holdout, split_seed)
+    if not 0.0 < holdout < 1.0:
+        raise CliConfigError(f"bad value for 'holdout_fraction' in [dataset]: {holdout!r} "
+                             "(must lie in (0, 1))")
+    return holdout, conf.get_int("dataset", "split_seed", default=13)
 
 
 def cmd_pretrain(conf: Conf, args) -> int:
-    dataset = load_dataset(conf)
     cfg = load_train_config(conf, args.seed)
+    spec = read_model(conf)
+    dataset = load_dataset(conf)
+    scorer = build_model(spec, model_dims(spec, dataset), "G", cfg.seed)
     run_dir = prepare_run_dir(conf, args)
-    scorer = build_model(conf, dataset, "G", cfg.seed)
     policy = SoftmaxPolicy(scorer, cfg.temperature)
     record = pretrain_mle(policy, dataset, cfg)
     record.to_csv(run_dir / "curves.csv")
@@ -289,12 +330,14 @@ def cmd_train(conf: Conf, args) -> int:
             f"(expected one of {', '.join(TRAINER_NAMES)})"
         )
     metric_names = eval_metrics(conf)
+    spec, split = read_model(conf), read_split(conf)
     dataset = load_dataset(conf)
     metric_names = metric_names or default_metrics(dataset)
-    run_dir = prepare_run_dir(conf, args)
-    train_set, eval_set = split_for_eval(conf, dataset)
-    models = {role: build_model(conf, dataset, role, cfg.seed)
+    train_set, eval_set = split_queries(dataset, *split)
+    dims = model_dims(spec, dataset)
+    models = {role: build_model(spec, dims, role, cfg.seed)
               for role in TRAINER_ROLES[trainer]}
+    run_dir = prepare_run_dir(conf, args)
     result = run_trainer(trainer, train_set, cfg, models,
                          eval_dataset=eval_set, metric_names=metric_names)
     result.record.to_csv(run_dir / "curves.csv")
@@ -332,10 +375,12 @@ def cmd_compare(conf: Conf, args) -> int:
     budget = conf.get_int("compare", "budget_epochs", default=cfg.epochs_outer)
     dual_override = conf.get_int("compare", "dual_d_outer", default=None)
     metric_names = eval_metrics(conf)
+    spec, split = read_model(conf), read_split(conf)
     dataset = load_dataset(conf)
     metric_names = metric_names or default_metrics(dataset)
+    train_set, eval_set = split_queries(dataset, *split)
+    dims = model_dims(spec, dataset)
     run_dir = prepare_run_dir(conf, args)
-    train_set, eval_set = split_for_eval(conf, dataset)
 
     warnings = []
     per_seed_rows = []
@@ -354,7 +399,7 @@ def cmd_compare(conf: Conf, args) -> int:
             run_cfg = replace(cfg, epochs_outer=budget)
         for seed in seeds:
             seeded = replace(run_cfg, seed=seed)
-            models = {role: build_model(conf, dataset, role, seed)
+            models = {role: build_model(spec, dims, role, seed)
                       for role in TRAINER_ROLES[name]}
             result = run_trainer(name, train_set, seeded, models)
             eval_role = result.chosen or TRAINER_ROLES[name][0]

@@ -5,12 +5,18 @@ candidate pool, and graded relevance judgments mark which pooled documents
 are correct.  Ordering of queries and pools is lexicographic by id so that
 every downstream run is reproducible from a seed alone.  Datasets are
 immutable after construction and safe for concurrent readers.
+
+Each query's relevance split is computed once, on first use, as a
+QueryGroup: the grade of every pool position in pool order, plus the
+positive documents and the negative pool.  Trainers and metrics read the
+group instead of looking judgments up document by document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -111,6 +117,20 @@ class Judgment:
 
 
 @dataclass(frozen=True, eq=False)
+class QueryGroup:
+    """One query's pool split by relevance, in pool order.
+
+    ``grades[i]`` is the grade of pool position ``i`` (0 when unjudged, read
+    only); ``positives`` are the documents with grade > 0 and ``negatives``
+    those with grade <= 0.
+    """
+
+    grades: np.ndarray
+    positives: tuple[Document, ...]
+    negatives: tuple[Document, ...]
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
     kind: DatasetKind
     queries: tuple[Query, ...]
@@ -119,6 +139,7 @@ class Dataset:
     feature_dim: int | None
     _relevance: Mapping[QueryId, Mapping[str, int]] = field(repr=False)
     _query_index: Mapping[QueryId, Query] = field(repr=False)
+    _groups: dict[QueryId, QueryGroup] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def num_queries(self) -> int:
@@ -147,7 +168,23 @@ class Dataset:
         return dict(self._relevance.get(query_id, {}))
 
     def positives(self, query_id: QueryId) -> tuple[Document, ...]:
-        return tuple(d for d in self.pool(query_id) if self.relevance(query_id, d.id) > 0)
+        return self.group(query_id).positives
+
+    def group(self, query_id: QueryId) -> QueryGroup:
+        """The query's relevance split, computed on first use and kept."""
+        group = self._groups.get(query_id)
+        if group is None:
+            pool = self.pool(query_id)
+            judged = self._relevance.get(query_id, {})
+            grades = [judged.get(d.id, 0) for d in pool]
+            group = QueryGroup(
+                grades=np.array(grades, dtype=np.int64),
+                positives=tuple(d for d, g in zip(pool, grades) if g > 0),
+                negatives=tuple(d for d, g in zip(pool, grades) if g <= 0),
+            )
+            group.grades.flags.writeable = False
+            self._groups[query_id] = group
+        return group
 
     def records(self):
         """Raw (pools, judgments, kind, query_tokens) from which this dataset rebuilds."""
@@ -186,27 +223,28 @@ def build_dataset(
     query_tokens = dict(query_tokens or {})
 
     sorted_pools: dict[QueryId, tuple[Document, ...]] = {}
+    pool_ids: dict[QueryId, set[str]] = {}
     feature_dim: int | None = None
     for qid in sorted(pools):
-        docs = sorted(pools[qid], key=lambda d: d.id)
+        docs = sorted(pools[qid], key=attrgetter("id"))
         if not docs:
             raise EmptyPoolError(f"query {qid!r} has an empty pool")
-        seen: set[str] = set()
+        ids = {d.id for d in docs}
+        if len(ids) < len(docs):
+            twice = next(a.id for a, b in zip(docs, docs[1:]) if a.id == b.id)
+            raise DatasetError(f"query {qid!r} pool lists document {twice!r} twice")
         for d in docs:
-            if d.id in seen:
-                raise DatasetError(f"query {qid!r} pool lists document {d.id!r} twice")
-            seen.add(d.id)
-            if d.features is not None:
-                if feature_dim is None:
-                    feature_dim = d.features.shape[0]
-                elif d.features.shape[0] != feature_dim:
+            # Features are flat vectors, so len() is the feature count.
+            if d.features is not None and len(d.features) != feature_dim:
+                if feature_dim is not None:
                     raise FeatureDimensionError(
-                        f"document {d.id!r} has {d.features.shape[0]} features, "
+                        f"document {d.id!r} has {len(d.features)} features, "
                         f"expected {feature_dim}"
                     )
+                feature_dim = len(d.features)
         sorted_pools[qid] = tuple(docs)
+        pool_ids[qid] = ids
 
-    pool_ids = {qid: {d.id for d in docs} for qid, docs in sorted_pools.items()}
     relevance: dict[QueryId, dict[str, int]] = {}
     ordered: list[Judgment] = []
     for j in sorted(judgments, key=lambda j: (j.query, j.doc)):
@@ -247,17 +285,13 @@ def candidate_pool(
     Order is the dataset's deterministic pool order.  May be empty when every
     pooled document is relevant and exclusion is on; callers must handle that.
     """
-    docs = dataset.pool(query_id)
     if not exclude_positives:
-        return docs
-    return tuple(d for d in docs if dataset.relevance(query_id, d.id) <= 0)
+        return dataset.pool(query_id)
+    return dataset.group(query_id).negatives
 
 
 def relevant_fraction(dataset: Dataset) -> float:
     """Mean over queries of (#relevant docs in pool) / (pool size)."""
-    fractions = []
-    for q in dataset.queries:
-        docs = dataset.pool(q.id)
-        n_rel = sum(1 for d in docs if dataset.relevance(q.id, d.id) > 0)
-        fractions.append(n_rel / len(docs))
+    fractions = [len(dataset.positives(q.id)) / len(dataset.pool(q.id))
+                 for q in dataset.queries]
     return float(np.mean(fractions))

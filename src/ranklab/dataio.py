@@ -77,6 +77,7 @@ def synth_retrieval(spec: SyntheticSpec) -> tuple[Dataset, PlantedTruth]:
     n_rel = math.ceil(spec.relevant_fraction * spec.pool_size)
     q_digits = max(3, len(str(spec.num_queries - 1)))
     d_digits = max(3, len(str(spec.pool_size - 1)))
+    doc_suffixes = [f"_d{di:0{d_digits}d}" for di in range(spec.pool_size)]
 
     pools: dict[str, list[Document]] = {}
     judgments: list[Judgment] = []
@@ -89,10 +90,7 @@ def synth_retrieval(spec: SyntheticSpec) -> tuple[Dataset, PlantedTruth]:
             else 0.0
         )
         top = np.argsort(-noisy)[:n_rel]
-        docs = [
-            Document(id=f"{qid}_d{di:0{d_digits}d}", features=X[di])
-            for di in range(spec.pool_size)
-        ]
+        docs = [Document(id=qid + suffix, features=x) for suffix, x in zip(doc_suffixes, X)]
         pools[qid] = docs
         for di in top:
             judgments.append(Judgment(qid, docs[di].id, 1))

@@ -3,8 +3,11 @@
 NDCG uses the LETOR convention: gain 2^rel - 1 and discount 1/log2(i+1) at
 position i (1-based).  On binary labels this coincides with gain = rel.
 Ties in scores are broken lexicographically by document id so every metric
-value is reproducible.  Queries with no relevant document are excluded from
-dataset means (their NDCG is undefined) and reported as skipped.
+value is reproducible: pools are ranked by one stable sort on descending
+score over the id-sorted pool (``_ranking``).  Queries with no relevant
+document are excluded from dataset means (their NDCG is undefined) and
+reported as skipped.  ``evaluate_model`` reads each query's grades from the
+dataset's query groups and never builds a RankedList.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .core import Dataset, Document, EmptyPoolError, Query
 from .scorers import Scorer
@@ -31,12 +36,19 @@ class RankedList:
             raise ValueError("ranked list scores must be non-increasing")
 
 
+def _ranking(scores: np.ndarray) -> np.ndarray:
+    """Positions of an id-sorted pool in rank order: descending score, ties
+    kept in pool order, i.e. broken by ascending doc id."""
+    return np.argsort(-scores, kind="stable")
+
+
 def rank(scorer: Scorer, query: Query | None, pool: Sequence[Document]) -> RankedList:
     """Sort a pool by score descending; ties broken by ascending doc id."""
     if len(pool) == 0:
         raise EmptyPoolError("cannot rank an empty pool")
+    pool = sorted(pool, key=lambda d: d.id)
     scores = scorer.score_many(query, pool)
-    order = sorted(range(len(pool)), key=lambda i: (-scores[i], pool[i].id))
+    order = _ranking(scores)
     qid = query.id if query is not None else ""
     return RankedList(
         query=qid,
@@ -45,20 +57,17 @@ def rank(scorer: Scorer, query: Query | None, pool: Sequence[Document]) -> Ranke
     )
 
 
-def precision_at_k(ranked: RankedList, relevance: Mapping[str, int], k: int) -> float:
-    """(# relevant in the top min(k, len)) / k.  Denominator is always k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    hits = sum(1 for d in ranked.docs[:k] if relevance.get(d, 0) > 0)
-    return hits / k
+def _ranked_grades(ranked: RankedList, relevance: Mapping[str, int]) -> list[int]:
+    return [relevance.get(d, 0) for d in ranked.docs]
 
 
-def ndcg_at_k(ranked: RankedList, relevance: Mapping[str, int], k: int) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    grades = [relevance.get(d, 0) for d in ranked.docs]
+def _precision(grades: Sequence[int], k: int) -> float:
+    return sum(1 for g in grades[:k] if g > 0) / k
+
+
+def _ndcg(grades: Sequence[int], k: int, query: str) -> float:
     if not any(g > 0 for g in grades):
-        raise ValueError(f"query {ranked.query!r} has no relevant document")
+        raise ValueError(f"query {query!r} has no relevant document")
     dcg = sum(
         (2.0 ** g - 1.0) / math.log2(i + 2) for i, g in enumerate(grades[:k])
     )
@@ -67,6 +76,19 @@ def ndcg_at_k(ranked: RankedList, relevance: Mapping[str, int], k: int) -> float
         (2.0 ** g - 1.0) / math.log2(i + 2) for i, g in enumerate(ideal[:k])
     )
     return dcg / idcg
+
+
+def precision_at_k(ranked: RankedList, relevance: Mapping[str, int], k: int) -> float:
+    """(# relevant in the top min(k, len)) / k.  Denominator is always k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return _precision(_ranked_grades(ranked, relevance), k)
+
+
+def ndcg_at_k(ranked: RankedList, relevance: Mapping[str, int], k: int) -> float:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return _ndcg(_ranked_grades(ranked, relevance), k, ranked.query)
 
 
 def p_at_1(ranked: RankedList, relevance: Mapping[str, int]) -> float:
@@ -86,11 +108,16 @@ def _parse_metric(name: str):
     raise ValueError(f"unknown metric {name!r}")
 
 
-def compute_metric(name: str, ranked: RankedList, relevance: Mapping[str, int]) -> float:
-    kind, k = _parse_metric(name)
+def _grade_metric(metric: tuple[str, int], grades: Sequence[int], query: str) -> float:
+    """A parsed metric over the grades of one ranked list, in rank order."""
+    kind, k = metric
     if kind == "p":
-        return precision_at_k(ranked, relevance, k)
-    return ndcg_at_k(ranked, relevance, k)
+        return _precision(grades, k)
+    return _ndcg(grades, k, query)
+
+
+def compute_metric(name: str, ranked: RankedList, relevance: Mapping[str, int]) -> float:
+    return _grade_metric(_parse_metric(name), _ranked_grades(ranked, relevance), ranked.query)
 
 
 @dataclass(frozen=True)
@@ -102,22 +129,23 @@ class EvalReport:
 
 def evaluate_model(scorer: Scorer, dataset: Dataset,
                    metric_names: Sequence[str] = ("p@5", "ndcg@5")) -> EvalReport:
-    """Per-query metrics averaged over queries that have >= 1 relevant doc."""
-    names = [n.strip().lower() for n in metric_names]
-    for n in names:
-        _parse_metric(n)
-    sums = {n: 0.0 for n in names}
+    """Per-query metrics averaged over queries that have >= 1 relevant doc.
+
+    A metric named twice is reported once."""
+    parsed = {n: _parse_metric(n) for n in (n.strip().lower() for n in metric_names)}
+    sums = {n: 0.0 for n in parsed}
     counted = skipped = 0
     for q in dataset.queries:
-        relevance = dataset.relevance_map(q.id)
-        if not any(g > 0 for g in relevance.values()):
+        group = dataset.group(q.id)
+        if not group.positives:
             skipped += 1
             continue
-        ranked = rank(scorer, q, dataset.pool(q.id))
-        for n in names:
-            sums[n] += compute_metric(n, ranked, relevance)
+        order = _ranking(scorer.score_many(q, dataset.pool(q.id)))
+        grades = group.grades[order].tolist()
+        for n, metric in parsed.items():
+            sums[n] += _grade_metric(metric, grades, q.id)
         counted += 1
-    values = {n: (sums[n] / counted if counted else float("nan")) for n in names}
+    values = {n: (sums[n] / counted if counted else float("nan")) for n in parsed}
     return EvalReport(values=values, queries_counted=counted, queries_skipped=skipped)
 
 
@@ -126,15 +154,11 @@ def pairwise_accuracy(scorer: Scorer, dataset: Dataset) -> float:
     correct = 0
     total = 0
     for q in dataset.queries:
-        pool = dataset.pool(q.id)
-        relevance = dataset.relevance_map(q.id)
-        scores = scorer.score_many(q, pool)
-        grades = [relevance.get(d.id, 0) for d in pool]
-        for i in range(len(pool)):
-            for j in range(len(pool)):
-                if grades[i] > grades[j]:
-                    total += 1
-                    correct += scores[i] > scores[j]
+        grades = dataset.group(q.id).grades
+        scores = scorer.score_many(q, dataset.pool(q.id))
+        pairs = grades[:, None] > grades[None, :]
+        total += int(pairs.sum())
+        correct += int((pairs & (scores[:, None] > scores[None, :])).sum())
     return correct / total if total else float("nan")
 
 

@@ -3,8 +3,12 @@
 A SoftmaxPolicy turns a scorer into p(d|q) = softmax(scores / T) over an
 explicit pool.  Sampling is i.i.d. with replacement by default, matching the
 expectation the policy-gradient update averages over; a without-replacement
-flag exists for ablations.  All operations are pure given (params snapshot,
-rng), so evaluation can run concurrently on frozen scorer snapshots.
+flag exists for ablations.  Draws with replacement search a cumulative
+distribution (``_sampling_cdf`` / ``_draw_from_cdf``): the same indices and
+the same random stream as ``Generator.choice(n, size, p=probs)``, without
+re-validating ``probs`` on every call.  All operations are pure given
+(params snapshot, rng), so evaluation can run concurrently on frozen scorer
+snapshots.
 """
 
 from __future__ import annotations
@@ -30,6 +34,20 @@ class SoftmaxPolicy:
 def _check_pool(pool):
     if len(pool) == 0:
         raise EmptyPoolError("candidate pool is empty")
+
+
+def _sampling_cdf(probs: np.ndarray) -> np.ndarray:
+    """The normalized cumulative sum that ``Generator.choice(p=probs)`` searches."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_from_cdf(cdf: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` i.i.d. positions drawn with replacement from ``cdf``; consumes
+    ``rng`` exactly as ``rng.choice(len(cdf), size, replace=True, p=probs)``
+    does and returns the same indices."""
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 def _checked_scores(scorer, query, pool) -> np.ndarray:
@@ -62,7 +80,10 @@ def sample_docs(policy: SoftmaxPolicy, query, pool, k: int,
     if k < 1:
         raise ValueError(f"sample count must be >= 1, got {k}")
     probs = policy_probs(policy, query, pool)
-    idx = rng.choice(len(pool), size=k, replace=replace, p=probs)
+    if replace:
+        idx = _draw_from_cdf(_sampling_cdf(probs), k, rng)
+    else:
+        idx = rng.choice(len(pool), size=k, replace=False, p=probs)
     return [pool[i] for i in idx]
 
 
@@ -89,8 +110,7 @@ def normalized_discriminator_sampling(model: Scorer, query, pool, k: int,
     if k < 1:
         raise ValueError(f"sample count must be >= 1, got {k}")
     probs = discriminator_sampling_probs(model, query, pool)
-    idx = rng.choice(len(pool), size=k, replace=True, p=probs)
-    return [pool[i] for i in idx]
+    return [pool[i] for i in _draw_from_cdf(_sampling_cdf(probs), k, rng)]
 
 
 def discriminator_sampling_probs(model: Scorer, query, pool) -> np.ndarray:

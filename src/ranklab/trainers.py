@@ -37,6 +37,8 @@ from .core import Dataset, Document, Query, candidate_pool
 from .metrics import evaluate_model
 from .policy import (
     SoftmaxPolicy,
+    _draw_from_cdf,
+    _sampling_cdf,
     discriminator_sampling_probs,
     log_policy_probs,
     policy_probs,
@@ -258,7 +260,7 @@ def generator_gradient(policy: SoftmaxPolicy, model: Scorer, query, pool, k: int
     if k < 1:
         raise ValueError("k must be >= 1")
     probs = policy_probs(policy, query, pool)
-    idx = rng.choice(len(pool), size=k, replace=True, p=probs)
+    idx = _draw_from_cdf(_sampling_cdf(probs), k, rng)
     b = resolve_baseline(baseline, policy, model, query, pool, reward_fn, rng)
     unique, counts = np.unique(idx, return_counts=True)
     advantages = reward_fn(model, query, [pool[i] for i in unique]) - b
@@ -328,11 +330,9 @@ def pretrain_mle(policy: SoftmaxPolicy, dataset: Dataset, cfg: TrainConfig) -> R
     usable = []
     skipped = 0
     for q in dataset.queries:
-        pos = dataset.positives(q.id)
-        if pos:
-            pool = dataset.pool(q.id)
-            index = {d.id: i for i, d in enumerate(pool)}
-            usable.append((q, pool, [index[p.id] for p in pos]))
+        pos_idx = np.flatnonzero(dataset.group(q.id).grades > 0)
+        if len(pos_idx):
+            usable.append((q, dataset.pool(q.id), pos_idx))
         else:
             skipped += 1
     if not usable:
@@ -482,19 +482,18 @@ def irgan_pairwise_epoch(generator: SoftmaxPolicy, discriminator: Scorer,
 
 def _contrastive_batches(model: Scorer, table, entries, cfg, rng):
     """Shared inner loop for single-d and dual-d: positives from judgments,
-    negatives drawn from the sampler ``table`` (qid -> probs over the pool)."""
+    negatives drawn from the sampler ``table`` (qid -> CDF over the pool)."""
 
     def draw(q, pos, neg_pool):
-        idx = rng.choice(len(neg_pool), size=len(pos), replace=True, p=table[q.id])
-        return [neg_pool[i] for i in idx]
+        return [neg_pool[i] for i in _draw_from_cdf(table[q.id], len(pos), rng)]
 
     return _negative_epoch(model, entries, draw, cfg)
 
 
 def _sampler_table(sampler: Scorer, entries):
-    """The sampler's normalized output distribution over each usable query's
-    negative pool."""
-    return {q.id: discriminator_sampling_probs(sampler, q, neg_pool)
+    """The CDF of the sampler's normalized output distribution over each
+    usable query's negative pool."""
+    return {q.id: _sampling_cdf(discriminator_sampling_probs(sampler, q, neg_pool))
             for q, _, neg_pool in filter(None, entries)}
 
 
@@ -607,8 +606,8 @@ def _eval_rows(models, epoch, eval_dataset, metric_names):
     rows = []
     for tag in sorted(models):
         report = evaluate_model(models[tag], eval_dataset, metric_names)
-        for metric in metric_names:
-            rows.append(RunRow(epoch, tag, metric, report.values[metric]))
+        for metric, value in report.values.items():
+            rows.append(RunRow(epoch, tag, metric, value))
     return rows
 
 

@@ -150,6 +150,14 @@ learning_rate = 0.05
         assert "recall@5" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_metric_names_are_case_insensitive(self, tmp_path):
+        config = write_config(tmp_path, self.config("single-d")
+                              + "\n[eval]\nmetrics = P@5, p@5,NDCG@5\n")
+        assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 0
+        record = RunRecord.from_csv(tmp_path / "out" / "run" / "curves.csv")
+        assert {r.metric for r in record.rows if r.epoch == 0} == {"p@5", "ndcg@5"}
+        assert [e for e, _ in record.series("M", "p@5")] == [0, 1, 2, 3]
+
     def test_seed_override_changes_run(self, tmp_path):
         config = write_config(tmp_path, self.config("single-d"))
         assert run(["train", "--config", config, "--out", tmp_path / "o1"]) == 0
@@ -217,6 +225,69 @@ seeds = 1,2
         assert run(["compare", "--config", config, "--out", tmp_path / "out"]) == 0
         _, rows = read_csv(tmp_path / "out" / "run" / "results.csv")
         assert any(r[0] == "warning" and r[1] == "budget_parity" for r in rows)
+
+
+class TestModelAndSplitKeys:
+    """Bad [model] keys and split keys exit 1 naming the key, before any
+    dataset is split, any model is built or the run directory exists."""
+
+    CONFIG = SYNTH_DATASET + MODEL_LINEAR + """
+[trainer]
+name = single-d
+learning_rate = 0.05
+epochs_outer = 1
+
+[compare]
+trainers = single-d,dns
+"""
+
+    def run_bad(self, tmp_path, capsys, command, old, new, body=CONFIG):
+        assert old in body
+        config = write_config(tmp_path, body.replace(old, new))
+        assert run([command, "--config", config, "--out", tmp_path / "out"]) == 1
+        assert not (tmp_path / "out").exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pretrain", "train", "compare"])
+    def test_unknown_kind(self, tmp_path, capsys, command):
+        err = self.run_bad(tmp_path, capsys, command, "kind = linear", "kind = bogus")
+        assert "'kind' in [model]" in err and "bogus" in err
+
+    @pytest.mark.parametrize("command", ["pretrain", "train", "compare"])
+    def test_negative_init_scale(self, tmp_path, capsys, command):
+        err = self.run_bad(tmp_path, capsys, command, "init_scale = 0.1", "init_scale = -1")
+        assert "'init_scale' in [model]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_holdout_fraction_outside_unit_interval(self, tmp_path, capsys, command):
+        err = self.run_bad(tmp_path, capsys, command,
+                           "holdout_fraction = 0.2", "holdout_fraction = 1.5")
+        assert "'holdout_fraction' in [dataset]" in err
+
+    def test_zero_hidden_units(self, tmp_path, capsys):
+        err = self.run_bad(tmp_path, capsys, "train", "kind = linear", "kind = mlp1\nhidden = 0")
+        assert "'hidden' in [model]" in err
+
+    def test_vocab_size_below_the_dataset_tokens(self, tmp_path, capsys):
+        corpus = tmp_path / "qa.jsonl"
+        corpus.write_text("\n".join(
+            f'{{"question": ["a", "b"], "candidates": [["a", "c"], ["b", "d"]], "correct": [{i % 2}]}}'
+            for i in range(5)) + "\n")
+        (tmp_path / "vocab.txt").write_text("a\nb\nc\nd\n")
+        body = f"""
+[dataset]
+source = qa
+path = {corpus}
+vocab_file = {tmp_path / "vocab.txt"}
+
+[model]
+kind = text
+embed_dim = 3
+vocab_size = 4
+""" + self.CONFIG[self.CONFIG.index("[trainer]"):]
+        err = self.run_bad(tmp_path, capsys, "train", "vocab_size = 4", "vocab_size = 3", body)
+        assert "'vocab_size' in [model]" in err
 
 
 class TestVariance:
