@@ -85,18 +85,15 @@ class Conf:
             raise FileNotFoundError(f"config file not found: {path}")
         self.path = path
 
-    def _raw(self, section, key, default, required):
+    def get(self, section, key, default=None, required=False):
         if not self.parser.has_option(section, key):
             if required:
                 raise CliConfigError(f"missing key '{key}' in [{section}]")
             return default
         return self.parser.get(section, key)
 
-    def get(self, section, key, default=None, required=False):
-        return self._raw(section, key, default, required)
-
     def _typed(self, section, key, default, required, convert, type_name):
-        raw = self._raw(section, key, default, required)
+        raw = self.get(section, key, default, required)
         if raw is default and not self.parser.has_option(section, key):
             return default
         try:
@@ -106,14 +103,19 @@ class Conf:
                 f"bad {type_name} for '{key}' in [{section}]: {raw!r}"
             ) from None
 
-    def get_int(self, section, key, default=None, required=False):
-        return self._typed(section, key, default, required, int, "integer")
+    def get_int(self, section, key, default=None, required=False, low=None):
+        """An integer key; when ``low`` is given, a value below it is an error."""
+        value = self._typed(section, key, default, required, int, "integer")
+        if low is not None and value is not None and value < low:
+            raise CliConfigError(f"bad value for '{key}' in [{section}]: {value} "
+                                 f"(must be >= {low})")
+        return value
 
     def get_float(self, section, key, default=None, required=False):
         return self._typed(section, key, default, required, float, "number")
 
     def get_bool(self, section, key, default=False):
-        raw = self._raw(section, key, None, False)
+        raw = self.get(section, key, None, False)
         if raw is None:
             return default
         if raw.strip().lower() in ("1", "true", "yes", "on"):
@@ -123,7 +125,7 @@ class Conf:
         raise CliConfigError(f"bad boolean for '{key}' in [{section}]: {raw!r}")
 
     def get_list(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, None, required)
+        raw = self.get(section, key, None, required)
         if raw is None:
             return default if default is not None else []
         return [item.strip() for item in raw.split(",") if item.strip()]
@@ -155,7 +157,7 @@ def load_dataset(conf: Conf) -> Dataset:
             relevant_fraction=conf.get_float("dataset", "relevant_fraction", required=True),
             feature_dim=conf.get_int("dataset", "feature_dim", required=True),
             noise_sigma=conf.get_float("dataset", "noise_sigma", default=0.0),
-            seed=conf.get_int("dataset", "seed", default=0),
+            seed=conf.get_int("dataset", "seed", default=0, low=0),
         )
         return synth_retrieval(spec)[0]
     path = conf.get("dataset", "path", required=True)
@@ -187,7 +189,7 @@ def load_train_config(conf: Conf, seed_override: int | None) -> TrainConfig:
         baseline = base.baseline if baseline_text is None else parse_baseline(baseline_text)
     except ValueError as exc:
         raise CliConfigError(f"bad value for 'baseline' in [trainer]: {exc}") from None
-    seed = conf.get_int("trainer", "seed", default=base.seed)
+    seed = conf.get_int("trainer", "seed", default=base.seed, low=0)
     if seed_override is not None:
         seed = seed_override
     return replace(
@@ -232,13 +234,9 @@ def read_model(conf: Conf) -> ModelSpec:
     if not (scale > 0 and math.isfinite(scale)):
         raise CliConfigError(f"bad value for 'init_scale' in [model]: {scale!r} "
                              "(must be a positive number)")
-    sizes = {}
-    for key, default in MODEL_SIZES[kind].items():
-        sizes[key] = conf.get_int("model", key, default=default)
-        if sizes[key] is not None and sizes[key] < 1:
-            raise CliConfigError(f"bad value for '{key}' in [model]: {sizes[key]} "
-                                 "(must be >= 1)")
-    return ModelSpec(kind, scale, conf.get_int("model", "init_seed", default=None), sizes)
+    sizes = {key: conf.get_int("model", key, default=default, low=1)
+             for key, default in MODEL_SIZES[kind].items()}
+    return ModelSpec(kind, scale, conf.get_int("model", "init_seed", low=0), sizes)
 
 
 def model_dims(spec: ModelSpec, dataset: Dataset) -> dict:
@@ -304,7 +302,7 @@ def read_split(conf: Conf) -> tuple[float, int]:
     if not 0.0 < holdout < 1.0:
         raise CliConfigError(f"bad value for 'holdout_fraction' in [dataset]: {holdout!r} "
                              "(must lie in (0, 1))")
-    return holdout, conf.get_int("dataset", "split_seed", default=13)
+    return holdout, conf.get_int("dataset", "split_seed", default=13, low=0)
 
 
 def cmd_pretrain(conf: Conf, args) -> int:
@@ -343,14 +341,10 @@ def cmd_train(conf: Conf, args) -> int:
     result.record.to_csv(run_dir / "curves.csv")
     for role, model in result.models.items():
         save_checkpoint(model, run_dir / "checkpoints" / f"{role}.ckpt")
+    reports = dict(result.reports)
     if result.chosen is not None:
         with atomic_write(run_dir / "checkpoints" / "chosen") as fh:
             fh.write(result.chosen + "\n")
-    reports = {
-        role: evaluate_model(model, eval_set, metric_names)
-        for role, model in result.models.items()
-    }
-    if result.chosen is not None:
         reports["chosen"] = reports[result.chosen]
     write_eval_csv(reports, run_dir / "results.csv")
     print(f"train[{trainer}]: wrote {run_dir / 'results.csv'}")
@@ -372,8 +366,11 @@ def cmd_compare(conf: Conf, args) -> int:
         if name not in TRAINER_NAMES:
             raise CliConfigError(f"bad trainer {name!r} in [compare]")
     seeds = conf.get_int_list("compare", "seeds", default=["1"])
-    budget = conf.get_int("compare", "budget_epochs", default=cfg.epochs_outer)
-    dual_override = conf.get_int("compare", "dual_d_outer", default=None)
+    for seed in seeds:
+        if seed < 0:
+            raise CliConfigError(f"bad seed {seed} in 'seeds' in [compare] (must be >= 0)")
+    budget = conf.get_int("compare", "budget_epochs", default=cfg.epochs_outer, low=1)
+    dual_override = conf.get_int("compare", "dual_d_outer", low=1)
     metric_names = eval_metrics(conf)
     spec, split = read_model(conf), read_split(conf)
     dataset = load_dataset(conf)
@@ -452,7 +449,7 @@ def cmd_variance(conf: Conf, args) -> int:
         raise CliConfigError("need at least one entry for 'fractions' in [variance]")
     sweep = conf.get_float_list("variance", "b_sweep",
                                 default=[str(round(0.1 * i, 1)) for i in range(1, 10)])
-    seed = conf.get_int("variance", "seed", default=7)
+    seed = conf.get_int("variance", "seed", default=7, low=0)
     if args.seed is not None:
         seed = args.seed
     base = StudyConfig()
@@ -502,6 +499,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise CliConfigError(f"bad value for '--seed': {args.seed} (must be >= 0)")
         conf = Conf(Path(args.config))
         return COMMANDS[args.command](conf, args)
     except (CliConfigError, InvalidConfigError) as exc:

@@ -6,10 +6,11 @@ are correct.  Ordering of queries and pools is lexicographic by id so that
 every downstream run is reproducible from a seed alone.  Datasets are
 immutable after construction and safe for concurrent readers.
 
-Each query's relevance split is computed once, on first use, as a
-QueryGroup: the grade of every pool position in pool order, plus the
-positive documents and the negative pool.  Trainers and metrics read the
-group instead of looking judgments up document by document.
+Each query's relevance split is made once, by ``build_dataset`` while it
+validates, as a QueryGroup: the grade of every pool position in pool order,
+plus the positive documents and the negative pool.  Trainers and metrics
+read the group instead of looking judgments up document by document, and
+``Dataset.select`` carries the groups over to a subset of the queries.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ class Dataset:
     feature_dim: int | None
     _relevance: Mapping[QueryId, Mapping[str, int]] = field(repr=False)
     _query_index: Mapping[QueryId, Query] = field(repr=False)
-    _groups: dict[QueryId, QueryGroup] = field(default_factory=dict, init=False, repr=False)
+    _groups: Mapping[QueryId, QueryGroup] = field(repr=False)
 
     @property
     def num_queries(self) -> int:
@@ -171,20 +172,34 @@ class Dataset:
         return self.group(query_id).positives
 
     def group(self, query_id: QueryId) -> QueryGroup:
-        """The query's relevance split, computed on first use and kept."""
-        group = self._groups.get(query_id)
-        if group is None:
-            pool = self.pool(query_id)
-            judged = self._relevance.get(query_id, {})
-            grades = [judged.get(d.id, 0) for d in pool]
-            group = QueryGroup(
-                grades=np.array(grades, dtype=np.int64),
-                positives=tuple(d for d, g in zip(pool, grades) if g > 0),
-                negatives=tuple(d for d, g in zip(pool, grades) if g <= 0),
-            )
-            group.grades.flags.writeable = False
-            self._groups[query_id] = group
-        return group
+        """The query's relevance split, made when the dataset was built."""
+        try:
+            return self._groups[query_id]
+        except KeyError:
+            raise UnknownQueryError(f"unknown query {query_id!r}") from None
+
+    def select(self, query_ids: Iterable[QueryId]) -> Dataset:
+        """The dataset of the given queries only, in this dataset's order.
+
+        Pools, documents, judgments, relevance maps, query tokens and groups
+        are this dataset's own, so nothing is sorted, validated or grouped
+        again.  ``feature_dim`` is that of the selected documents.
+        """
+        keep = {self.query(qid).id for qid in query_ids}  # raises on an unknown id
+        if not keep:
+            raise DatasetError("dataset has no queries")
+        queries = tuple(q for q in self.queries if q.id in keep)
+        pools = {q.id: self.pools[q.id] for q in queries}
+        features = (d.features for docs in pools.values() for d in docs
+                    if d.features is not None)
+        return Dataset(
+            self.kind, queries, pools,
+            judgments=tuple(j for j in self.judgments if j.query in keep),
+            feature_dim=next((len(f) for f in features), None),
+            _relevance={q: r for q, r in self._relevance.items() if q in keep},
+            _query_index={q.id: q for q in queries},
+            _groups={qid: self._groups[qid] for qid in pools},
+        )
 
     def records(self):
         """Raw (pools, judgments, kind, query_tokens) from which this dataset rebuilds."""
@@ -266,6 +281,16 @@ def build_dataset(
         Query(qid, tuple(query_tokens[qid]) if qid in query_tokens else None)
         for qid in sorted_pools
     )
+    groups = {}
+    for qid, docs in sorted_pools.items():
+        judged = relevance.get(qid, {})
+        grades = [judged.get(d.id, 0) for d in docs]
+        groups[qid] = QueryGroup(
+            grades=np.array(grades, dtype=np.int64),
+            positives=tuple(d for d, g in zip(docs, grades) if g > 0),
+            negatives=tuple(d for d, g in zip(docs, grades) if g <= 0),
+        )
+        groups[qid].grades.flags.writeable = False
     return Dataset(
         kind=kind,
         queries=queries,
@@ -274,6 +299,7 @@ def build_dataset(
         feature_dim=feature_dim,
         _relevance=relevance,
         _query_index={q.id: q for q in queries},
+        _groups=groups,
     )
 
 

@@ -332,25 +332,14 @@ def normalize_features_minmax(dataset: Dataset) -> Dataset:
 
 
 def split_queries(dataset: Dataset, holdout_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Deterministic query-level split into (train, held-out) datasets."""
+    """Deterministic query-level split into (train, held-out) datasets, both
+    selected from ``dataset`` without validating or grouping again."""
     if not 0.0 < holdout_fraction < 1.0:
         raise DatasetError("holdout_fraction must lie in (0, 1)")
-    qids = [q.id for q in dataset.queries]
+    qids = dataset.query_ids()
     n_held = max(1, int(round(holdout_fraction * len(qids))))
     if n_held >= len(qids):
         raise DatasetError("holdout would leave no training queries")
     rng = np.random.default_rng(seed)
-    held = set(rng.choice(len(qids), size=n_held, replace=False).tolist())
-    held_ids = {qids[i] for i in held}
-
-    def subset(keep_ids):
-        pools = {qid: list(dataset.pool(qid)) for qid in keep_ids}
-        judgments = [j for j in dataset.judgments if j.query in keep_ids]
-        tokens = {
-            q.id: q.tokens for q in dataset.queries
-            if q.tokens is not None and q.id in keep_ids
-        }
-        return build_dataset(pools, judgments, dataset.kind, query_tokens=tokens)
-
-    train_ids = [qid for qid in qids if qid not in held_ids]
-    return subset(set(train_ids)), subset(held_ids)
+    held_ids = [qids[i] for i in rng.choice(len(qids), size=n_held, replace=False)]
+    return dataset.select(set(qids) - set(held_ids)), dataset.select(held_ids)

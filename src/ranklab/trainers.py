@@ -21,7 +21,7 @@ frozen snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from .baselines import (
     ValueFunctionBaseline,
 )
 from .core import Dataset, Document, Query, candidate_pool
-from .metrics import evaluate_model
+from .metrics import EvalReport, evaluate_model
 from .policy import (
     SoftmaxPolicy,
     _draw_from_cdf,
@@ -95,6 +95,8 @@ class TrainConfig:
             raise InvalidConfigError(f"reward must be one of {REWARD_NAMES}")
         if self.pretrain_epochs < 0:
             raise InvalidConfigError("pretrain_epochs must be >= 0")
+        if self.seed < 0:
+            raise InvalidConfigError("seed must be >= 0")
 
 
 # Best hyperparameters per task, as tabulated for the reference experiments.
@@ -227,22 +229,29 @@ def value_function_baseline_mc(policy: SoftmaxPolicy, model: Scorer, query, pool
                                reward_fn: RewardFn, n: int,
                                rng: np.random.Generator) -> tuple[float, float]:
     """Monte-Carlo estimate of the value baseline; returns (estimate, std error)."""
+    return _mc_value(policy_probs(policy, query, pool), model, query, pool,
+                     reward_fn, n, rng)
+
+
+def _mc_value(probs, model, query, pool, reward_fn, n, rng) -> tuple[float, float]:
+    """Mean and standard error of the rewards of n documents drawn from
+    ``probs`` exactly as ``sample_docs`` draws them."""
     if n < 2:
         raise ValueError("Monte-Carlo baseline needs n >= 2")
-    docs = sample_docs(policy, query, pool, n, rng)
+    docs = [pool[i] for i in _draw_from_cdf(_sampling_cdf(probs), n, rng)]
     rewards = reward_fn(model, query, docs)
     return float(rewards.mean()), float(rewards.std(ddof=1) / np.sqrt(n))
 
 
-def resolve_baseline(spec: BaselineSpec, policy, model, query, pool,
+def resolve_baseline(spec: BaselineSpec, probs: np.ndarray, model, query, pool,
                      reward_fn: RewardFn, rng) -> float:
+    """b(q) for one generator update; ``probs`` is the policy over ``pool``."""
     if isinstance(spec, ConstantBaseline):
         return spec.value
     if isinstance(spec, ValueFunctionBaseline):
-        return value_function_baseline(policy, model, query, pool, reward_fn)
+        return float(probs @ reward_fn(model, query, pool))
     if isinstance(spec, MonteCarloValueBaseline):
-        return value_function_baseline_mc(policy, model, query, pool,
-                                          reward_fn, spec.n, rng)[0]
+        return _mc_value(probs, model, query, pool, reward_fn, spec.n, rng)[0]
     raise TypeError(f"not a baseline spec: {spec!r}")
 
 
@@ -261,7 +270,7 @@ def generator_gradient(policy: SoftmaxPolicy, model: Scorer, query, pool, k: int
         raise ValueError("k must be >= 1")
     probs = policy_probs(policy, query, pool)
     idx = _draw_from_cdf(_sampling_cdf(probs), k, rng)
-    b = resolve_baseline(baseline, policy, model, query, pool, reward_fn, rng)
+    b = resolve_baseline(baseline, probs, model, query, pool, reward_fn, rng)
     unique, counts = np.unique(idx, return_counts=True)
     advantages = reward_fn(model, query, [pool[i] for i in unique]) - b
     weights = -probs * float(counts @ advantages)
@@ -591,9 +600,13 @@ def irgan_objective(generator: SoftmaxPolicy, discriminator: Scorer,
 
 @dataclass
 class TrainResult:
+    """A finished run.  ``reports`` holds every model's evaluation after the
+    last epoch (empty when the run had no evaluation dataset)."""
+
     record: RunRecord
     models: dict[str, Scorer]
     chosen: str | None = None
+    reports: dict[str, EvalReport] = field(default_factory=dict)
 
 
 def _check_finite(models: dict[str, Scorer]) -> None:
@@ -602,13 +615,15 @@ def _check_finite(models: dict[str, Scorer]) -> None:
             raise NumericError(f"model {tag!r} has non-finite parameters")
 
 
-def _eval_rows(models, epoch, eval_dataset, metric_names):
-    rows = []
-    for tag in sorted(models):
-        report = evaluate_model(models[tag], eval_dataset, metric_names)
+def _evaluate(record: RunRecord, models, epoch, eval_dataset, metric_names):
+    """Append every model's evaluation at ``epoch`` to ``record``; returns
+    the reports."""
+    reports = {tag: evaluate_model(models[tag], eval_dataset, metric_names)
+               for tag in sorted(models)}
+    for tag, report in reports.items():
         for metric, value in report.values.items():
-            rows.append(RunRow(epoch, tag, metric, value))
-    return rows
+            record.append(epoch, tag, metric, value)
+    return reports
 
 
 def run_trainer(name: str, dataset: Dataset, cfg: TrainConfig,
@@ -618,8 +633,9 @@ def run_trainer(name: str, dataset: Dataset, cfg: TrainConfig,
 
     Expected model roles: irgan-* -> {G, D}; single-d -> {M}; dual-d -> {A, B};
     dns -> {D}.  When ``eval_dataset`` is given, every model is evaluated
-    before training (epoch 0) and after each epoch.  Raises NumericError as
-    soon as any parameter leaves the finite range.
+    before training (epoch 0) and after each epoch, and the result keeps the
+    last epoch's reports.  Raises NumericError as soon as any parameter
+    leaves the finite range.
     """
     if name not in TRAINER_NAMES:
         raise InvalidConfigError(
@@ -645,8 +661,9 @@ def run_trainer(name: str, dataset: Dataset, cfg: TrainConfig,
             record.extend(replace(row, model="G-pretrain")
                           for row in pretrain_mle(generator, dataset, pre_cfg).rows)
 
+    reports = {}
     if eval_dataset is not None:
-        record.extend(_eval_rows(models, 0, eval_dataset, metric_names))
+        reports = _evaluate(record, models, 0, eval_dataset, metric_names)
 
     for epoch in range(1, cfg.epochs_outer + 1):
         if name == "irgan-pointwise":
@@ -662,9 +679,9 @@ def run_trainer(name: str, dataset: Dataset, cfg: TrainConfig,
         record.extend(rows)
         _check_finite(models)
         if eval_dataset is not None:
-            record.extend(_eval_rows(models, epoch, eval_dataset, metric_names))
+            reports = _evaluate(record, models, epoch, eval_dataset, metric_names)
 
     chosen = None
     if name == "dual-d":
         chosen = "A" if int(rng.integers(2)) == 0 else "B"
-    return TrainResult(record=record, models=models, chosen=chosen)
+    return TrainResult(record=record, models=models, chosen=chosen, reports=reports)

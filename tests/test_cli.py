@@ -1,12 +1,13 @@
 """CLI commands: outputs, exit codes, determinism, and CSV round-trips."""
 
 import filecmp
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from ranklab import cli, pgvar
+from ranklab import cli, core, metrics, pgvar
 from ranklab.cli import main, parity_outer_epochs
 from ranklab.trainers import RunRecord, TrainConfig
 from ranklab._util import read_csv, write_csv
@@ -38,6 +39,23 @@ def write_config(tmp_path, body, name="run.ini"):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def count_calls(monkeypatch, original):
+    """Route every ranklab binding of ``original`` through a counter; returns
+    the list that receives one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ranklab" or name.startswith("ranklab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 class TestPretrain:
@@ -108,6 +126,20 @@ seed = 40
         assert chosen in ("A", "B")
         header, rows = read_csv(tmp_path / "out" / "run" / "results.csv")
         assert {r[0] for r in rows} == {"A", "B", "chosen"}
+
+    def test_builds_once_and_evaluates_once_per_epoch(self, tmp_path, monkeypatch):
+        builds = count_calls(monkeypatch, core.build_dataset)
+        evaluations = count_calls(monkeypatch, metrics.evaluate_model)
+        config = write_config(tmp_path, self.config("dual-d"))
+        assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 0
+        assert len(builds) == 1
+        assert len(evaluations) == (3 + 1) * 2  # (epochs_outer + 1) x roles
+        record = RunRecord.from_csv(tmp_path / "out" / "run" / "curves.csv")
+        _, rows = read_csv(tmp_path / "out" / "run" / "results.csv")
+        chosen = (tmp_path / "out" / "run" / "checkpoints" / "chosen").read_text().strip()
+        for model, metric, value, _, _ in rows:
+            tag = chosen if model == "chosen" else model
+            assert record.series(tag, metric)[-1] == (3, float(value))
 
     def test_unknown_trainer_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path, self.config("bogus"))
@@ -213,6 +245,17 @@ seeds = 1,2
         assert trained == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["budget_epochs", "dual_d_outer"])
+    def test_non_positive_epochs_fail_before_work(self, tmp_path, capsys, monkeypatch, key):
+        trained = []
+        monkeypatch.setattr(cli, "run_trainer", lambda *a, **k: trained.append(a))
+        body = self.CONFIG.replace("trainers = single-d,dns", "trainers = dual-d,single-d")
+        config = write_config(tmp_path, body + f"{key} = 0\n")
+        assert run(["compare", "--config", config, "--out", tmp_path / "out"]) == 1
+        assert f"'{key}' in [compare]" in capsys.readouterr().err
+        assert trained == []
+        assert not (tmp_path / "out").exists()
+
     def test_budget_parity_for_dual_d(self):
         assert parity_outer_epochs(budget=60, inner=30) == 1
         assert parity_outer_epochs(budget=120, inner=30) == 2
@@ -288,6 +331,43 @@ vocab_size = 4
 """ + self.CONFIG[self.CONFIG.index("[trainer]"):]
         err = self.run_bad(tmp_path, capsys, "train", "vocab_size = 4", "vocab_size = 3", body)
         assert "'vocab_size' in [model]" in err
+
+
+class TestNegativeSeeds:
+    """Every seed key, and --seed, rejects a negative value with exit 1 naming
+    it, before any dataset is read or the run directory exists."""
+
+    @pytest.mark.parametrize("command,old,new,key", [
+        ("train", "epochs_outer = 1", "epochs_outer = 1\nseed = -1", "'seed' in [trainer]"),
+        ("pretrain", "epochs_outer = 1", "epochs_outer = 1\nseed = -1", "'seed' in [trainer]"),
+        ("compare", "trainers = single-d,dns", "trainers = single-d,dns\nseeds = 1,-2",
+         "'seeds' in [compare]"),
+        ("train", "init_scale = 0.1", "init_scale = 0.1\ninit_seed = -1", "'init_seed' in [model]"),
+        ("train", "seed = 3", "seed = -1", "'seed' in [dataset]"),
+        ("compare", "split_seed = 13", "split_seed = -1", "'split_seed' in [dataset]"),
+    ], ids=["trainer-seed", "pretrain-trainer-seed", "compare-seeds", "init-seed",
+            "dataset-seed", "split-seed"])
+    def test_config_key(self, tmp_path, capsys, monkeypatch, command, old, new, key):
+        loaded = count_calls(monkeypatch, cli.load_dataset)
+        err = TestModelAndSplitKeys().run_bad(tmp_path, capsys, command, old, new)
+        assert key in err and "Traceback" not in err
+        # [dataset] seed is read by load_dataset itself, before anything is built.
+        assert len(loaded) == (key == "'seed' in [dataset]")
+
+    @pytest.mark.parametrize("command", ["pretrain", "train", "compare", "variance"])
+    def test_seed_option(self, tmp_path, capsys, command):
+        body = TestVariance.CONFIG if command == "variance" else TestModelAndSplitKeys.CONFIG
+        config = write_config(tmp_path, body)
+        assert run([command, "--config", config, "--out", tmp_path / "out",
+                    "--seed", -5]) == 1
+        assert "'--seed'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_variance_seed(self, tmp_path, capsys):
+        config = write_config(tmp_path, TestVariance.CONFIG.replace("seed = 7", "seed = -1"))
+        assert run(["variance", "--config", config, "--out", tmp_path / "out"]) == 1
+        assert "'seed' in [variance]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestVariance:

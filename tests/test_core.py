@@ -1,5 +1,7 @@
 """Domain-model construction, validation errors, and set invariants."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,7 @@ from ranklab.core import (
     candidate_pool,
     relevant_fraction,
 )
+from ranklab.dataio import split_queries
 
 from conftest import make_docs
 
@@ -82,6 +85,38 @@ class TestBuildDataset:
         assert rebuilt == tiny_dataset
         again = build_dataset(*rebuilt.records()[:3], query_tokens=rebuilt.records()[3])
         assert again == rebuilt
+
+
+class TestImmutability:
+    def snapshot(self, dataset):
+        return {key: copy.copy(value) for key, value in vars(dataset).items()}
+
+    def test_lookups_never_write_to_the_dataset(self, tiny_dataset):
+        halves = split_queries(tiny_dataset, 0.5, seed=0)
+        for ds in (tiny_dataset, *halves):
+            before = self.snapshot(ds)
+            for qid in ds.query_ids():
+                ds.group(qid)
+                ds.positives(qid)
+                candidate_pool(ds, qid, exclude_positives=True)
+            assert self.snapshot(ds) == before
+
+    def test_group_of_unknown_query(self, tiny_dataset):
+        with pytest.raises(UnknownQueryError, match="zzz"):
+            tiny_dataset.group("zzz")
+
+
+class TestSelect:
+    def test_keeps_dataset_order(self, tiny_dataset):
+        assert tiny_dataset.select(["qb", "qa"]).query_ids() == ("qa", "qb")
+
+    def test_unknown_query(self, tiny_dataset):
+        with pytest.raises(UnknownQueryError, match="zzz"):
+            tiny_dataset.select(["qa", "zzz"])
+
+    def test_empty_selection(self, tiny_dataset):
+        with pytest.raises(DatasetError, match="no queries"):
+            tiny_dataset.select([])
 
 
 class TestCandidatePool:

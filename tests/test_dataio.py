@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from ranklab.core import DatasetError, DatasetKind, Document, Judgment, build_dataset
 from ranklab.dataio import (
@@ -229,3 +230,84 @@ class TestTransforms:
         assert held.num_queries == 3
         train2, held2 = split_queries(dataset, 0.25, seed=3)
         assert train2 == train and held2 == held
+
+
+def rebuild_half(parent, keep):
+    """Reference for one half of a split: the half rebuilt from raw records."""
+    pools = {qid: list(parent.pool(qid)) for qid in keep}
+    judgments = [j for j in parent.judgments if j.query in keep]
+    tokens = {q.id: q.tokens for q in parent.queries
+              if q.tokens is not None and q.id in keep}
+    return build_dataset(pools, judgments, parent.kind, query_tokens=tokens)
+
+
+# A query's pool: documents with features, with tokens, with both, or shared
+# single-token catalog items; grades None (unjudged), 0, 1 or 2 each; and the
+# label pattern forced to none relevant, all relevant, or free.
+query_strategy = st.tuples(
+    st.sampled_from(["features", "tokens", "mixed", "catalog"]),
+    st.lists(st.sampled_from([None, 0, 1, 2]), min_size=1, max_size=5),
+    st.sampled_from(["free", "none-relevant", "all-relevant"]),
+    st.booleans(),
+)
+CATALOG = [Document(f"item{i}", tokens=(i,)) for i in range(5)]
+
+
+def make_parent(specs):
+    pools, judgments, query_tokens = {}, [], {}
+    for qi, (mode, grades, labels, has_tokens) in enumerate(specs):
+        qid = f"q{qi}"
+        if labels == "none-relevant":
+            grades = [None if g is None else 0 for g in grades]
+        elif labels == "all-relevant":
+            grades = [g or 1 for g in grades]
+        docs = []
+        for di in range(len(grades)):
+            form = mode if mode != "mixed" else ("features", "tokens", "both")[di % 3]
+            if form == "catalog":
+                docs.append(CATALOG[di])
+                continue
+            features = [float(qi), float(di)] if form in ("features", "both") else None
+            tokens = (qi, di + 1) if form in ("tokens", "both") else None
+            docs.append(Document(f"{qid}_d{di}", features=features, tokens=tokens))
+        pools[qid] = docs[::-1]  # build_dataset sorts pools by id
+        judgments += [Judgment(qid, d.id, g) for d, g in zip(docs, grades) if g is not None]
+        if has_tokens:
+            query_tokens[qid] = (qi, 7)
+    return build_dataset(pools, judgments[::-1], "synthetic", query_tokens=query_tokens)
+
+
+class TestSplitBySelection:
+    """split_queries selects both halves from the validated parent; each must
+    equal the half rebuilt through build_dataset in every observable way."""
+
+    @given(st.lists(query_strategy, min_size=2, max_size=6),
+           st.floats(min_value=0.05, max_value=0.95), st.integers(0, 1000))
+    def test_matches_rebuilt_halves(self, specs, fraction, seed):
+        parent = make_parent(specs)
+        assume(int(round(fraction * parent.num_queries)) < parent.num_queries)
+        halves = split_queries(parent, fraction, seed)
+        assert set(halves[0].query_ids()) | set(halves[1].query_ids()) == \
+            set(parent.query_ids())
+        for half in halves:
+            reference = rebuild_half(parent, set(half.query_ids()))
+            assert half == reference
+            assert half.feature_dim == reference.feature_dim
+            assert half.kind == reference.kind
+            assert half.judgments == reference.judgments
+            assert [q.tokens for q in half.queries] == [q.tokens for q in reference.queries]
+            for qid in reference.query_ids():
+                assert all(a is b for a, b in zip(half.pool(qid), reference.pool(qid)))
+                assert half.relevance_map(qid) == reference.relevance_map(qid)
+                got, want = half.group(qid), reference.group(qid)
+                assert got.grades.dtype == want.grades.dtype
+                np.testing.assert_array_equal(got.grades, want.grades)
+                assert got.positives == want.positives
+                assert got.negatives == want.negatives
+
+    def test_halves_share_the_parents_groups(self, planted_dataset):
+        dataset, _ = planted_dataset
+        for half in split_queries(dataset, 0.25, seed=3):
+            for qid in half.query_ids():
+                assert half.group(qid) is dataset.group(qid)
+                assert half.pool(qid) is dataset.pool(qid)

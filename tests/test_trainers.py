@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from ranklab.baselines import ConstantBaseline
+from ranklab import policy as policy_module, trainers
+from ranklab.baselines import ConstantBaseline, MonteCarloValueBaseline, ValueFunctionBaseline
 from ranklab.core import Document, Judgment, build_dataset
 from ranklab.dataio import SyntheticSpec, synth_retrieval
-from ranklab.metrics import pairwise_accuracy
-from ranklab.policy import SoftmaxPolicy, policy_probs, log_prob_gradient
+from ranklab.metrics import evaluate_model, pairwise_accuracy
+from ranklab.policy import SoftmaxPolicy, policy_probs, log_prob_gradient, sample_docs
 from ranklab.scorers import (
     LinearScorer,
     ParamVector,
@@ -34,6 +35,7 @@ from ranklab.trainers import (
     irgan_pointwise_epoch,
     make_reward,
     pretrain_mle,
+    resolve_baseline,
     run_trainer,
     single_d_epoch,
     value_function_baseline,
@@ -121,6 +123,37 @@ class TestGeneratorGradient:
         d_scorer = build_scorer("linear", {"feature_dim": 3}, scale=0.8, seed=seed + 1)
         pool = [Document(f"d{i}", rng.normal(size=3)) for i in range(n_docs)]
         return SoftmaxPolicy(g_scorer), d_scorer, pool
+
+    @pytest.mark.parametrize("baseline", [ConstantBaseline(0.2), ValueFunctionBaseline(),
+                                          MonteCarloValueBaseline(30)])
+    def test_one_policy_pass_per_update(self, monkeypatch, baseline):
+        policy, model, pool = self.make_setup()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return policy_probs(*args)
+
+        for module in (trainers, policy_module):  # sample_docs calls policy's binding
+            monkeypatch.setattr(module, "policy_probs", counted)
+        generator_gradient(policy, model, None, pool, 3, make_reward("sigmoid"),
+                           baseline, np.random.default_rng(0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mc_baseline_draws_as_sample_docs(self, seed):
+        policy, model, pool = self.make_setup(seed=seed)
+        reward = make_reward("sigmoid")
+        probs = policy_probs(policy, None, pool)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = resolve_baseline(MonteCarloValueBaseline(40), probs, model, None, pool,
+                               reward, rng)
+        want = float(reward(model, None, sample_docs(policy, None, pool, 40, ref_rng)).mean())
+        assert got == want
+        assert rng.random() == ref_rng.random()
+        mc = value_function_baseline_mc(policy, model, None, pool, reward, 40,
+                                        np.random.default_rng(seed))
+        assert mc[0] == want
 
     def test_pool_of_one_gives_zero(self):
         policy, model, pool = self.make_setup(n_docs=1)
@@ -230,6 +263,10 @@ class TestTrainConfig:
     def test_bad_reward_rejected(self):
         with pytest.raises(InvalidConfigError, match="reward"):
             TrainConfig(reward="bogus")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidConfigError, match="seed"):
+            TrainConfig(seed=-1)
 
     def test_default_dns_k_is_five(self):
         assert TrainConfig().dns_k == 5
@@ -563,6 +600,25 @@ class TestRunTrainer:
                              eval_dataset=dataset, metric_names=("p@5",))
         epochs = [e for e, _ in result.record.series("M", "p@5")]
         assert epochs == [0, 1, 2]
+
+    def test_result_keeps_the_last_epochs_reports(self):
+        dataset = small_planted()
+        models = {tag: build_scorer("linear", {"feature_dim": 4}, scale=0.1, seed=seed)
+                  for tag, seed in (("A", 0), ("B", 1))}
+        cfg = TrainConfig(learning_rate=0.05, epochs_outer=2, epochs_inner=2)
+        result = run_trainer("dual-d", dataset, cfg, models,
+                             eval_dataset=dataset, metric_names=("p@5", "ndcg@5"))
+        assert sorted(result.reports) == ["A", "B"]
+        for tag, report in result.reports.items():
+            assert report == evaluate_model(result.models[tag], dataset, ("p@5", "ndcg@5"))
+            for metric, value in report.values.items():
+                assert result.record.series(tag, metric)[-1] == (2, value)
+
+    def test_no_reports_without_an_evaluation_dataset(self):
+        model = build_scorer("linear", {"feature_dim": 4}, scale=0.1, seed=0)
+        result = run_trainer("single-d", small_planted(), TrainConfig(epochs_outer=1),
+                             {"M": model})
+        assert result.reports == {}
 
     @pytest.mark.parametrize("name", ["irgan-pointwise", "irgan-pairwise"])
     def test_pretraining_rows_tagged_apart_from_adversarial_rows(self, name):
