@@ -26,8 +26,8 @@ class MonteCarloValueBaseline:
     n: int = 1000
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("Monte-Carlo baseline needs at least one sample")
+        if self.n < 2:  # the standard error of the estimate needs two draws
+            raise ValueError(f"Monte-Carlo baseline needs n >= 2, got {self.n}")
 
 
 BaselineSpec = ConstantBaseline | ValueFunctionBaseline | MonteCarloValueBaseline

@@ -369,6 +369,7 @@ def cmd_compare(conf: Conf, args) -> int:
     for seed in seeds:
         if seed < 0:
             raise CliConfigError(f"bad seed {seed} in 'seeds' in [compare] (must be >= 0)")
+    seeds = seeds if args.seed is None else [args.seed]
     budget = conf.get_int("compare", "budget_epochs", default=cfg.epochs_outer, low=1)
     dual_override = conf.get_int("compare", "dual_d_outer", low=1)
     metric_names = eval_metrics(conf)

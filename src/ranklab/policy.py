@@ -50,27 +50,31 @@ def _draw_from_cdf(cdf: np.ndarray, size: int, rng: np.random.Generator) -> np.n
     return cdf.searchsorted(rng.random(size), side="right")
 
 
-def _checked_scores(scorer, query, pool) -> np.ndarray:
-    scores = scorer.score_many(query, pool)
+def _finite(scores: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(scores)):
         raise NumericError("scores are not finite; cannot form a sampling distribution")
     return scores
 
 
-def policy_probs(policy: SoftmaxPolicy, query: Query | None, pool) -> np.ndarray:
-    """softmax(scores / T) with max-subtraction; sums to 1 within 1e-12."""
-    _check_pool(pool)
-    z = _checked_scores(policy.scorer, query, pool) / policy.temperature
+def _softmax(scores: np.ndarray, temperature: float, log: bool = False) -> np.ndarray:
+    """The policy over a pool from its scores: softmax(scores / T), or its log."""
+    z = _finite(scores) / temperature
     z -= z.max()
+    if log:
+        return z - np.log(np.exp(z).sum())
     e = np.exp(z)
     return e / e.sum()
 
 
+def policy_probs(policy: SoftmaxPolicy, query: Query | None, pool) -> np.ndarray:
+    """softmax(scores / T) with max-subtraction; sums to 1 within 1e-12."""
+    _check_pool(pool)
+    return _softmax(policy.scorer.score_many(query, pool), policy.temperature)
+
+
 def log_policy_probs(policy: SoftmaxPolicy, query, pool) -> np.ndarray:
     _check_pool(pool)
-    z = _checked_scores(policy.scorer, query, pool) / policy.temperature
-    z -= z.max()
-    return z - np.log(np.exp(z).sum())
+    return _softmax(policy.scorer.score_many(query, pool), policy.temperature, log=True)
 
 
 def sample_docs(policy: SoftmaxPolicy, query, pool, k: int,
@@ -93,10 +97,10 @@ def log_prob_gradient(policy: SoftmaxPolicy, query, pool, doc: Document) -> np.n
     positions = [i for i, d in enumerate(pool) if d.id == doc.id]
     if not positions:
         raise ValueError(f"doc {doc.id!r} not in the candidate pool")
-    probs = policy_probs(policy, query, pool)
-    weights = -probs
+    fwd = policy.scorer.forward(query, pool)
+    weights = -_softmax(fwd.scores, policy.temperature)
     weights[positions[0]] += 1.0
-    return policy.scorer.grad_weighted_sum(query, pool, weights) / policy.temperature
+    return policy.scorer.backward(fwd, weights) / policy.temperature
 
 
 def normalized_discriminator_sampling(model: Scorer, query, pool, k: int,
@@ -116,5 +120,5 @@ def normalized_discriminator_sampling(model: Scorer, query, pool, k: int,
 def discriminator_sampling_probs(model: Scorer, query, pool) -> np.ndarray:
     """The normalized sampling weights used by normalized_discriminator_sampling."""
     _check_pool(pool)
-    weights = sigmoid(_checked_scores(model, query, pool))
+    weights = sigmoid(_finite(model.score_many(query, pool)))
     return weights / weights.sum()

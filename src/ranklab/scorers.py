@@ -10,9 +10,11 @@ Four scorer kinds cover the three task families:
 * ``text``    -- mean token embeddings of query and document combined through
   a bilinear form, a lightweight stand-in for convolutional text encoders.
 
-Scoring and gradients are pure functions of (params, input); training code
-mutates ``scorer.params.values`` in place, and ``snapshot()`` hands out a
-read-only copy safe for concurrent evaluation.
+Each kind defines one kernel pair, ``forward`` and ``backward`` (see
+``Scorer``); both are pure functions of (params, input).  Training code
+mutates ``scorer.params.values`` in place, which the segment views a scorer
+binds at construction see, and ``snapshot()`` hands out a read-only copy
+safe for concurrent evaluation.
 
 The discriminator map is ``sigmoid(f)``.  Scores are clamped to [-30, 30]
 inside the sigmoid so probabilities never reach exact 0 or 1; the same clamp
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,15 +143,28 @@ def init_params(kind: str, dims: Mapping, scale: float, seed: int, *, zero: bool
     return ParamVector(rng.uniform(-scale, scale, size=layout.size), layout)
 
 
+class Forward(NamedTuple):
+    """One forward pass over a list of documents: their scores, and in
+    ``saved`` what the kind's ``backward`` needs: X for ``linear``, (X, H)
+    for ``mlp1``, (query row, doc rows) for ``matfac``, and (query token ids,
+    query mean, doc token ids, doc means) for ``text``.  It holds only at the
+    parameters it was computed at, so no forward outlives an update."""
+
+    scores: np.ndarray
+    saved: tuple
+
+
 class Scorer:
     """Base scoring function.  Each kind implements one kernel pair:
 
-    ``score_many(query, docs)`` returns f(d, query) for every document, and
-    ``grad_weighted_sum(query, docs, weights)`` returns sum_i weights[i] *
-    grad f(docs[i], query) in one vectorized pass; it is the workhorse for
-    log-softmax gradients and discriminator updates.  ``score``, ``gradient``
-    and ``gradient_matrix`` are views of that pair.  ``uses_query`` is False
-    for kinds that score joint query-document features and ignore the query
+    ``forward(query, docs)`` returns a ``Forward`` with f(d, query) for every
+    document, and ``backward(fwd, weights)`` returns sum_i weights[i] *
+    grad f(docs[i], query) from that forward in one vectorized pass; it is
+    the workhorse for log-softmax gradients and discriminator updates, which
+    need scores and a gradient at the same parameters from one forward.
+    ``score_many``, ``grad_weighted_sum``, ``score``, ``gradient`` and
+    ``gradient_matrix`` are views of that pair.  ``uses_query`` is False for
+    kinds that score joint query-document features and ignore the query
     argument; batch updates may then lump documents across queries.
     """
 
@@ -160,11 +175,17 @@ class Scorer:
         self.params = params
 
     # -- kernels ---------------------------------------------------------
-    def score_many(self, query: Query | None, docs: Sequence[Document]) -> np.ndarray:
+    def forward(self, query: Query | None, docs: Sequence[Document]) -> Forward:
         raise NotImplementedError
 
-    def grad_weighted_sum(self, query, docs, weights) -> np.ndarray:
+    def backward(self, fwd: Forward, weights) -> np.ndarray:
         raise NotImplementedError
+
+    def score_many(self, query: Query | None, docs: Sequence[Document]) -> np.ndarray:
+        return self.forward(query, docs).scores
+
+    def grad_weighted_sum(self, query, docs, weights) -> np.ndarray:
+        return self.backward(self.forward(query, docs), weights)
 
     def score(self, query: Query | None, doc: Document) -> float:
         return float(self.score_many(query, [doc])[0])
@@ -185,10 +206,11 @@ class Scorer:
         return build_scorer(self.kind, self.dims, self.params.copy())
 
     def snapshot(self) -> "Scorer":
-        """Frozen copy: its parameter array is marked read-only."""
-        frozen = self.clone()
-        frozen.params.values.flags.writeable = False
-        return frozen
+        """Frozen copy: its parameter array is marked read-only before the copy
+        is built, so the segment views it binds are read-only too."""
+        params = self.params.copy()
+        params.values.flags.writeable = False
+        return build_scorer(self.kind, self.dims, params)
 
     def checksum(self) -> bytes:
         import hashlib
@@ -210,24 +232,25 @@ class LinearScorer(Scorer):
 
     def __init__(self, params: ParamVector):
         super().__init__(params)
-        self._dim = params.layout.slice_of("w").stop
+        self._w = params.segment("w")
+        self._b = params.segment("b")
 
     @property
     def dims(self):
-        return {"feature_dim": self._dim}
+        return {"feature_dim": len(self._w)}
 
-    def score_many(self, query, docs):
+    def forward(self, query, docs):
         X = _feature_matrix(docs, self.kind)
-        return X @ self.params.segment("w") + self.params.segment("b")[0]
+        return Forward(X @ self._w + self._b[0], (X,))
+
+    def backward(self, fwd, weights):
+        (X,) = fwd.saved
+        w = np.asarray(weights, dtype=np.float64)
+        return np.concatenate([X.T @ w, [w.sum()]])
 
     def gradient_matrix(self, query, docs):
         X = _feature_matrix(docs, self.kind)
         return np.hstack([X, np.ones((len(docs), 1))])
-
-    def grad_weighted_sum(self, query, docs, weights):
-        X = _feature_matrix(docs, self.kind)
-        w = np.asarray(weights, dtype=np.float64)
-        return np.concatenate([X.T @ w, [w.sum()]])
 
 
 class Mlp1Scorer(Scorer):
@@ -238,42 +261,34 @@ class Mlp1Scorer(Scorer):
 
     def __init__(self, params: ParamVector):
         super().__init__(params)
-        h = params.layout.slice_of("hidden_b")
-        self._hidden = h.stop - h.start
-        self._dim = (params.layout.slice_of("hidden_w").stop) // self._hidden
+        self._hidden_b = params.segment("hidden_b")
+        self._hidden_w = params.segment("hidden_w").reshape(len(self._hidden_b), -1)
+        self._out_w = params.segment("out_w")
+        self._out_b = params.segment("out_b")
 
     @property
     def dims(self):
-        return {"feature_dim": self._dim, "hidden": self._hidden}
+        return {"feature_dim": self._hidden_w.shape[1], "hidden": len(self._hidden_b)}
 
-    def _forward(self, X: np.ndarray):
-        w1 = self.params.segment("hidden_w").reshape(self._hidden, self._dim)
-        H = np.tanh(X @ w1.T + self.params.segment("hidden_b"))
-        f = H @ self.params.segment("out_w") + self.params.segment("out_b")[0]
-        return H, f
-
-    def _backward(self, docs):
-        """(X, H, A) with A = d f / d(hidden pre-activation) = (1 - H^2) * out_w,
-        each with one row per document."""
+    def forward(self, query, docs):
         X = _feature_matrix(docs, self.kind)
-        H, _ = self._forward(X)
-        return X, H, (1.0 - H * H) * self.params.segment("out_w")
+        H = np.tanh(X @ self._hidden_w.T + self._hidden_b)
+        return Forward(H @ self._out_w + self._out_b[0], (X, H))
 
-    def score_many(self, query, docs):
-        return self._forward(_feature_matrix(docs, self.kind))[1]
-
-    def gradient_matrix(self, query, docs):
-        X, H, A = self._backward(docs)
-        dW1 = np.einsum("nh,nd->nhd", A, X).reshape(len(docs), -1)
-        return np.hstack([dW1, A, H, np.ones((len(docs), 1))])
-
-    def grad_weighted_sum(self, query, docs, weights):
-        X, H, A = self._backward(docs)
+    def backward(self, fwd, weights):
+        # (1 - H^2) * out_w is d f / d(hidden pre-activation), one row per document.
+        X, H = fwd.saved
         w = np.asarray(weights, dtype=np.float64)
-        aw = A * w[:, None]
+        aw = (1.0 - H * H) * self._out_w * w[:, None]
         return np.concatenate(
             [(aw.T @ X).ravel(), aw.sum(axis=0), H.T @ w, [w.sum()]]
         )
+
+    def gradient_matrix(self, query, docs):
+        X, H = self.forward(query, docs).saved
+        A = (1.0 - H * H) * self._out_w
+        dW1 = np.einsum("nh,nd->nhd", A, X).reshape(len(docs), -1)
+        return np.hstack([dW1, A, H, np.ones((len(docs), 1))])
 
 
 class MatFacScorer(Scorer):
@@ -287,53 +302,40 @@ class MatFacScorer(Scorer):
         self.doc_ids = tuple(doc_ids)
         self._q_index = {q: i for i, q in enumerate(self.query_ids)}
         self._d_index = {d: i for i, d in enumerate(self.doc_ids)}
-        self._k = (params.layout.slice_of("query_embed").stop) // max(len(self.query_ids), 1)
+        self._query_embed = params.segment("query_embed").reshape(len(self.query_ids), -1)
+        self._doc_embed = params.segment("doc_embed").reshape(len(self.doc_ids), -1)
+        self._doc_bias = params.segment("doc_bias")
 
     @property
     def dims(self):
         return {
             "query_ids": self.query_ids,
             "doc_ids": self.doc_ids,
-            "embed_dim": self._k,
+            "embed_dim": self._query_embed.shape[1],
         }
 
-    def _qi(self, query):
+    def forward(self, query, docs):
         if query is None or query.id not in self._q_index:
             qid = None if query is None else query.id
             raise RepresentationError(f"query {qid!r} not in factorization vocabulary")
-        return self._q_index[query.id]
-
-    def _doc_rows(self, docs) -> np.ndarray:
-        """Row of each document in the doc tables."""
         for doc in docs:
             if doc.id not in self._d_index:
                 raise RepresentationError(f"doc {doc.id!r} not in factorization vocabulary")
-        return np.array([self._d_index[doc.id] for doc in docs])
+        qi = self._q_index[query.id]
+        rows = np.array([self._d_index[doc.id] for doc in docs])  # doc-table rows
+        scores = self._doc_embed[rows] @ self._query_embed[qi] + self._doc_bias[rows]
+        return Forward(scores, (qi, rows))
 
-    def _tables(self):
-        k = self._k
-        qe = self.params.segment("query_embed").reshape(len(self.query_ids), k)
-        de = self.params.segment("doc_embed").reshape(len(self.doc_ids), k)
-        return qe, de, self.params.segment("doc_bias")
-
-    def score_many(self, query, docs):
-        qe, de, bias = self._tables()
-        idx = self._doc_rows(docs)
-        return de[idx] @ qe[self._qi(query)] + bias[idx]
-
-    def grad_weighted_sum(self, query, docs, weights):
-        qe, de, _ = self._tables()
-        qi = self._qi(query)
-        idx = self._doc_rows(docs)
+    def backward(self, fwd, weights):
+        qi, rows = fwd.saved
         w = np.asarray(weights, dtype=np.float64)
-        out = np.zeros(self.params.layout.size)
-        layout = self.params.layout
-        qe_grad = out[layout.slice_of("query_embed")].reshape(-1, self._k)
-        qe_grad[qi] = de[idx].T @ w
-        de_grad = out[layout.slice_of("doc_embed")].reshape(-1, self._k)
-        np.add.at(de_grad, idx, np.outer(w, qe[qi]))
-        np.add.at(out[layout.slice_of("doc_bias")], idx, w)
-        return out
+        qe_grad = np.zeros_like(self._query_embed)
+        qe_grad[qi] = self._doc_embed[rows].T @ w
+        de_grad = np.zeros_like(self._doc_embed)
+        np.add.at(de_grad, rows, np.outer(w, self._query_embed[qi]))
+        bias_grad = np.zeros_like(self._doc_bias)
+        np.add.at(bias_grad, rows, w)
+        return np.concatenate([qe_grad.ravel(), de_grad.ravel(), bias_grad])
 
 
 class TextAvgEmbedScorer(Scorer):
@@ -344,16 +346,12 @@ class TextAvgEmbedScorer(Scorer):
     def __init__(self, params: ParamVector, vocab_size: int):
         super().__init__(params)
         self.vocab_size = vocab_size
-        self._k = (params.layout.slice_of("embed").stop) // vocab_size
+        self._embed = params.segment("embed").reshape(vocab_size, -1)
+        self._bilinear = params.segment("bilinear").reshape(self._embed.shape[1], -1)
 
     @property
     def dims(self):
-        return {"vocab_size": self.vocab_size, "embed_dim": self._k}
-
-    def _tables(self):
-        E = self.params.segment("embed").reshape(self.vocab_size, self._k)
-        M = self.params.segment("bilinear").reshape(self._k, self._k)
-        return E, M
+        return {"vocab_size": self.vocab_size, "embed_dim": self._embed.shape[1]}
 
     def _token_ids(self, tokens, who) -> np.ndarray:
         if tokens is None or len(tokens) == 0:
@@ -363,27 +361,22 @@ class TextAvgEmbedScorer(Scorer):
             raise RepresentationError(f"{who} has token id outside vocabulary")
         return idx
 
-    def _embeds(self, query, docs, E):
-        """Token ids and mean embeddings: (query ids, query mean, then a list
-        of ids and a list of means with one entry per document)."""
+    def forward(self, query, docs):
         if query is None:
             raise RepresentationError("text scorer needs a query with tokens")
         q_idx = self._token_ids(query.tokens, f"query {query.id!r}")
         d_ids = [self._token_ids(d.tokens, f"doc {d.id!r}") for d in docs]
-        return q_idx, E[q_idx].mean(axis=0), d_ids, [E[idx].mean(axis=0) for idx in d_ids]
+        eq = self._embed[q_idx].mean(axis=0)
+        eds = [self._embed[idx].mean(axis=0) for idx in d_ids]
+        lhs = self._bilinear.T @ eq
+        return Forward(np.array([ed @ lhs for ed in eds]), (q_idx, eq, d_ids, eds))
 
-    def score_many(self, query, docs):
-        E, M = self._tables()
-        _, eq, _, eds = self._embeds(query, docs, E)
-        lhs = M.T @ eq
-        return np.array([ed @ lhs for ed in eds])
-
-    def grad_weighted_sum(self, query, docs, weights):
-        E, M = self._tables()
-        q_idx, eq, d_ids, eds = self._embeds(query, docs, E)
+    def backward(self, fwd, weights):
+        q_idx, eq, d_ids, eds = fwd.saved
+        M = self._bilinear
         w = np.asarray(weights, dtype=np.float64)
         ed_weighted = np.stack(eds).T @ w  # sum_i w_i ed_i
-        embed_grad = np.zeros((self.vocab_size, self._k))
+        embed_grad = np.zeros_like(self._embed)
         # query-token contribution: each query token receives (M ed_i) / len(q)
         np.add.at(embed_grad, q_idx, (M @ ed_weighted) / len(q_idx))
         # doc-token contribution: each token of doc i receives w_i M^T eq / len(d_i)

@@ -37,8 +37,10 @@ from .core import Dataset, Document, Query, candidate_pool
 from .metrics import EvalReport, evaluate_model
 from .policy import (
     SoftmaxPolicy,
+    _check_pool,
     _draw_from_cdf,
     _sampling_cdf,
+    _softmax,
     discriminator_sampling_probs,
     log_policy_probs,
     policy_probs,
@@ -264,18 +266,20 @@ def generator_gradient(policy: SoftmaxPolicy, model: Scorer, query, pool, k: int
     """(1/k) sum over k sampled docs of grad log p(d|q) * (reward(d) - b(q)).
 
     Folded into a single weighted gradient sum over the pool, so one call
-    costs one vectorized pass regardless of k.
+    costs one generator forward, for the policy and the gradient, regardless of k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    probs = policy_probs(policy, query, pool)
+    _check_pool(pool)
+    fwd = policy.scorer.forward(query, pool)
+    probs = _softmax(fwd.scores, policy.temperature)
     idx = _draw_from_cdf(_sampling_cdf(probs), k, rng)
     b = resolve_baseline(baseline, probs, model, query, pool, reward_fn, rng)
     unique, counts = np.unique(idx, return_counts=True)
     advantages = reward_fn(model, query, [pool[i] for i in unique]) - b
     weights = -probs * float(counts @ advantages)
     np.add.at(weights, unique, counts * advantages)
-    return policy.scorer.grad_weighted_sum(query, pool, weights) / (k * policy.temperature)
+    return policy.scorer.backward(fwd, weights) / (k * policy.temperature)
 
 
 def _group_by_query(model, pairs):
@@ -299,13 +303,13 @@ def discriminator_step(model: Scorer, positives, negatives, lr: float) -> float:
     objective = 0.0
     grad = np.zeros(model.params.layout.size)
     for query, docs in _group_by_query(model, positives):
-        f = model.score_many(query, docs)
-        objective += float(log_sigmoid(f).sum())
-        grad += model.grad_weighted_sum(query, docs, 1.0 - sigmoid(f))
+        fwd = model.forward(query, docs)
+        objective += float(log_sigmoid(fwd.scores).sum())
+        grad += model.backward(fwd, 1.0 - sigmoid(fwd.scores))
     for query, docs in _group_by_query(model, negatives):
-        f = model.score_many(query, docs)
-        objective += float(log_sigmoid(-f).sum())
-        grad += model.grad_weighted_sum(query, docs, -sigmoid(f))
+        fwd = model.forward(query, docs)
+        objective += float(log_sigmoid(-fwd.scores).sum())
+        grad += model.backward(fwd, -sigmoid(fwd.scores))
     model.params.values += lr * grad
     return objective
 
@@ -333,7 +337,8 @@ def pretrain_mle(policy: SoftmaxPolicy, dataset: Dataset, cfg: TrainConfig) -> R
 
     Mutates the policy's scorer in place; the returned record carries the
     post-step mean log-likelihood per epoch and the count of queries skipped
-    for having no relevant document.
+    for having no relevant document.  Per epoch, each usable query takes one
+    forward for the step and one scores-only pass for the likelihood.
     """
     record = RunRecord()
     usable = []
@@ -348,23 +353,20 @@ def pretrain_mle(policy: SoftmaxPolicy, dataset: Dataset, cfg: TrainConfig) -> R
         raise core.DatasetError("no query has a relevant document to pretrain on")
 
     n_pairs = sum(len(pos_idx) for _, _, pos_idx in usable)
-
-    def mean_loglik():
+    for epoch in range(1, cfg.epochs_outer + 1):
+        grad = np.zeros(policy.scorer.params.layout.size)
+        for q, pool, pos_idx in usable:
+            fwd = policy.scorer.forward(q, pool)
+            weights = -len(pos_idx) * _softmax(fwd.scores, policy.temperature)
+            np.add.at(weights, pos_idx, 1.0)
+            grad += policy.scorer.backward(fwd, weights)
+        grad /= n_pairs * policy.temperature
+        policy.scorer.params.values += cfg.learning_rate * grad
         total = 0.0
         for q, pool, pos_idx in usable:
             logp = log_policy_probs(policy, q, pool)
             total += float(logp[pos_idx].sum())
-        return total / n_pairs
-
-    for epoch in range(1, cfg.epochs_outer + 1):
-        grad = np.zeros(policy.scorer.params.layout.size)
-        for q, pool, pos_idx in usable:
-            weights = -len(pos_idx) * policy_probs(policy, q, pool)
-            np.add.at(weights, pos_idx, 1.0)
-            grad += policy.scorer.grad_weighted_sum(query=q, docs=pool, weights=weights)
-        grad /= n_pairs * policy.temperature
-        policy.scorer.params.values += cfg.learning_rate * grad
-        record.append(epoch, "G", "log_likelihood", mean_loglik())
+        record.append(epoch, "G", "log_likelihood", total / n_pairs)
         record.append(epoch, "G", "queries_skipped", skipped)
     return record
 

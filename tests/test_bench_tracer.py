@@ -53,3 +53,21 @@ def test_install_wraps_every_traced_binding_and_uninstall_restores_it(monkeypatc
     names = [span.name for span in tracer.take()]
     assert names.count("core.build_dataset") == 1  # the split builds nothing again
     assert {"dataio.synth_retrieval", "dataio.split_queries", "core.positives"} <= set(names)
+
+
+def test_gradient_matrix_is_traced_on_linear_and_mlp1(monkeypatch):
+    # The tracer wraps only kernels a scorer class defines itself, and the
+    # benchmark's pgvar.policy_passes_per_state counts these spans: it would
+    # read 0 if gradient_matrix moved to the Scorer base class.
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    installation = spans.install(tracer)
+    try:
+        for kind, dims in (("linear", {"feature_dim": 2}),
+                           ("mlp1", {"feature_dim": 2, "hidden": 3})):
+            scorer = ranklab.build_scorer(kind, dims, scale=0.1, seed=1)
+            scorer.gradient_matrix(None, [ranklab.Document("d", [1.0, 2.0])])
+    finally:
+        installation.uninstall()
+    names = [span.name for span in tracer.take()]
+    assert names == ["scorers.linear.gradient_matrix", "scorers.mlp1.gradient_matrix"]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ranklab import cli, core, metrics, pgvar
+from ranklab import cli, core, metrics, pgvar, trainers
 from ranklab.cli import main, parity_outer_epochs
 from ranklab.trainers import RunRecord, TrainConfig
 from ranklab._util import read_csv, write_csv
@@ -175,6 +175,16 @@ learning_rate = 0.05
         assert [e for e, _ in record.series("G-pretrain", "log_likelihood")] == [1, 2]
         assert [e for e, _ in record.series("G", "queries_skipped")] == [1, 2, 3]
 
+    def test_one_draw_mc_baseline_fails_before_work(self, tmp_path, capsys, monkeypatch):
+        pretrained = count_calls(monkeypatch, trainers.pretrain_mle)
+        config = write_config(tmp_path, self.config(
+            "irgan-pointwise", "pretrain_epochs = 2\nbaseline = value-mc:1"))
+        assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert "'baseline' in [trainer]" in err and "Traceback" not in err
+        assert pretrained == []
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_metric_fails_before_work(self, tmp_path, capsys):
         config = write_config(tmp_path, self.config("single-d")
                               + "\n[eval]\nmetrics = p@5,recall@5\n")
@@ -224,6 +234,13 @@ seeds = 1,2
         assert {(r[0], r[1]) for r in seed_rows} == {
             ("single-d", "1"), ("single-d", "2"), ("dns", "1"), ("dns", "2")
         }
+
+    def test_seed_option_replaces_the_seed_list(self, tmp_path):
+        config = write_config(tmp_path, self.CONFIG)
+        assert run(["compare", "--config", config, "--out", tmp_path / "out",
+                    "--seed", 7]) == 0
+        _, seed_rows = read_csv(tmp_path / "out" / "run" / "per_seed.csv")
+        assert {(r[0], r[1]) for r in seed_rows} == {("single-d", "7"), ("dns", "7")}
 
     def test_single_trainer_rejected(self, tmp_path):
         config = write_config(tmp_path, self.CONFIG.replace(

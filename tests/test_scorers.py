@@ -195,11 +195,11 @@ class TestScore:
             scorer.score(None, Document("d", tokens=(1, 2)))
 
     @pytest.mark.parametrize("kernel", ["score", "score_many", "grad_weighted_sum",
-                                        "gradient_matrix"])
+                                        "gradient_matrix", "forward"])
     def test_text_missing_query_rejected(self, kernel):
         scorer, _, d = make_kind("text", np.random.default_rng(1), seed=1)
         args = {"score": (d,), "score_many": ([d],), "grad_weighted_sum": ([d], [1.0]),
-                "gradient_matrix": ([d],)}[kernel]
+                "gradient_matrix": ([d],), "forward": ([d],)}[kernel]
         with pytest.raises(RepresentationError):
             getattr(scorer, kernel)(None, *args)
 
@@ -253,9 +253,11 @@ class TestScoreGradient:
         scorer, q, docs, weights = edge_pool(*case, rng, seed)
         ref_scores = [reference_score(scorer, q, d) for d in docs]
         ref_grads = np.stack([reference_gradient(scorer, q, d) for d in docs])
-        np.testing.assert_allclose(scorer.score_many(q, docs), ref_scores, atol=1e-12)
-        np.testing.assert_allclose(scorer.grad_weighted_sum(q, docs, weights),
-                                   weights @ ref_grads, atol=1e-10)
+        fwd = scorer.forward(q, docs)
+        for scores in (scorer.score_many(q, docs), fwd.scores):
+            np.testing.assert_allclose(scores, ref_scores, atol=1e-12)
+        for grad in (scorer.grad_weighted_sum(q, docs, weights), scorer.backward(fwd, weights)):
+            np.testing.assert_allclose(grad, weights @ ref_grads, atol=1e-10)
         np.testing.assert_allclose(scorer.gradient_matrix(q, docs), ref_grads, atol=1e-12)
         assert scorer.score(q, docs[0]) == pytest.approx(ref_scores[0], abs=1e-12)
         np.testing.assert_allclose(scorer.gradient(q, docs[0]), ref_grads[0], atol=1e-12)
@@ -330,7 +332,31 @@ class TestPairwiseProb:
         assert p + q == pytest.approx(1.0, abs=1e-12)
 
 
+def bound_views(scorer):
+    """The arrays a scorer holds that are views of its parameter vector."""
+    return [v for v in vars(scorer).values()
+            if isinstance(v, np.ndarray) and np.shares_memory(v, scorer.params.values)]
+
+
 class TestSnapshots:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_bound_views_see_updates_and_freeze_in_snapshots(self, kind):
+        scorer, q, d = make_kind(kind, np.random.default_rng(13), seed=23)
+        views = bound_views(scorer)
+        assert len(views) == len(scorer.params.layout.segments)
+        before = [v.copy() for v in views]
+        scorer.params.values += 0.25
+        for view, old in zip(views, before):
+            np.testing.assert_array_equal(view, old + 0.25)
+        assert scorer.score(q, d) == pytest.approx(reference_score(scorer, q, d), abs=1e-12)
+        frozen = scorer.snapshot()
+        frozen_views = bound_views(frozen)
+        assert len(frozen_views) == len(views)
+        for view in frozen_views:
+            with pytest.raises(ValueError):
+                view[...] = 0.0
+        assert frozen.score(q, d) == scorer.score(q, d)
+
     def test_snapshot_is_read_only(self):
         scorer = build_scorer("linear", {"feature_dim": 2}, scale=0.1, seed=1)
         frozen = scorer.snapshot()

@@ -7,9 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from ranklab import policy as policy_module, trainers
-from ranklab.baselines import ConstantBaseline, MonteCarloValueBaseline, ValueFunctionBaseline
-from ranklab.core import Document, Judgment, build_dataset
+from ranklab import trainers
+from ranklab.baselines import (
+    ConstantBaseline,
+    MonteCarloValueBaseline,
+    ValueFunctionBaseline,
+    parse_baseline,
+)
+from ranklab.core import Document, Judgment, Query, build_dataset
 from ranklab.dataio import SyntheticSpec, synth_retrieval
 from ranklab.metrics import evaluate_model, pairwise_accuracy
 from ranklab.policy import SoftmaxPolicy, policy_probs, log_prob_gradient, sample_docs
@@ -53,6 +58,20 @@ def fixed_score_scorer():
 
 def doc_with_score(s, i=0):
     return Document(f"d{i}", np.array([float(s)]))
+
+
+def count_forwards(monkeypatch, scorer):
+    """Route this scorer's ``forward`` through a counter; returns the list that
+    receives the query of each call."""
+    calls = []
+    original = scorer.forward
+
+    def counted(query, docs):
+        calls.append(query)
+        return original(query, docs)
+
+    monkeypatch.setattr(scorer, "forward", counted)
+    return calls
 
 
 class TestRewards:
@@ -104,6 +123,13 @@ class TestValueFunctionBaseline:
         value = value_function_baseline(uniform, model, None, pool, make_reward("sigmoid"))
         assert value == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_mc_baseline_needs_two_draws(self, n):
+        with pytest.raises(ValueError, match="n >= 2"):
+            MonteCarloValueBaseline(n)
+        with pytest.raises(ValueError, match="n >= 2"):
+            parse_baseline(f"value-mc:{n}")
+
     def test_mc_within_three_se(self):
         rng = np.random.default_rng(31)
         model = build_scorer("linear", {"feature_dim": 3}, scale=1.0, seed=7)
@@ -127,15 +153,9 @@ class TestGeneratorGradient:
     @pytest.mark.parametrize("baseline", [ConstantBaseline(0.2), ValueFunctionBaseline(),
                                           MonteCarloValueBaseline(30)])
     def test_one_policy_pass_per_update(self, monkeypatch, baseline):
+        # One generator forward gives both the policy and the gradient.
         policy, model, pool = self.make_setup()
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return policy_probs(*args)
-
-        for module in (trainers, policy_module):  # sample_docs calls policy's binding
-            monkeypatch.setattr(module, "policy_probs", counted)
+        calls = count_forwards(monkeypatch, policy.scorer)
         generator_gradient(policy, model, None, pool, 3, make_reward("sigmoid"),
                            baseline, np.random.default_rng(0))
         assert len(calls) == 1
@@ -247,6 +267,25 @@ class TestDiscriminatorStep:
         with pytest.raises(ValueError):
             discriminator_step(model, [], [], lr=0.1)
 
+    def test_one_forward_per_query_group(self, monkeypatch):
+        # linear lumps every query into one group; matfac groups by query.
+        rng = np.random.default_rng(2)
+        linear = build_scorer("linear", {"feature_dim": 2}, scale=0.3, seed=4)
+        docs = make_docs(rng.normal(size=(5, 2)).tolist())
+        calls = count_forwards(monkeypatch, linear)
+        discriminator_step(linear, [(None, d) for d in docs[:2]],
+                           [(None, d) for d in docs[2:]], lr=0.1)
+        assert len(calls) == 2
+        dims = {"query_ids": ("u1", "u2", "u3"), "doc_ids": ("i1", "i2"), "embed_dim": 2}
+        matfac = build_scorer("matfac", dims, scale=0.3, seed=5)
+        users = {u: Query(u) for u in dims["query_ids"]}
+        items = [Document(i, tokens=(0,)) for i in dims["doc_ids"]]
+        positives = [(users["u1"], items[0]), (users["u2"], items[1]), (users["u1"], items[1])]
+        negatives = [(users[u], items[0]) for u in ("u3", "u2", "u1", "u3")]
+        calls = count_forwards(monkeypatch, matfac)
+        discriminator_step(matfac, positives, negatives, lr=0.1)
+        assert [q.id for q in calls] == ["u1", "u2", "u3", "u2", "u1"]
+
 
 class TestTrainConfig:
     def test_zero_inner_epochs_rejected(self):
@@ -317,6 +356,15 @@ class TestPretrainMle:
                          TrainConfig(learning_rate=0.05, epochs_outer=10))
             results.append(scorer.params.values.copy())
         assert np.array_equal(results[0], results[1])
+
+    def test_one_forward_and_one_scoring_pass_per_query_per_epoch(self, monkeypatch):
+        docs = {q: make_docs([[1.0], [2.0], [0.5]], prefix=q) for q in ("a", "b", "c")}
+        ds = build_dataset(docs, [Judgment("a", "a0", 1), Judgment("b", "b2", 1)],
+                           "synthetic")
+        scorer = build_scorer("linear", {"feature_dim": 1}, scale=0.2, seed=6)
+        calls = count_forwards(monkeypatch, scorer)
+        pretrain_mle(SoftmaxPolicy(scorer), ds, TrainConfig(epochs_outer=3))
+        assert len(calls) == 2 * 2 * 3  # (step + likelihood) x usable queries x epochs
 
     def test_queries_without_positives_counted(self):
         docs_a = make_docs([[1.0], [2.0]], prefix="a")
