@@ -44,9 +44,7 @@ from .dataio import (
 from .metrics import _parse_metric, evaluate_model, write_eval_csv
 from .pgvar import (
     StudyConfig,
-    partition_actions,
     study_point,
-    variance_lower_bound,
     write_study_csv,
 )
 from .scorers import Scorer, build_scorer, save_checkpoint
@@ -424,22 +422,16 @@ def _opt(v):
 
 def _variance_point(study_cfg: StudyConfig, fraction: float, seed: int, sweep):
     """One study fraction: its study row, its bound-chain row and, for each b
-    in ``sweep``, the bound at the partition frozen at the configured b.
-    The fraction's instance is built once and released on return."""
-    instance, policy, rep, row = study_point(study_cfg, fraction, seed)
+    in ``sweep``, the bound at the partition frozen at the configured b, which
+    the fraction's bound report gives without another pass over its states."""
+    rep, row = study_point(study_cfg, fraction, seed)
     chain = (
         fraction, rep.b, rep.exact_var, rep.below_term, rep.above_term,
         _opt(rep.lower_bound), rep.below_mass, _opt(rep.max_below),
         rep.pointwise_ok, rep.holds_for_below_term, rep.holds_for_total,
     )
-    frozen = partition_actions(instance, study_cfg.b)
-    sweep_rows = []
-    for b in sweep:
-        if frozen.defined:
-            bound = variance_lower_bound(instance, policy, b, frozen)
-            sweep_rows.append((b, frozen.max_below, bound))
-        else:
-            sweep_rows.append((b, "undefined", "undefined"))
+    sweep_rows = [(b, rep.max_below, rep.bound_at(b)) if rep.defined
+                  else (b, "undefined", "undefined") for b in sweep]
     return row, chain, sweep_rows
 
 
@@ -458,7 +450,7 @@ def cmd_variance(conf: Conf, args) -> int:
         "num_queries", "pool_size", "feature_dim", "noise_sigma", "init_scale",
         "train_epochs", "learning_rate", "batch_size", "b", "mc_samples")))
     run_dir = prepare_run_dir(conf, args)
-    # The b-sweep runs on the first fraction's instance.
+    # The b-sweep uses the first fraction's bound report.
     rows, chain_rows, sweeps = zip(*(
         _variance_point(study_cfg, fraction, seed, sweep if i == 0 else ())
         for i, fraction in enumerate(fractions)

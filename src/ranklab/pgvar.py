@@ -115,8 +115,9 @@ def _state_policy(instance: MDPInstance, policy: SoftmaxPolicy, s: int):
     """(probs, grad-log-prob matrix) for one state; rows align with the pool."""
     query, pool = instance.states[s], instance.pools[s]
     probs = policy_probs(policy, query, pool)
-    gmat = policy.scorer.gradient_matrix(query, pool)
-    gradlog = (gmat - probs @ gmat) / policy.temperature
+    gradlog = policy.scorer.gradient_matrix(query, pool)
+    gradlog -= probs @ gradlog
+    gradlog /= policy.temperature
     return probs, gradlog
 
 
@@ -140,11 +141,36 @@ def gradient_sample(instance: MDPInstance, policy: SoftmaxPolicy,
     return gradlog[a] * (instance.q_values[s][a] - b)
 
 
-def _state_policies(instance: MDPInstance, policy: SoftmaxPolicy):
-    """One policy pass: (s, rho, probs, gradlog) for every visited state."""
-    _check_enumerable(instance)
-    return [(s, rho, *_state_policy(instance, policy, s))
-            for s, rho in enumerate(instance.visitation) if rho != 0.0]
+class _StatePass:
+    """A pass over an enumerable instance that can be swept more than once.
+    Each sweep recomputes (s, weight, probs, gradlog) state by state, so one
+    state's gradlog is alive at a time and the consumer may overwrite it.
+    Weights are the visitation unless given; states of weight 0 are skipped."""
+
+    def __init__(self, instance: MDPInstance, policy: SoftmaxPolicy):
+        _check_enumerable(instance)
+        self.instance, self.policy = instance, policy
+
+    def __iter__(self):
+        return self.sweep(self.instance.visitation)
+
+    def sweep(self, weights):
+        for s, w in enumerate(weights):
+            if w != 0:
+                yield (s, w, *_state_policy(self.instance, self.policy, s))
+
+
+def _advantage_rows(instance, baseline: BaselineSpec, s: int, probs, gradlog):
+    """g(b) = grad log pi * (value - b) for every action, written over gradlog."""
+    gradlog *= (instance.q_values[s] - _baseline_value(instance, baseline, probs, s))[:, None]
+    return gradlog
+
+
+def _sq_norms(rows, center) -> np.ndarray:
+    """||row - center||^2 for every row, computed in the rows' own storage."""
+    rows -= center
+    np.square(rows, out=rows)
+    return rows.sum(axis=1)
 
 
 def _mean_gradient(instance, states, baseline: BaselineSpec) -> np.ndarray:
@@ -156,18 +182,17 @@ def _mean_gradient(instance, states, baseline: BaselineSpec) -> np.ndarray:
 
 
 def _squared_deviations(instance, states, baseline: BaselineSpec):
-    """Per visited state, (s, rho, probs, ||g(b) - E[g(b)]||^2 per action)."""
+    """Per visited state, (s, rho, probs, ||g(b) - E[g(b)]||^2 per action); two sweeps."""
     mean = _mean_gradient(instance, states, baseline)
     for s, rho, probs, gradlog in states:
-        b = _baseline_value(instance, baseline, probs, s)
-        g = gradlog * (instance.q_values[s] - b)[:, None]
-        yield s, rho, probs, ((g - mean) ** 2).sum(axis=1)
+        g = _advantage_rows(instance, baseline, s, probs, gradlog)
+        yield s, rho, probs, _sq_norms(g, mean)
 
 
 def exact_gradient_mean(instance: MDPInstance, policy: SoftmaxPolicy,
                         baseline: BaselineSpec) -> np.ndarray:
     """E[g(b)] by full enumeration over states and actions."""
-    return _mean_gradient(instance, _state_policies(instance, policy), baseline)
+    return _mean_gradient(instance, _StatePass(instance, policy), baseline)
 
 
 def exact_variance(instance: MDPInstance, policy: SoftmaxPolicy,
@@ -175,7 +200,7 @@ def exact_variance(instance: MDPInstance, policy: SoftmaxPolicy,
     """E[||g(b) - E[g(b)]||^2] by full enumeration."""
     total = 0.0
     for _, rho, probs, sq in _squared_deviations(
-            instance, _state_policies(instance, policy), baseline):
+            instance, _StatePass(instance, policy), baseline):
         total += rho * float(probs @ sq)
     return total
 
@@ -192,29 +217,19 @@ def mc_variance(instance: MDPInstance, policy: SoftmaxPolicy,
     """
     if n < 2:
         raise ValueError("mc_variance needs n >= 2")
-    _check_enumerable(instance)
+    states = _StatePass(instance, policy)
     state_counts = rng.multinomial(n, instance.visitation)
-    per_state = []
-    g_sum = None
-    for s, count in enumerate(state_counts):
-        if count == 0:
-            per_state.append(None)
-            continue
-        probs, gradlog = _state_policy(instance, policy, s)
+    draws, g_sum = [], None
+    for s, count, probs, gradlog in states.sweep(state_counts):
         action_counts = rng.multinomial(count, probs)
-        b = _baseline_value(instance, baseline, probs, s)
-        g = gradlog * (instance.q_values[s] - b)[:, None]
-        per_state.append((action_counts, g))
-        contrib = action_counts @ g
+        draws.append(action_counts)
+        contrib = action_counts @ _advantage_rows(instance, baseline, s, probs, gradlog)
         g_sum = contrib if g_sum is None else g_sum + contrib
     mean = g_sum / n
     sq_sum = 0.0   # sum over draws of ||g - mean||^2
     quad_sum = 0.0  # sum over draws of ||g - mean||^4
-    for entry in per_state:
-        if entry is None:
-            continue
-        action_counts, g = entry
-        sq = ((g - mean) ** 2).sum(axis=1)
+    for (s, _, probs, gradlog), action_counts in zip(states.sweep(state_counts), draws):
+        sq = _sq_norms(_advantage_rows(instance, baseline, s, probs, gradlog), mean)
         sq_sum += float(action_counts @ sq)
         quad_sum += float(action_counts @ sq**2)
     estimate = sq_sum / (n - 1)
@@ -257,68 +272,25 @@ def variance_decomposition(instance: MDPInstance, policy: SoftmaxPolicy,
     """Split the exact variance at constant baseline b into the contributions
     of below-baseline and at-or-above-baseline actions.  Both terms center on
     the global mean gradient, so they sum to the exact variance."""
-    return _decomposition(instance, _state_policies(instance, policy),
-                          partition_actions(instance, b))
-
-
-def _decomposition(instance, states, part: BaselinePartition) -> tuple[float, float]:
+    part = partition_actions(instance, b)
     below_term = above_term = 0.0
-    for s, rho, probs, sq in _squared_deviations(instance, states,
-                                                 ConstantBaseline(part.b)):
+    for s, rho, probs, sq in _squared_deviations(
+            instance, _StatePass(instance, policy), ConstantBaseline(b)):
         below_term += rho * float(probs[part.below[s]] @ sq[part.below[s]])
         above_term += rho * float(probs[part.above[s]] @ sq[part.above[s]])
     return below_term, above_term
 
 
-def _centered_gradlog_term(states, partition):
-    """E over states of P(below) * E_below[||grad log pi - global mean||^2].
-
-    The global mean of grad log pi is identically zero (score-function
-    identity); both the centered and uncentered forms are computed and must
-    agree.
-    """
-    nu = 0.0
-    for _, rho, probs, gradlog in states:
-        nu += rho * (gradlog.T @ probs)
-    centered = uncentered = 0.0
-    for s, rho, probs, gradlog in states:
-        lo = partition.below[s]
-        centered += rho * float(probs[lo] @ ((gradlog[lo] - nu) ** 2).sum(axis=1))
-        uncentered += rho * float(probs[lo] @ (gradlog[lo] ** 2).sum(axis=1))
-    if not math.isclose(centered, uncentered, rel_tol=1e-9, abs_tol=1e-12):
-        raise AssertionError(
-            f"score-function identity violated: centered {centered} vs "
-            f"uncentered {uncentered}"
-        )
-    return centered
-
-
-def variance_lower_bound(instance: MDPInstance, policy: SoftmaxPolicy,
-                         b: float, partition: BaselinePartition) -> float:
-    """(max_below - b)^2 * E[P(below) * E_below[||grad log pi - mean||^2]].
-
-    The partition is taken as given (its threshold need not equal b), which
-    is what makes baseline sweeps at a frozen partition meaningful.  The
-    equivalent factoring b^2 * (max_below / b - 1)^2 is computed alongside
-    and asserted identical.
-    """
-    if not partition.defined:
-        raise UndefinedBoundError(
-            "no action is valued below the baseline; the bound anchor is undefined"
-        )
-    return _lower_bound(_state_policies(instance, policy), b, partition)
-
-
-def _lower_bound(states, b: float, partition: BaselinePartition) -> float:
-    term = _centered_gradlog_term(states, partition)
-    factor = (partition.max_below - b) ** 2
+def _bound_factor(b: float, max_below: float) -> float:
+    """(max_below - b)^2, asserted identical to b^2 * (max_below / b - 1)^2."""
+    factor = (max_below - b) ** 2
     if b != 0.0:
-        alt_factor = b * b * (partition.max_below / b - 1.0) ** 2
+        alt_factor = b * b * (max_below / b - 1.0) ** 2
         if not math.isclose(factor, alt_factor, rel_tol=1e-9, abs_tol=1e-15):
             raise AssertionError(
                 f"bound factorings disagree: {factor} vs {alt_factor}"
             )
-    return factor * term
+    return factor
 
 
 @dataclass(frozen=True)
@@ -335,10 +307,36 @@ class BoundCheckReport:
     pointwise_ok: bool          # (value - b)^2 >= (max_below - b)^2 on every below action
     holds_for_below_term: bool  # below_term >= lower_bound
     holds_for_total: bool       # exact_var >= lower_bound (assumes above mass negligible)
+    gradlog_term: float | None = None  # lower_bound / (max_below - b)^2, free of b
 
     @property
     def defined(self) -> bool:
         return self.lower_bound is not None
+
+    def bound_at(self, b: float) -> float:
+        """The lower bound at baseline b with the partition frozen at ``self.b``."""
+        if not self.defined:
+            raise UndefinedBoundError(
+                "no action is valued below the baseline; the bound anchor is undefined"
+            )
+        return _bound_factor(b, self.max_below) * self.gradlog_term
+
+
+def variance_lower_bound(instance: MDPInstance, policy: SoftmaxPolicy,
+                         b: float, partition: BaselinePartition) -> float:
+    """(max_below - b)^2 * E[P(below) * E_below[||grad log pi - mean||^2]].
+
+    The partition is taken as given (its threshold need not equal b), which
+    is what makes baseline sweeps at a frozen partition meaningful.  The bound
+    chain is evaluated at the partition's threshold and its gradient-log term
+    rescaled to b; the equivalent factoring b^2 * (max_below / b - 1)^2 is
+    computed alongside and asserted identical.
+    """
+    if not partition.defined:
+        raise UndefinedBoundError(
+            "no action is valued below the baseline; the bound anchor is undefined"
+        )
+    return _bound_report(instance, policy, partition).bound_at(b)
 
 
 def verify_variance_bound(instance: MDPInstance, policy: SoftmaxPolicy,
@@ -350,29 +348,52 @@ def verify_variance_bound(instance: MDPInstance, policy: SoftmaxPolicy,
     the assumption that almost all probability mass sits on below-baseline
     actions, so both verdicts are reported separately.
     """
-    states = _state_policies(instance, policy)
-    part = partition_actions(instance, b)
-    below_term, above_term = _decomposition(instance, states, part)
-    exact = below_term + above_term
-    below_mass = 0.0
-    for s, rho, probs, _ in states:
+    return _bound_report(instance, policy, partition_actions(instance, b))
+
+
+def _bound_report(instance, policy, part: BaselinePartition) -> BoundCheckReport:
+    """The bound chain at the partition's own baseline, in two sweeps: the
+    mean gradient, the mean grad-log-prob nu and the below-baseline mass;
+    then the deviations and the gradient-log term."""
+    b = part.b
+    states = _StatePass(instance, policy)
+    mean = nu = below_mass = 0.0
+    for s, rho, probs, gradlog in states:
+        mean += rho * (gradlog.T @ (probs * (instance.q_values[s] - b)))
+        nu += rho * (gradlog.T @ probs)
         below_mass += float(rho) * float(probs[part.below[s]].sum())
+    below_term = above_term = centered = uncentered = 0.0
+    for s, rho, probs, gradlog in states:
+        lo, hi = part.below[s], part.above[s]
+        centered += rho * float(probs[lo] @ _sq_norms(gradlog[lo], nu))
+        uncentered += rho * float(probs[lo] @ _sq_norms(gradlog[lo], 0.0))
+        sq = _sq_norms(_advantage_rows(instance, ConstantBaseline(b), s, probs, gradlog), mean)
+        below_term += rho * float(probs[lo] @ sq[lo])
+        above_term += rho * float(probs[hi] @ sq[hi])
+    exact = below_term + above_term
     pointwise_ok = True
+    term = bound = None
+    holds_below = holds_total = True
     if part.defined:
         floor = (part.max_below - b) ** 2 - 1e-15
         pointwise_ok = not any(np.any((q[lo] - b) ** 2 < floor)
                                for q, lo in zip(instance.q_values, part.below))
-        bound = _lower_bound(states, b, part)
+        # The global mean of grad log pi is identically zero (score-function
+        # identity), so the centered and uncentered forms must agree.
+        if not math.isclose(centered, uncentered, rel_tol=1e-9, abs_tol=1e-12):
+            raise AssertionError(
+                f"score-function identity violated: centered {centered} vs "
+                f"uncentered {uncentered}"
+            )
+        term = centered
+        bound = _bound_factor(b, part.max_below) * term
         holds_below = below_term >= bound - 1e-12
         holds_total = exact >= bound - 1e-12
-    else:
-        bound = None
-        holds_below = holds_total = True
     return BoundCheckReport(
         b=b, exact_var=exact, below_term=below_term, above_term=above_term,
         below_mass=below_mass, max_below=part.max_below, lower_bound=bound,
         pointwise_ok=pointwise_ok, holds_for_below_term=holds_below,
-        holds_for_total=holds_total,
+        holds_for_total=holds_total, gradlog_term=term,
     )
 
 
@@ -444,7 +465,7 @@ def study_instance(cfg: StudyConfig, fraction: float,
 
 
 def study_point(cfg: StudyConfig, fraction: float, seed: int):
-    """One fraction of the study: (instance, policy, bound report, study row).
+    """One fraction of the study: (bound report, study row).
 
     The instance is built once and serves both the bound check and the
     Monte-Carlo variance at the configured constant baseline.
@@ -458,7 +479,7 @@ def study_point(cfg: StudyConfig, fraction: float, seed: int):
         lower_bound=report.lower_bound, exact_var=report.exact_var,
         mc_var=mc_var, mc_se=mc_se, below_mass=report.below_mass,
     )
-    return instance, uniform, report, row
+    return report, row
 
 
 def sparsity_vs_bound_study(fractions: Sequence[float], cfg: StudyConfig,
@@ -468,7 +489,7 @@ def sparsity_vs_bound_study(fractions: Sequence[float], cfg: StudyConfig,
     bound anchor, the bound, and the exact and Monte-Carlo variances at the
     configured constant baseline under a uniform policy.
     """
-    return [study_point(cfg, fraction, seed)[3] for fraction in fractions]
+    return [study_point(cfg, fraction, seed)[1] for fraction in fractions]
 
 
 def write_study_csv(rows: Sequence[StudyRow], path) -> None:

@@ -194,7 +194,8 @@ class Scorer:
         return self.grad_weighted_sum(query, [doc], np.ones(1))
 
     def gradient_matrix(self, query, docs) -> np.ndarray:
-        """Stacked per-document gradients, shape (len(docs), n_params)."""
+        """Stacked per-document gradients, shape (len(docs), n_params), in a
+        new array the caller may overwrite."""
         return np.stack([self.gradient(query, d) for d in docs])
 
     # -- bookkeeping -----------------------------------------------------
@@ -285,10 +286,16 @@ class Mlp1Scorer(Scorer):
         )
 
     def gradient_matrix(self, query, docs):
+        # Each block is written into one preallocated matrix, in layout order.
         X, H = self.forward(query, docs).saved
         A = (1.0 - H * H) * self._out_w
-        dW1 = np.einsum("nh,nd->nhd", A, X).reshape(len(docs), -1)
-        return np.hstack([dW1, A, H, np.ones((len(docs), 1))])
+        (n, h), d = A.shape, X.shape[1]
+        out = np.empty((n, h * d + 2 * h + 1))
+        np.einsum("nh,nd->nhd", A, X, out=out[:, :h * d].reshape(n, h, d))
+        out[:, h * d:h * d + h] = A
+        out[:, h * d + h:-1] = H
+        out[:, -1] = 1.0
+        return out
 
 
 class MatFacScorer(Scorer):

@@ -2,12 +2,15 @@
 
 The fast paths are the per-query group split (``Dataset.group``), sampling
 with replacement from a precomputed CDF (``policy._sampling_cdf`` /
-``policy._draw_from_cdf``) and the argsort ranking of ``evaluate_model``.
-Each reference here is written from the definitions: relevance looked up
-document by document, ``Generator.choice`` with ``p=``, and
-``sorted(..., key=(-score, id))`` over RankedLists.  The edge shapes are
-pools of one document, all-relevant pools, queries with no relevant
-document and ``dns_k`` above the size of the negative pool.
+``policy._draw_from_cdf``), the argsort ranking of ``evaluate_model`` and
+the variance lab's two-sweep state pass.  Each reference here is written
+from the definitions: relevance looked up document by document,
+``Generator.choice`` with ``p=``, ``sorted(..., key=(-score, id))`` over
+RankedLists, and exact enumeration over a list that holds every visited
+state's policy and grad-log-prob matrix at once.  The edge shapes are pools
+of one document, all-relevant pools, queries with no relevant document,
+``dns_k`` above the size of the negative pool, unvisited states and
+partitions with no action below the baseline.
 """
 
 import math
@@ -16,11 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ranklab import trainers
+from ranklab import pgvar, trainers
+from ranklab.baselines import ConstantBaseline, ValueFunctionBaseline
 from ranklab.core import (
     Dataset,
     Document,
     Judgment,
+    Query,
     QueryGroup,
     build_dataset,
     candidate_pool,
@@ -275,3 +280,198 @@ class TestNoRelevanceLookups:
         assert calls == [2, 2]
         for cdf in table.values():
             assert np.all(np.diff(cdf) >= 0) and cdf[-1] == 1.0
+
+
+# -- variance lab: the list-based enumeration the state pass replaced ---------
+
+
+def reference_gradient_matrix(scorer, query, pool):
+    """mlp1 rows assembled with einsum and hstack; linear rows as they are."""
+    if scorer.kind != "mlp1":
+        return scorer.gradient_matrix(query, pool)
+    X, H = scorer.forward(query, pool).saved
+    A = (1.0 - H * H) * scorer.params.segment("out_w")
+    dW1 = np.einsum("nh,nd->nhd", A, X).reshape(len(pool), -1)
+    return np.hstack([dW1, A, H, np.ones((len(pool), 1))])
+
+
+def reference_states(instance, policy):
+    """(s, rho, probs, gradlog) of every visited state, all held at once."""
+    states = []
+    for s, rho in enumerate(instance.visitation):
+        if rho != 0.0:
+            query, pool = instance.states[s], instance.pools[s]
+            probs = policy_probs(policy, query, pool)
+            gmat = reference_gradient_matrix(policy.scorer, query, pool)
+            states.append((s, rho, probs, (gmat - probs @ gmat) / policy.temperature))
+    return states
+
+
+def reference_b(instance, baseline, probs, s):
+    if isinstance(baseline, ConstantBaseline):
+        return baseline.value
+    return float(probs @ instance.q_values[s])
+
+
+def reference_mean(instance, states, baseline):
+    mean = 0.0
+    for s, rho, probs, gradlog in states:
+        b = reference_b(instance, baseline, probs, s)
+        mean += rho * (gradlog.T @ (probs * (instance.q_values[s] - b)))
+    return mean
+
+
+def reference_squared_deviations(instance, states, baseline):
+    mean = reference_mean(instance, states, baseline)
+    for s, rho, probs, gradlog in states:
+        b = reference_b(instance, baseline, probs, s)
+        g = gradlog * (instance.q_values[s] - b)[:, None]
+        yield s, rho, probs, ((g - mean) ** 2).sum(axis=1)
+
+
+def reference_variance(instance, states, baseline):
+    total = 0.0
+    for _, rho, probs, sq in reference_squared_deviations(instance, states, baseline):
+        total += rho * float(probs @ sq)
+    return total
+
+
+def reference_decomposition(instance, states, part):
+    below_term = above_term = 0.0
+    for s, rho, probs, sq in reference_squared_deviations(instance, states,
+                                                          ConstantBaseline(part.b)):
+        below_term += rho * float(probs[part.below[s]] @ sq[part.below[s]])
+        above_term += rho * float(probs[part.above[s]] @ sq[part.above[s]])
+    return below_term, above_term
+
+
+def reference_lower_bound(states, b, part):
+    nu = 0.0
+    for _, rho, probs, gradlog in states:
+        nu += rho * (gradlog.T @ probs)
+    centered = uncentered = 0.0
+    for s, rho, probs, gradlog in states:
+        lo = part.below[s]
+        centered += rho * float(probs[lo] @ ((gradlog[lo] - nu) ** 2).sum(axis=1))
+        uncentered += rho * float(probs[lo] @ (gradlog[lo] ** 2).sum(axis=1))
+    assert math.isclose(centered, uncentered, rel_tol=1e-9, abs_tol=1e-12)
+    return (part.max_below - b) ** 2 * centered
+
+
+def reference_report(instance, states, b):
+    part = pgvar.partition_actions(instance, b)
+    below_term, above_term = reference_decomposition(instance, states, part)
+    exact = below_term + above_term
+    below_mass = 0.0
+    for s, rho, probs, _ in states:
+        below_mass += float(rho) * float(probs[part.below[s]].sum())
+    report = {"b": b, "exact_var": exact, "below_term": below_term,
+              "above_term": above_term, "below_mass": below_mass,
+              "max_below": part.max_below, "lower_bound": None, "pointwise_ok": True,
+              "holds_for_below_term": True, "holds_for_total": True}
+    if part.defined:
+        floor = (part.max_below - b) ** 2 - 1e-15
+        bound = reference_lower_bound(states, b, part)
+        report.update(
+            lower_bound=bound,
+            pointwise_ok=not any(np.any((q[lo] - b) ** 2 < floor)
+                                 for q, lo in zip(instance.q_values, part.below)),
+            holds_for_below_term=below_term >= bound - 1e-12,
+            holds_for_total=exact >= bound - 1e-12)
+    return report
+
+
+def reference_mc(instance, policy, baseline, n, rng):
+    state_counts = rng.multinomial(n, instance.visitation)
+    per_state, g_sum = [], None
+    for s, count in enumerate(state_counts):
+        if count == 0:
+            continue
+        _, _, probs, gradlog = next(entry for entry in reference_states(instance, policy)
+                                    if entry[0] == s)
+        action_counts = rng.multinomial(count, probs)
+        b = reference_b(instance, baseline, probs, s)
+        g = gradlog * (instance.q_values[s] - b)[:, None]
+        per_state.append((action_counts, g))
+        contrib = action_counts @ g
+        g_sum = contrib if g_sum is None else g_sum + contrib
+    mean = g_sum / n
+    sq_sum = quad_sum = 0.0
+    for action_counts, g in per_state:
+        sq = ((g - mean) ** 2).sum(axis=1)
+        sq_sum += float(action_counts @ sq)
+        quad_sum += float(action_counts @ sq**2)
+    mean_sq = sq_sum / n
+    var_of_sq = max(quad_sum / n - mean_sq**2, 0.0) * n / (n - 1)
+    return float(sq_sum / (n - 1)), float(math.sqrt(var_of_sq / n))
+
+
+@st.composite
+def enumeration_cases(draw):
+    """(instance, policy, b): one to four states with pools of one to five
+    documents, values in [0, 1], at least one state visited and possibly
+    some not, under a linear or mlp1 softmax policy.  b sits below every
+    value (no action below it, so the bound is undefined), inside the
+    values, or above them all."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    visited = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    visited[draw(st.integers(0, len(sizes) - 1))] = True
+    kind = draw(st.sampled_from(["linear", "mlp1"]))
+    temperature = draw(st.sampled_from([0.7, 1.0, 2.0]))
+    b = draw(st.sampled_from([-0.5, 0.5, 1.5]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    dim = 3
+    dims = {"feature_dim": dim} if kind == "linear" else {"feature_dim": dim, "hidden": 4}
+    policy = SoftmaxPolicy(build_scorer(kind, dims, scale=0.8, seed=seed % 1000),
+                           temperature=temperature)
+    visitation = np.zeros(len(sizes))
+    visitation[np.flatnonzero(visited)] = rng.dirichlet(np.ones(sum(visited)))
+    instance = pgvar.MDPInstance(
+        tuple(Query(f"s{s}") for s in range(len(sizes))),
+        tuple(tuple(Document(f"s{s}d{a}", rng.normal(size=dim)) for a in range(size))
+              for s, size in enumerate(sizes)),
+        tuple(rng.uniform(0.0, 1.0, size=size) for size in sizes),
+        visitation)
+    return instance, policy, b
+
+
+class TestStatePassMatchesListReference:
+    """Every public enumeration gives the bits of the list-based reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(enumeration_cases())
+    def test_exact_routines(self, case):
+        instance, policy, b = case
+        states = reference_states(instance, policy)
+        for baseline in (ConstantBaseline(b), ValueFunctionBaseline()):
+            assert (pgvar.exact_gradient_mean(instance, policy, baseline).tobytes()
+                    == reference_mean(instance, states, baseline).tobytes())
+            assert (pgvar.exact_variance(instance, policy, baseline)
+                    == reference_variance(instance, states, baseline))
+        part = pgvar.partition_actions(instance, b)
+        assert (pgvar.variance_decomposition(instance, policy, b)
+                == reference_decomposition(instance, states, part))
+        report = pgvar.verify_variance_bound(instance, policy, b)
+        for field, value in reference_report(instance, states, b).items():
+            assert getattr(report, field) == value, field
+        if part.defined:
+            for b2 in (0.1, b, 0.9):
+                expected = reference_lower_bound(states, b2, part)
+                assert pgvar.variance_lower_bound(instance, policy, b2, part) == expected
+                assert report.bound_at(b2) == expected
+        else:
+            with pytest.raises(pgvar.UndefinedBoundError):
+                pgvar.variance_lower_bound(instance, policy, b, part)
+            with pytest.raises(pgvar.UndefinedBoundError):
+                report.bound_at(b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(enumeration_cases(), st.sampled_from([2, 5, 300]), st.integers(0, 2**32 - 1))
+    def test_mc_variance(self, case, n, seed):
+        instance, policy, b = case
+        for baseline in (ConstantBaseline(b), ValueFunctionBaseline()):
+            rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert (pgvar.mc_variance(instance, policy, baseline, n, rng)
+                    == reference_mc(instance, policy, baseline, n, expected_rng))
+            assert rng.random() == expected_rng.random()

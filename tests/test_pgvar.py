@@ -2,6 +2,7 @@
 below/above-baseline decomposition, and the lower-bound chain."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,7 +416,9 @@ class TestVerifyVarianceBound:
 
 
 class TestPolicyPasses:
-    """Each public enumeration makes one policy pass per visited state."""
+    """Each public enumeration sweeps the states twice and keeps no state's
+    policy between sweeps: exactly two gradient_matrix calls per visited
+    state, in state order, and none for unvisited states."""
 
     def count_passes(self, monkeypatch, fn, *args):
         calls = []
@@ -440,13 +443,59 @@ class TestPolicyPasses:
     def test_verify_variance_bound(self, monkeypatch):
         instance, policy = self.instance_with_unvisited_state()
         calls = self.count_passes(monkeypatch, verify_variance_bound, instance, policy, 0.5)
-        assert calls == [q.id for q in instance.states[:-1]]
+        assert calls == 2 * [q.id for q in instance.states[:-1]]
 
     @pytest.mark.parametrize("baseline", [ConstantBaseline(0.5), ValueFunctionBaseline()])
     def test_exact_variance(self, monkeypatch, baseline):
         instance, policy = self.instance_with_unvisited_state()
         calls = self.count_passes(monkeypatch, exact_variance, instance, policy, baseline)
-        assert calls == [q.id for q in instance.states[:-1]]
+        assert calls == 2 * [q.id for q in instance.states[:-1]]
+
+    def test_variance_lower_bound(self, monkeypatch):
+        instance, policy = self.instance_with_unvisited_state()
+        part = partition_actions(instance, 0.5)
+        calls = self.count_passes(monkeypatch, variance_lower_bound, instance, policy, 0.5, part)
+        assert calls == 2 * [q.id for q in instance.states[:-1]]
+
+    def test_mc_variance(self, monkeypatch):
+        # three draws over the visited states leave at least one of them undrawn
+        instance, policy = self.instance_with_unvisited_state()
+        drawn = np.random.default_rng(4).multinomial(3, instance.visitation)
+        assert 0 < np.count_nonzero(drawn) < len(instance.states) - 1
+        calls = self.count_passes(monkeypatch, mc_variance, instance, policy,
+                                  ConstantBaseline(0.5), 3, np.random.default_rng(4))
+        assert calls == 2 * [q.id for q, k in zip(instance.states, drawn) if k]
+
+
+class TestPeakMemory:
+    """Enumeration keeps one state's gradient matrix alive, not one per state."""
+
+    def test_peak_below_four_gradient_matrices(self):
+        rng = np.random.default_rng(11)
+        n_states, n_docs, dim = 30, 100, 20
+        scorer = build_scorer("mlp1", {"feature_dim": dim, "hidden": 20}, scale=0.3, seed=2)
+        policy = SoftmaxPolicy(scorer, temperature=1.0)
+        instance = MDPInstance(
+            tuple(Query(f"s{s}") for s in range(n_states)),
+            tuple(tuple(Document(f"s{s}d{a}", rng.normal(size=dim)) for a in range(n_docs))
+                  for s in range(n_states)),
+            tuple(rng.uniform(0.0, 1.0, size=n_docs) for _ in range(n_states)),
+            np.full(n_states, 1.0 / n_states))
+        matrix_bytes = n_docs * scorer.params.layout.size * 8
+        calls = {
+            "verify_variance_bound": lambda: verify_variance_bound(instance, policy, 0.5),
+            "exact_variance": lambda: exact_variance(instance, policy, ConstantBaseline(0.5)),
+            "mc_variance": lambda: mc_variance(instance, policy, ConstantBaseline(0.5),
+                                               10_000, np.random.default_rng(0)),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * matrix_bytes, (name, peak / matrix_bytes)
 
 
 class TestSparsityStudy:
