@@ -382,13 +382,13 @@ def reference_report(instance, states, b):
 
 
 def reference_mc(instance, policy, baseline, n, rng):
+    policies = {s: (probs, gradlog) for s, _, probs, gradlog in reference_states(instance, policy)}
     state_counts = rng.multinomial(n, instance.visitation)
     per_state, g_sum = [], None
     for s, count in enumerate(state_counts):
         if count == 0:
             continue
-        _, _, probs, gradlog = next(entry for entry in reference_states(instance, policy)
-                                    if entry[0] == s)
+        probs, gradlog = policies[s]
         action_counts = rng.multinomial(count, probs)
         b = reference_b(instance, baseline, probs, s)
         g = gradlog * (instance.q_values[s] - b)[:, None]
