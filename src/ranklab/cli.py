@@ -245,13 +245,13 @@ def model_dims(spec: ModelSpec, dataset: Dataset) -> dict:
             raise DatasetError(f"{spec.kind} scorer needs a dataset with features")
         return {"feature_dim": dataset.feature_dim, **spec.sizes}
     if spec.kind == "matfac":
-        doc_ids = sorted({d.id for q in dataset.queries for d in dataset.pool(q.id)})
+        doc_ids = sorted({d.id for g in dataset.groups.values() for d in g.pool})
         return {"query_ids": dataset.query_ids(), "doc_ids": tuple(doc_ids), **spec.sizes}
     max_token = 0
-    for q in dataset.queries:
-        if q.tokens:
-            max_token = max(max_token, max(q.tokens))
-        for d in dataset.pool(q.id):
+    for g in dataset.groups.values():
+        if g.query.tokens:
+            max_token = max(max_token, max(g.query.tokens))
+        for d in g.pool:
             if d.tokens:
                 max_token = max(max_token, max(d.tokens))
     vocab_size = spec.sizes["vocab_size"]

@@ -6,16 +6,15 @@ are correct.  Ordering of queries and pools is lexicographic by id so that
 every downstream run is reproducible from a seed alone.  Datasets are
 immutable after construction and safe for concurrent readers.
 
-Each query's relevance split is made once, by ``build_dataset`` while it
-validates, as a QueryGroup: the grade of every pool position in pool order,
-plus the positive documents and the negative pool.  Trainers and metrics
-read the group instead of looking judgments up document by document, and
-``Dataset.select`` carries the groups over to a subset of the queries.
+Each query is one QueryGroup, made once by ``build_dataset`` while it
+validates: the query, its pool, the grade of every pool position in pool
+order, the positive documents and the negative pool.  Trainers and metrics
+iterate ``Dataset.groups``, and ``Dataset.select`` keeps some of the groups.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
@@ -119,13 +118,15 @@ class Judgment:
 
 @dataclass(frozen=True, eq=False)
 class QueryGroup:
-    """One query's pool split by relevance, in pool order.
+    """One query's closed candidate pool, split by relevance in pool order.
 
-    ``grades[i]`` is the grade of pool position ``i`` (0 when unjudged, read
-    only); ``positives`` are the documents with grade > 0 and ``negatives``
+    ``grades[i]`` is the grade of ``pool[i]`` (0 when unjudged, read only);
+    ``positives`` are the pool documents with grade > 0 and ``negatives``
     those with grade <= 0.
     """
 
+    query: Query
+    pool: tuple[Document, ...]
     grades: np.ndarray
     positives: tuple[Document, ...]
     negatives: tuple[Document, ...]
@@ -133,78 +134,74 @@ class QueryGroup:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
+    """The query groups by id, in id order, and the judgments they came from."""
+
     kind: DatasetKind
-    queries: tuple[Query, ...]
-    pools: Mapping[QueryId, tuple[Document, ...]]
+    groups: Mapping[QueryId, QueryGroup]
     judgments: tuple[Judgment, ...]
     feature_dim: int | None
-    _relevance: Mapping[QueryId, Mapping[str, int]] = field(repr=False)
-    _query_index: Mapping[QueryId, Query] = field(repr=False)
-    _groups: Mapping[QueryId, QueryGroup] = field(repr=False)
+
+    @property
+    def queries(self) -> tuple[Query, ...]:
+        return tuple(g.query for g in self.groups.values())
 
     @property
     def num_queries(self) -> int:
-        return len(self.queries)
+        return len(self.groups)
 
     def query_ids(self) -> tuple[QueryId, ...]:
-        return tuple(q.id for q in self.queries)
+        return tuple(self.groups)
 
     def query(self, query_id: QueryId) -> Query:
-        try:
-            return self._query_index[query_id]
-        except KeyError:
-            raise UnknownQueryError(f"unknown query {query_id!r}") from None
+        return self.group(query_id).query
 
     def pool(self, query_id: QueryId) -> tuple[Document, ...]:
-        try:
-            return self.pools[query_id]
-        except KeyError:
-            raise UnknownQueryError(f"unknown query {query_id!r}") from None
+        return self.group(query_id).pool
 
     def relevance(self, query_id: QueryId, doc_id: str) -> int:
-        return self._relevance.get(query_id, {}).get(doc_id, 0)
+        """The judged grade of one pair; 0 when unjudged or the query is unknown."""
+        return next((j.relevance for j in self.judgments
+                     if j.query == query_id and j.doc == doc_id), 0)
 
     def relevance_map(self, query_id: QueryId) -> dict[str, int]:
-        self.pool(query_id)  # raise on unknown query
-        return dict(self._relevance.get(query_id, {}))
+        """The query's judgments by document id, grade-0 judgments included."""
+        self.group(query_id)  # raise on unknown query
+        return {j.doc: j.relevance for j in self.judgments if j.query == query_id}
 
     def positives(self, query_id: QueryId) -> tuple[Document, ...]:
         return self.group(query_id).positives
 
     def group(self, query_id: QueryId) -> QueryGroup:
-        """The query's relevance split, made when the dataset was built."""
+        """The query's group, made when the dataset was built."""
         try:
-            return self._groups[query_id]
+            return self.groups[query_id]
         except KeyError:
             raise UnknownQueryError(f"unknown query {query_id!r}") from None
 
     def select(self, query_ids: Iterable[QueryId]) -> Dataset:
         """The dataset of the given queries only, in this dataset's order.
 
-        Pools, documents, judgments, relevance maps, query tokens and groups
-        are this dataset's own, so nothing is sorted, validated or grouped
-        again.  ``feature_dim`` is that of the selected documents.
+        The groups and judgments are this dataset's own, so nothing is
+        sorted, validated or grouped again.  ``feature_dim`` is that of the
+        selected documents.
         """
         keep = {self.query(qid).id for qid in query_ids}  # raises on an unknown id
         if not keep:
             raise DatasetError("dataset has no queries")
-        queries = tuple(q for q in self.queries if q.id in keep)
-        pools = {q.id: self.pools[q.id] for q in queries}
-        features = (d.features for docs in pools.values() for d in docs
+        groups = {qid: g for qid, g in self.groups.items() if qid in keep}
+        features = (d.features for g in groups.values() for d in g.pool
                     if d.features is not None)
         return Dataset(
-            self.kind, queries, pools,
+            self.kind, groups,
             judgments=tuple(j for j in self.judgments if j.query in keep),
             feature_dim=next((len(f) for f in features), None),
-            _relevance={q: r for q, r in self._relevance.items() if q in keep},
-            _query_index={q.id: q for q in queries},
-            _groups={qid: self._groups[qid] for qid in pools},
         )
 
     def records(self):
         """Raw (pools, judgments, kind, query_tokens) from which this dataset rebuilds."""
-        pools = {qid: list(docs) for qid, docs in self.pools.items()}
-        tokens = {q.id: q.tokens for q in self.queries if q.tokens is not None}
+        pools = {qid: list(g.pool) for qid, g in self.groups.items()}
+        tokens = {qid: g.query.tokens for qid, g in self.groups.items()
+                  if g.query.tokens is not None}
         return pools, list(self.judgments), self.kind, tokens
 
     def __eq__(self, other):
@@ -214,8 +211,7 @@ class Dataset:
             self.kind == other.kind
             and self.queries == other.queries
             and self.judgments == other.judgments
-            and set(self.pools) == set(other.pools)
-            and all(self.pools[q] == other.pools[q] for q in self.pools)
+            and all(g.pool == other.groups[qid].pool for qid, g in self.groups.items())
         )
 
 
@@ -277,30 +273,19 @@ def build_dataset(
         per_query[j.doc] = j.relevance
         ordered.append(j)
 
-    queries = tuple(
-        Query(qid, tuple(query_tokens[qid]) if qid in query_tokens else None)
-        for qid in sorted_pools
-    )
     groups = {}
     for qid, docs in sorted_pools.items():
         judged = relevance.get(qid, {})
         grades = [judged.get(d.id, 0) for d in docs]
         groups[qid] = QueryGroup(
+            query=Query(qid, tuple(query_tokens[qid]) if qid in query_tokens else None),
+            pool=docs,
             grades=np.array(grades, dtype=np.int64),
             positives=tuple(d for d, g in zip(docs, grades) if g > 0),
             negatives=tuple(d for d, g in zip(docs, grades) if g <= 0),
         )
         groups[qid].grades.flags.writeable = False
-    return Dataset(
-        kind=kind,
-        queries=queries,
-        pools=sorted_pools,
-        judgments=tuple(ordered),
-        feature_dim=feature_dim,
-        _relevance=relevance,
-        _query_index={q.id: q for q in queries},
-        _groups=groups,
-    )
+    return Dataset(kind, groups, judgments=tuple(ordered), feature_dim=feature_dim)
 
 
 def candidate_pool(
@@ -318,6 +303,5 @@ def candidate_pool(
 
 def relevant_fraction(dataset: Dataset) -> float:
     """Mean over queries of (#relevant docs in pool) / (pool size)."""
-    fractions = [len(dataset.positives(q.id)) / len(dataset.pool(q.id))
-                 for q in dataset.queries]
+    fractions = [len(g.positives) / len(g.pool) for g in dataset.groups.values()]
     return float(np.mean(fractions))

@@ -156,15 +156,14 @@ def parse_letor(path) -> Dataset:
 def serialize_letor(dataset: Dataset, path) -> None:
     """Write a dataset in LETOR format; parse_letor(serialize_letor(ds)) == ds."""
     with atomic_write(path) as fh:
-        for q in dataset.queries:
-            for doc in dataset.pool(q.id):
+        for qid, g in dataset.groups.items():
+            for doc, rel in zip(g.pool, g.grades.tolist()):
                 if doc.features is None:
                     raise DatasetError(f"doc {doc.id!r} has no features to serialize")
-                rel = dataset.relevance(q.id, doc.id)
                 feats = " ".join(
                     f"{i + 1}:{float(v)!r}" for i, v in enumerate(doc.features)
                 )
-                fh.write(f"{rel} qid:{q.id} {feats} # {doc.id}\n")
+                fh.write(f"{rel} qid:{qid} {feats} # {doc.id}\n")
 
 
 # -- interaction triples ------------------------------------------------------
@@ -317,13 +316,13 @@ def normalize_features_minmax(dataset: Dataset) -> Dataset:
     Constant features within a query map to 0.
     """
     pools: dict[str, list[Document]] = {}
-    for q in dataset.queries:
-        docs = dataset.pool(q.id)
+    for qid, g in dataset.groups.items():
+        docs = g.pool
         X = np.stack([d.features for d in docs])
         lo, hi = X.min(axis=0), X.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
         X = np.where(hi > lo, (X - lo) / span, 0.0)
-        pools[q.id] = [
+        pools[qid] = [
             Document(id=d.id, features=X[i], tokens=d.tokens)
             for i, d in enumerate(docs)
         ]

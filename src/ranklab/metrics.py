@@ -135,15 +135,14 @@ def evaluate_model(scorer: Scorer, dataset: Dataset,
     parsed = {n: _parse_metric(n) for n in (n.strip().lower() for n in metric_names)}
     sums = {n: 0.0 for n in parsed}
     counted = skipped = 0
-    for q in dataset.queries:
-        group = dataset.group(q.id)
-        if not group.positives:
+    for g in dataset.groups.values():
+        if not g.positives:
             skipped += 1
             continue
-        order = _ranking(scorer.score_many(q, dataset.pool(q.id)))
-        grades = group.grades[order].tolist()
+        order = _ranking(scorer.score_many(g.query, g.pool))
+        grades = g.grades[order].tolist()
         for n, metric in parsed.items():
-            sums[n] += _grade_metric(metric, grades, q.id)
+            sums[n] += _grade_metric(metric, grades, g.query.id)
         counted += 1
     values = {n: (sums[n] / counted if counted else float("nan")) for n in parsed}
     return EvalReport(values=values, queries_counted=counted, queries_skipped=skipped)
@@ -153,10 +152,9 @@ def pairwise_accuracy(scorer: Scorer, dataset: Dataset) -> float:
     """Fraction of (more-relevant, less-relevant) pairs the scorer orders correctly."""
     correct = 0
     total = 0
-    for q in dataset.queries:
-        grades = dataset.group(q.id).grades
-        scores = scorer.score_many(q, dataset.pool(q.id))
-        pairs = grades[:, None] > grades[None, :]
+    for g in dataset.groups.values():
+        scores = scorer.score_many(g.query, g.pool)
+        pairs = g.grades[:, None] > g.grades[None, :]
         total += int(pairs.sum())
         correct += int((pairs & (scores[:, None] > scores[None, :])).sum())
     return correct / total if total else float("nan")

@@ -92,15 +92,10 @@ def build_instance(dataset: Dataset, model: Scorer,
     if reward_kind not in ("sigmoid", "raw"):
         raise ValueError("reward_kind must be 'sigmoid' or 'raw'")
     reward = make_reward(reward_kind)
-    states, pools, qvals = [], [], []
-    for q in dataset.queries:
-        pool = dataset.pool(q.id)
-        states.append(q)
-        pools.append(pool)
-        qvals.append(reward(model, q, pool))
-    n = len(states)
-    return MDPInstance(tuple(states), tuple(pools), tuple(qvals),
-                       np.full(n, 1.0 / n))
+    groups = tuple(dataset.groups.values())
+    return MDPInstance(tuple(g.query for g in groups), tuple(g.pool for g in groups),
+                       tuple(reward(model, g.query, g.pool) for g in groups),
+                       np.full(len(groups), 1.0 / len(groups)))
 
 
 def _check_enumerable(instance: MDPInstance) -> None:

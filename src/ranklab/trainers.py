@@ -33,7 +33,7 @@ from .baselines import (
     MonteCarloValueBaseline,
     ValueFunctionBaseline,
 )
-from .core import Dataset, Document, Query, candidate_pool
+from .core import Dataset, Document, Query
 from .metrics import EvalReport, evaluate_model
 from .policy import (
     SoftmaxPolicy,
@@ -343,10 +343,10 @@ def pretrain_mle(policy: SoftmaxPolicy, dataset: Dataset, cfg: TrainConfig) -> R
     record = RunRecord()
     usable = []
     skipped = 0
-    for q in dataset.queries:
-        pos_idx = np.flatnonzero(dataset.group(q.id).grades > 0)
+    for g in dataset.groups.values():
+        pos_idx = np.flatnonzero(g.grades > 0)
         if len(pos_idx):
-            usable.append((q, dataset.pool(q.id), pos_idx))
+            usable.append((g.query, g.pool, pos_idx))
         else:
             skipped += 1
     if not usable:
@@ -375,13 +375,12 @@ def pretrain_mle(policy: SoftmaxPolicy, dataset: Dataset, cfg: TrainConfig) -> R
 
 
 def _negative_entries(dataset: Dataset, cfg: TrainConfig):
-    """One entry per query of ``dataset.queries``: (query, positives, negative
-    pool), or None when the query cannot produce both; and the skip count."""
+    """One entry per query group: (query, positives, negative pool), or None
+    when the query cannot produce both; and the skip count."""
     entries = []
-    for q in dataset.queries:
-        pos = dataset.positives(q.id)
-        neg_pool = candidate_pool(dataset, q.id, cfg.exclude_positives)
-        entries.append((q, pos, neg_pool) if pos and neg_pool else None)
+    for g in dataset.groups.values():
+        neg_pool = g.negatives if cfg.exclude_positives else g.pool
+        entries.append((g.query, g.positives, neg_pool) if g.positives and neg_pool else None)
     return entries, entries.count(None)
 
 
@@ -583,9 +582,8 @@ def irgan_objective(generator: SoftmaxPolicy, discriminator: Scorer,
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     total = 0.0
-    for q in dataset.queries:
-        pool = dataset.pool(q.id)
-        pos = dataset.positives(q.id)
+    for g in dataset.groups.values():
+        q, pool, pos = g.query, g.pool, g.positives
         if pos:
             total += float(log_sigmoid(discriminator.score_many(q, pos)).mean())
         if len(pool) <= 1000:

@@ -86,6 +86,29 @@ class TestBuildDataset:
         again = build_dataset(*rebuilt.records()[:3], query_tokens=rebuilt.records()[3])
         assert again == rebuilt
 
+    def test_equality_sees_query_tokens(self):
+        docs = make_docs([[1.0]])
+        one, two = (build_dataset({"q": docs}, [], "synthetic", query_tokens={"q": tokens})
+                    for tokens in ((1,), (2,)))
+        assert one != two
+        assert one == build_dataset({"q": docs}, [], "synthetic", query_tokens={"q": (1,)})
+
+
+class TestRelevanceLookups:
+    def setup_method(self):
+        docs = make_docs([[1.0], [2.0], [3.0]])
+        self.ds = build_dataset({"q": docs}, [Judgment("q", "d0", 2), Judgment("q", "d1", 0)],
+                                "synthetic")
+
+    def test_map_keeps_grade_zero_judgments_and_leaves_out_unjudged(self):
+        assert self.ds.relevance_map("q") == {"d0": 2, "d1": 0}
+        assert self.ds.relevance("q", "d2") == 0
+
+    def test_unknown_query(self):
+        assert self.ds.relevance("zzz", "d0") == 0
+        with pytest.raises(UnknownQueryError, match="zzz"):
+            self.ds.relevance_map("zzz")
+
 
 class TestImmutability:
     def snapshot(self, dataset):

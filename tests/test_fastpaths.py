@@ -1,10 +1,10 @@
 """Differential tests: each fast path against a reference path, on edge shapes.
 
-The fast paths are the per-query group split (``Dataset.group``), sampling
+The fast paths are the per-query groups (``Dataset.groups``), sampling
 with replacement from a precomputed CDF (``policy._sampling_cdf`` /
 ``policy._draw_from_cdf``), the argsort ranking of ``evaluate_model`` and
 the variance lab's two-sweep state pass.  Each reference here is written
-from the definitions: relevance looked up document by document,
+from the definitions: each document's grade looked up in ``judgments``,
 ``Generator.choice`` with ``p=``, ``sorted(..., key=(-score, id))`` over
 RankedLists, and exact enumeration over a list that holds every visited
 state's policy and grad-log-prob matrix at once.  The edge shapes are pools
@@ -92,19 +92,27 @@ scorer_weights = st.lists(st.integers(-2, 2), min_size=FEATURE_DIM + 1,
 
 
 def reference_split(dataset, qid):
-    """(grades, positives, negatives) by one relevance lookup per document."""
+    """(grades, positives, negatives) by one lookup in ``judgments`` per document."""
+    judged = {(j.query, j.doc): j.relevance for j in dataset.judgments}
     pool = dataset.pool(qid)
-    grades = [dataset.relevance(qid, d.id) for d in pool]
+    grades = [judged.get((qid, d.id), 0) for d in pool]
     return (grades,
             tuple(d for d, g in zip(pool, grades) if g > 0),
             tuple(d for d, g in zip(pool, grades) if g <= 0))
 
 
 def reference_group(dataset, qid):
-    """Dataset.group rebuilt from ``reference_split`` on every call."""
+    """The query's group rebuilt from ``reference_split``."""
     grades, positives, negatives = reference_split(dataset, qid)
-    return QueryGroup(grades=np.array(grades, dtype=np.int64),
+    return QueryGroup(query=dataset.query(qid), pool=dataset.pool(qid),
+                      grades=np.array(grades, dtype=np.int64),
                       positives=positives, negatives=negatives)
+
+
+def reference_dataset(dataset):
+    """The dataset with every group rebuilt from its judgments."""
+    groups = {qid: reference_group(dataset, qid) for qid in dataset.query_ids()}
+    return Dataset(dataset.kind, groups, dataset.judgments, dataset.feature_dim)
 
 
 def choice_draw(probs, size, rng):
@@ -222,36 +230,34 @@ def run_epochs(dataset, seed, dns_k):
     single_d_epoch(models[0], dataset, cfg, rng)
     dual_d_outer_epoch(models[1], models[2], dataset, cfg, rng)
     dns_epoch(models[3], dataset, cfg, rng)
-    if any(dataset.positives(q.id) for q in dataset.queries):
+    if any(g.positives for g in dataset.groups.values()):
         pretrain_mle(SoftmaxPolicy(models[4]), dataset, cfg)
     return [m.params.values.copy() for m in models]
 
 
 class TestTrainersOnReferencePaths:
-    """The epochs read groups and CDFs; rerun on the reference split and on
-    ``Generator.choice``, they must end with the same parameter bits."""
+    """The epochs read groups and CDFs; rerun on a dataset whose groups were
+    rebuilt from its judgments and on ``Generator.choice``, they must end
+    with the same parameter bits."""
 
     @settings(max_examples=40)
     @given(datasets(), st.integers(0, 1000), st.integers(1, 9))
     def test_same_parameters(self, dataset, seed, dns_k):
         fast = run_epochs(dataset, seed, dns_k)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Dataset, "group", reference_group)
             patch.setattr(trainers, "_sampling_cdf", lambda probs: probs)
             patch.setattr(trainers, "_draw_from_cdf", choice_draw)
-            reference = run_epochs(dataset, seed, dns_k)
+            reference = run_epochs(reference_dataset(dataset), seed, dns_k)
         for a, b in zip(fast, reference):
             assert np.array_equal(a, b)
 
 
 class TestNoRelevanceLookups:
-    """Once a dataset's groups exist, training and evaluation never look a
-    judgment up by document id."""
+    """Training and evaluation read the groups and never look a judgment up
+    by document id."""
 
     def test_single_d_epoch_and_evaluate_model(self, planted_dataset, monkeypatch):
         dataset, _ = planted_dataset
-        for q in dataset.queries:
-            dataset.group(q.id)
         lookups = []
         for name in ("relevance", "relevance_map"):
             original = getattr(Dataset, name)
