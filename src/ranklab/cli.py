@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import shutil
 import sys
@@ -47,7 +46,7 @@ from .pgvar import (
     study_point,
     write_study_csv,
 )
-from .scorers import Scorer, build_scorer, save_checkpoint
+from .scorers import Scorer, build_scorer, check_init_scale, save_checkpoint
 from .trainers import (
     TRAINER_NAMES,
     TRAINER_ROLES,
@@ -78,7 +77,11 @@ class Conf:
 
     def __init__(self, path: Path):
         self.parser = configparser.ConfigParser()
-        read = self.parser.read(path)
+        try:
+            read = self.parser.read(str(path))
+        except configparser.Error as exc:
+            # The parser's message names the file and line over several lines.
+            raise CliConfigError(" ".join(str(exc).split())) from None
         if not read:
             raise FileNotFoundError(f"config file not found: {path}")
         self.path = path
@@ -229,9 +232,10 @@ def read_model(conf: Conf) -> ModelSpec:
         raise CliConfigError(f"bad value for 'kind' in [model]: {kind!r} "
                              f"(expected one of {', '.join(MODEL_SIZES)})")
     scale = conf.get_float("model", "init_scale", default=0.1)
-    if not (scale > 0 and math.isfinite(scale)):
-        raise CliConfigError(f"bad value for 'init_scale' in [model]: {scale!r} "
-                             "(must be a positive number)")
+    try:
+        check_init_scale(scale)
+    except ValueError as exc:
+        raise CliConfigError(f"bad value for 'init_scale' in [model]: {exc}") from None
     sizes = {key: conf.get_int("model", key, default=default, low=1)
              for key, default in MODEL_SIZES[kind].items()}
     return ModelSpec(kind, scale, conf.get_int("model", "init_seed", low=0), sizes)
@@ -446,9 +450,19 @@ def cmd_variance(conf: Conf, args) -> int:
     if args.seed is not None:
         seed = args.seed
     base = StudyConfig()
-    study_cfg = replace(base, **_section_values(conf, "variance", base, (
+    values = _section_values(conf, "variance", base, (
         "num_queries", "pool_size", "feature_dim", "noise_sigma", "init_scale",
-        "train_epochs", "learning_rate", "batch_size", "b", "mc_samples")))
+        "train_epochs", "learning_rate", "batch_size", "b", "mc_samples"))
+    try:
+        study_cfg = replace(base, **values)
+    except ValueError as exc:
+        raise CliConfigError(f"bad value in [variance]: {exc}") from None
+    for fraction in fractions:
+        try:
+            study_cfg.synthetic_spec(fraction, seed)
+        except DatasetError as exc:
+            raise CliConfigError(
+                f"bad fraction {fraction!r} in 'fractions' in [variance]: {exc}") from None
     run_dir = prepare_run_dir(conf, args)
     # The b-sweep uses the first fraction's bound report.
     rows, chain_rows, sweeps = zip(*(

@@ -51,11 +51,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_queries < 1 or self.pool_size < 1 or self.feature_dim < 1:
-            raise DatasetError("synthetic spec dimensions must be positive")
+        for name in ("num_queries", "pool_size", "feature_dim"):
+            if getattr(self, name) < 1:
+                raise DatasetError(f"{name} must be >= 1")
         if not 0.0 < self.relevant_fraction <= 1.0:
             raise DatasetError("relevant_fraction must lie in (0, 1]")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise DatasetError("noise_sigma must be non-negative")
         if math.ceil(self.relevant_fraction * self.pool_size) < 1:
             raise DatasetError("spec yields zero relevant docs per query")
@@ -135,11 +136,13 @@ def parse_letor(path) -> Dataset:
             for tok in parts[2:]:
                 idx_s, _, val_s = tok.partition(":")
                 try:
-                    feats[int(idx_s)] = float(val_s)
+                    feats[int(idx_s)] = value = float(val_s)
                 except ValueError:
                     raise ParseError(
                         f"{path}:{line_no}: bad feature pair {tok!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"{path}:{line_no}: feature value {tok!r} is not finite")
             if sorted(feats) != list(range(1, len(feats) + 1)):
                 raise ParseError(
                     f"{path}:{line_no}: feature indices must be contiguous from 1"
@@ -242,7 +245,7 @@ class Vocab:
 
     def map_token(self, token) -> tuple[int, bool]:
         """Return (id, was_unknown)."""
-        if isinstance(token, bool):
+        if isinstance(token, bool) or not isinstance(token, (int, str)):
             return self.unknown_id, True
         if isinstance(token, int):
             if 0 <= token < len(self.index):
@@ -266,8 +269,10 @@ def parse_qa_pairs(path, vocab: Vocab) -> ParsedQA:
     query_tokens: dict[str, tuple[int, ...]] = {}
     unknown = 0
 
-    def map_seq(tokens):
+    def map_seq(tokens, what):
         nonlocal unknown
+        if not isinstance(tokens, list) or not tokens:
+            raise ParseError(f"{path}:{line_no}: {what} must be a non-empty token list")
         out = []
         for tok in tokens:
             mapped, was_unknown = vocab.map_token(tok)
@@ -285,23 +290,27 @@ def parse_qa_pairs(path, vocab: Vocab) -> ParsedQA:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{line_no}: bad JSON ({exc.msg})") from None
+        if not isinstance(rec, dict):
+            raise ParseError(f"{path}:{line_no}: expected a JSON object")
         for key in ("question", "candidates", "correct"):
             if key not in rec:
                 raise ParseError(f"{path}:{line_no}: missing field {key!r}")
         qid = str(rec.get("id", f"q{line_no - 1:0{q_digits}d}"))
-        query_tokens[qid] = map_seq(rec["question"])
+        query_tokens[qid] = map_seq(rec["question"], "question")
         candidates = rec["candidates"]
-        if not candidates:
-            raise ParseError(f"{path}:{line_no}: question has no candidates")
+        if not isinstance(candidates, list) or not candidates:
+            raise ParseError(f"{path}:{line_no}: candidates must be a non-empty list")
         a_digits = max(2, len(str(len(candidates) - 1)))
         docs = [
-            Document(id=f"{qid}_a{j:0{a_digits}d}", tokens=map_seq(cand))
+            Document(id=f"{qid}_a{j:0{a_digits}d}", tokens=map_seq(cand, f"candidate {j}"))
             for j, cand in enumerate(candidates)
         ]
         pools[qid] = docs
+        if not isinstance(rec["correct"], list):
+            raise ParseError(f"{path}:{line_no}: correct must be a list of indices")
         for j in rec["correct"]:
-            if not 0 <= j < len(candidates):
-                raise ParseError(f"{path}:{line_no}: correct index {j} out of range")
+            if type(j) is not int or not 0 <= j < len(candidates):
+                raise ParseError(f"{path}:{line_no}: correct index {j!r} out of range")
             judgments.append(Judgment(qid, docs[j].id, 1))
     dataset = build_dataset(pools, judgments, DatasetKind.QA, query_tokens=query_tokens)
     return ParsedQA(dataset, unknown)

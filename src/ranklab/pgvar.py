@@ -32,11 +32,12 @@ from .core import Dataset, DatasetError, Document, Query
 from .baselines import BaselineSpec, ConstantBaseline, ValueFunctionBaseline
 from .dataio import SyntheticSpec, synth_retrieval
 from .policy import SoftmaxPolicy, policy_probs
-from .scorers import Scorer, build_scorer
-from .trainers import TrainConfig, dns_epoch, make_reward
+from .scorers import Scorer, build_scorer, check_init_scale
+from .trainers import InvalidConfigError, TrainConfig, dns_epoch, make_reward
 from ._util import write_csv
 
 ENUMERATION_LIMIT = 1_000_000
+MC_MIN_SAMPLES = 2  # a sample variance and its standard error need two draws
 
 
 class EnumerationLimitError(ValueError):
@@ -210,8 +211,8 @@ def mc_variance(instance: MDPInstance, policy: SoftmaxPolicy,
     (distributionally identical to n sequential samples) and the sample
     variance is accumulated from the tally, which is numerically exact.
     """
-    if n < 2:
-        raise ValueError("mc_variance needs n >= 2")
+    if n < MC_MIN_SAMPLES:
+        raise ValueError(f"mc_variance needs n >= {MC_MIN_SAMPLES}")
     states = _StatePass(instance, policy)
     state_counts = rng.multinomial(n, instance.visitation)
     draws, g_sum = [], None
@@ -413,6 +414,35 @@ class StudyConfig:
     reward_kind: str = "sigmoid"
     mc_samples: int = 100_000
 
+    def __post_init__(self):
+        """Check every field by the rule of the code that reads it, so a bad
+        value fails before any study point is built; errors name the field."""
+        self.synthetic_spec(1.0, seed=0)
+        self.train_config(seed=0)
+        check_init_scale(self.init_scale)
+        if self.mc_samples < MC_MIN_SAMPLES:
+            raise InvalidConfigError(f"mc_samples must be >= {MC_MIN_SAMPLES}")
+        if not math.isfinite(self.b):
+            raise InvalidConfigError(f"b must be a finite number, got {self.b!r}")
+        if self.num_queries * self.pool_size > ENUMERATION_LIMIT:
+            raise InvalidConfigError(f"num_queries * pool_size must be <= {ENUMERATION_LIMIT}, "
+                                     "the exact enumeration limit")
+
+    def synthetic_spec(self, fraction: float, seed: int) -> SyntheticSpec:
+        """The synthetic task of one study fraction."""
+        return SyntheticSpec(
+            num_queries=self.num_queries, pool_size=self.pool_size,
+            relevant_fraction=fraction, feature_dim=self.feature_dim,
+            noise_sigma=self.noise_sigma, seed=seed,
+        )
+
+    def train_config(self, seed: int) -> TrainConfig:
+        """The hardest-negative training of the discriminator."""
+        return TrainConfig(
+            learning_rate=self.learning_rate, batch_size=self.batch_size,
+            epochs_outer=max(self.train_epochs, 1), dns_k=self.dns_k, seed=seed,
+        )
+
 
 @dataclass(frozen=True)
 class StudyRow:
@@ -437,18 +467,10 @@ def study_instance(cfg: StudyConfig, fraction: float,
     At fraction 1.0 every pool is all-relevant, no negatives exist, and the
     model keeps its initialization, leaving rewards near one half.
     """
-    spec = SyntheticSpec(
-        num_queries=cfg.num_queries, pool_size=cfg.pool_size,
-        relevant_fraction=fraction, feature_dim=cfg.feature_dim,
-        noise_sigma=cfg.noise_sigma, seed=seed,
-    )
-    dataset, _ = synth_retrieval(spec)
+    dataset, _ = synth_retrieval(cfg.synthetic_spec(fraction, seed))
     model = build_scorer("linear", {"feature_dim": cfg.feature_dim},
                          scale=cfg.init_scale, seed=seed)
-    train_cfg = TrainConfig(
-        learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-        epochs_outer=max(cfg.train_epochs, 1), dns_k=cfg.dns_k, seed=seed,
-    )
+    train_cfg = cfg.train_config(seed)
     rng = np.random.default_rng(seed)
     for epoch in range(1, cfg.train_epochs + 1):
         dns_epoch(model, dataset, train_cfg, rng, epoch)

@@ -24,6 +24,7 @@ is applied everywhere a sigmoid is taken.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -129,6 +130,12 @@ def layout_for(kind: str, dims: Mapping) -> Layout:
     raise ValueError(f"unknown scorer kind {kind!r}")
 
 
+def check_init_scale(scale: float) -> None:
+    """An initialization scale is a positive finite number."""
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError(f"init_scale must be a positive number, got {scale!r}")
+
+
 def init_params(kind: str, dims: Mapping, scale: float, seed: int, *, zero: bool = False) -> ParamVector:
     """Draw parameters i.i.d. uniform in [-scale, scale] from a seeded stream.
 
@@ -137,8 +144,7 @@ def init_params(kind: str, dims: Mapping, scale: float, seed: int, *, zero: bool
     layout = layout_for(kind, dims)
     if zero:
         return ParamVector(np.zeros(layout.size), layout)
-    if scale <= 0:
-        raise ValueError(f"init scale must be positive, got {scale}")
+    check_init_scale(scale)
     rng = np.random.default_rng(seed)
     return ParamVector(rng.uniform(-scale, scale, size=layout.size), layout)
 

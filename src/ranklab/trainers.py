@@ -85,13 +85,13 @@ class TrainConfig:
     pretrain_lr: float = 0.01
 
     def __post_init__(self):
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise InvalidConfigError("learning_rate must be >= 0")
         for name in ("batch_size", "epochs_outer", "epochs_inner", "k_samples",
                      "dns_k", "d_steps", "g_steps"):
             if getattr(self, name) < 1:
                 raise InvalidConfigError(f"{name} must be >= 1")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise InvalidConfigError("temperature must be > 0")
         if self.reward not in REWARD_NAMES:
             raise InvalidConfigError(f"reward must be one of {REWARD_NAMES}")

@@ -473,6 +473,89 @@ b_sweep = 0.5,0.6,0.7,0.8,0.9
                                tmp_path / "v2" / "run" / name, shallow=False)
 
 
+QA_RECORD = '{"question": ["a", "b"], "candidates": [["a", "c"], ["b", "d"]], "correct": [0]}'
+QA_CONFIG = """
+[dataset]
+source = qa
+path = {data}
+vocab_file = {vocab}
+
+[model]
+kind = text
+embed_dim = 3
+""" + TestModelAndSplitKeys.CONFIG[TestModelAndSplitKeys.CONFIG.index("[trainer]"):]
+LETOR_CONFIG = """
+[dataset]
+source = letor
+path = {data}
+""" + TestModelAndSplitKeys.CONFIG[TestModelAndSplitKeys.CONFIG.index("[model]"):]
+
+
+def variance_config(old, new):
+    assert old in TestVariance.CONFIG
+    return TestVariance.CONFIG.replace(old, new)
+
+
+def qa_rows(*records):
+    """A QA file whose second line is each of ``records``."""
+    return [("train", QA_CONFIG, QA_RECORD + "\n" + record + "\n", 2, "{data}:2")
+            for record in records]
+
+
+# (command, config, data file text or None, exit code, what the message names)
+MALFORMED_INPUT = [
+    ("train", "name = x\n" + TestModelAndSplitKeys.CONFIG, None, 1, "run.ini', line: 1"),
+    ("train", "[run]\nname = a\nname = b\n" + TestModelAndSplitKeys.CONFIG, None, 1,
+     "run.ini' [line 3]"),
+    ("variance", variance_config("mc_samples = 3000", "mc_samples = 1"), None, 1, "mc_samples"),
+    ("variance", TestVariance.CONFIG + "init_scale = -1\n", None, 1, "init_scale"),
+    ("variance", variance_config("0.002,0.005,0.015", "0.002,1.5"), None, 1,
+     "1.5 in 'fractions'"),
+    ("variance", variance_config("num_queries = 4", "num_queries = 0"), None, 1, "num_queries"),
+    ("variance", TestVariance.CONFIG + "noise_sigma = -1\n", None, 1, "noise_sigma"),
+    ("variance", TestVariance.CONFIG + "batch_size = 0\n", None, 1, "batch_size"),
+    ("variance", variance_config("learning_rate = 0.3", "learning_rate = -0.1"), None, 1,
+     "learning_rate"),
+    ("variance", variance_config("\nb = 0.5", "\nb = nan"), None, 1, "b must be"),
+    ("variance", variance_config("pool_size = 300", "pool_size = 300000"), None, 1,
+     "pool_size"),
+    *qa_rows("5", QA_RECORD.replace("[0]}", "0}"), QA_RECORD.replace("[0]", '["1"]'),
+             QA_RECORD.replace("[0]", "[1.5]"),
+             QA_RECORD.replace('[["a", "c"], ["b", "d"]]', '"ab"'),
+             QA_RECORD.replace('["a", "b"]', "[]")),
+    ("train", LETOR_CONFIG, "1 qid:1 1:0.5 2:0.1 # d0\n0 qid:1 1:nan 2:0.1 # d1\n", 2,
+     "{data}:2"),
+    ("train", LETOR_CONFIG, "1 qid:1 1:0.5 2:inf # d0\n", 2, "{data}:1"),
+]
+
+
+class TestMalformedInput:
+    """Malformed configs and data files exit 1 (config) or 2 (data) with a
+    message naming the key or path:line, print no traceback, and fail before
+    the run directory exists."""
+
+    @pytest.mark.parametrize("command,config,data,code,names", MALFORMED_INPUT, ids=[
+        "ini-no-section-header", "ini-duplicate-option", "variance-mc_samples",
+        "variance-init_scale", "variance-fractions", "variance-num_queries",
+        "variance-noise_sigma", "variance-batch_size", "variance-learning_rate",
+        "variance-b-nan", "variance-enumeration-limit", "qa-record-not-object", "qa-correct-not-list",
+        "qa-correct-string", "qa-correct-float", "qa-candidates-string",
+        "qa-question-empty", "letor-nan-feature", "letor-inf-feature"])
+    def test_fails_before_work(self, tmp_path, capsys, command, config, data, code, names):
+        data_path, vocab_path = tmp_path / "data.txt", tmp_path / "vocab.txt"
+        if data is not None:
+            data_path.write_text(data)
+        vocab_path.write_text("a\nb\nc\nd\n")
+        path = write_config(tmp_path, config.replace("{data}", str(data_path))
+                            .replace("{vocab}", str(vocab_path)))
+        assert run([command, "--config", path, "--out", tmp_path / "out"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " if code == 1 else "data error: ")
+        assert names.replace("{data}", str(data_path)) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestOutputRoot:
     def test_env_var_sets_default_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RANK_LAB_OUT", str(tmp_path / "envout"))

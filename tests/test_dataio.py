@@ -144,11 +144,11 @@ class TestParseQaPairs:
     def test_unknown_tokens_counted(self, tmp_path):
         vocab = Vocab(["known"])
         path = self.write_records(tmp_path, [
-            {"question": ["alien", "words"], "candidates": [["also", "alien"]],
+            {"question": ["alien", "words"], "candidates": [["also", "alien"], [{"x": 1}, [2]]],
              "correct": [0]},
         ])
         parsed = parse_qa_pairs(path, vocab)
-        assert parsed.unknown_tokens == 4
+        assert parsed.unknown_tokens == 6
         q = parsed.dataset.queries[0]
         assert q.tokens == (vocab.unknown_id, vocab.unknown_id)
 
