@@ -8,8 +8,8 @@ immutable after construction and safe for concurrent readers.
 
 Each query is one QueryGroup, made once by ``build_dataset`` while it
 validates: the query, its pool, the grade of every pool position in pool
-order, the positive documents and the negative pool.  Trainers and metrics
-iterate ``Dataset.groups``, and ``Dataset.select`` keeps some of the groups.
+order, the positives, the negative pool and the pool's feature matrix.
+Trainers and metrics iterate ``Dataset.groups``; ``Dataset.select`` keeps some.
 """
 
 from __future__ import annotations
@@ -116,13 +116,32 @@ class Judgment:
             )
 
 
+class GroupDocs(tuple):
+    """Documents of one query group and their feature rows: ``matrix[positions]``,
+    or all of ``matrix`` when ``positions`` is None (``matrix`` may be None)."""
+
+    def __new__(cls, docs, matrix=None, positions=None):
+        self = super().__new__(cls, docs)
+        self.matrix, self.positions = matrix, positions
+        return self
+
+
+def take(docs: Sequence[Document], idx) -> Sequence[Document]:
+    """``docs[i]`` for each i in ``idx``; a group's documents keep their rows."""
+    if not isinstance(docs, GroupDocs):
+        return [docs[i] for i in idx]
+    rows = idx if docs.positions is None else docs.positions[idx]
+    return GroupDocs([docs[i] for i in idx], docs.matrix, rows)
+
+
 @dataclass(frozen=True, eq=False)
 class QueryGroup:
     """One query's closed candidate pool, split by relevance in pool order.
 
     ``grades[i]`` is the grade of ``pool[i]`` (0 when unjudged, read only);
     ``positives`` are the pool documents with grade > 0 and ``negatives``
-    those with grade <= 0.
+    those with grade <= 0.  ``features`` is the pool's read-only feature
+    matrix, None unless every pool document has features.
     """
 
     query: Query
@@ -130,6 +149,7 @@ class QueryGroup:
     grades: np.ndarray
     positives: tuple[Document, ...]
     negatives: tuple[Document, ...]
+    features: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,15 +296,22 @@ def build_dataset(
     groups = {}
     for qid, docs in sorted_pools.items():
         judged = relevance.get(qid, {})
-        grades = [judged.get(d.id, 0) for d in docs]
+        grades = np.array([judged.get(d.id, 0) for d in docs], dtype=np.int64)
+        grades.flags.writeable = False
+        matrix = None
+        if all(d.features is not None for d in docs):
+            # Each document's features become its row view: shared, not copied.
+            matrix = np.array([d.features for d in docs])
+            matrix.flags.writeable = False
+            for d, row in zip(docs, matrix):
+                object.__setattr__(d, "features", row)
+        pool = GroupDocs(docs, matrix)
         groups[qid] = QueryGroup(
             query=Query(qid, tuple(query_tokens[qid]) if qid in query_tokens else None),
-            pool=docs,
-            grades=np.array(grades, dtype=np.int64),
-            positives=tuple(d for d, g in zip(docs, grades) if g > 0),
-            negatives=tuple(d for d, g in zip(docs, grades) if g <= 0),
+            pool=pool, grades=grades, features=matrix,
+            positives=take(pool, np.flatnonzero(grades > 0)),
+            negatives=take(pool, np.flatnonzero(grades <= 0)),
         )
-        groups[qid].grades.flags.writeable = False
     return Dataset(kind, groups, judgments=tuple(ordered), feature_dim=feature_dim)
 
 

@@ -326,15 +326,12 @@ def normalize_features_minmax(dataset: Dataset) -> Dataset:
     """
     pools: dict[str, list[Document]] = {}
     for qid, g in dataset.groups.items():
-        docs = g.pool
-        X = np.stack([d.features for d in docs])
+        X = g.features
         lo, hi = X.min(axis=0), X.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
         X = np.where(hi > lo, (X - lo) / span, 0.0)
-        pools[qid] = [
-            Document(id=d.id, features=X[i], tokens=d.tokens)
-            for i, d in enumerate(docs)
-        ]
+        pools[qid] = [Document(id=d.id, features=x, tokens=d.tokens)
+                      for d, x in zip(g.pool, X)]
     _, judgments, kind, tokens = dataset.records()
     return build_dataset(pools, judgments, kind, query_tokens=tokens)
 

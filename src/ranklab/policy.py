@@ -14,10 +14,11 @@ snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import Document, EmptyPoolError, Query
+from .core import Document, EmptyPoolError, Query, take
 from .scorers import NumericError, Scorer, sigmoid
 
 
@@ -78,7 +79,7 @@ def log_policy_probs(policy: SoftmaxPolicy, query, pool) -> np.ndarray:
 
 
 def sample_docs(policy: SoftmaxPolicy, query, pool, k: int,
-                rng: np.random.Generator, replace: bool = True) -> list[Document]:
+                rng: np.random.Generator, replace: bool = True) -> Sequence[Document]:
     """Draw k documents i.i.d. from the policy distribution over the pool."""
     _check_pool(pool)
     if k < 1:
@@ -88,7 +89,7 @@ def sample_docs(policy: SoftmaxPolicy, query, pool, k: int,
         idx = _draw_from_cdf(_sampling_cdf(probs), k, rng)
     else:
         idx = rng.choice(len(pool), size=k, replace=False, p=probs)
-    return [pool[i] for i in idx]
+    return take(pool, idx)
 
 
 def log_prob_gradient(policy: SoftmaxPolicy, query, pool, doc: Document) -> np.ndarray:
@@ -104,7 +105,7 @@ def log_prob_gradient(policy: SoftmaxPolicy, query, pool, doc: Document) -> np.n
 
 
 def normalized_discriminator_sampling(model: Scorer, query, pool, k: int,
-                                      rng: np.random.Generator) -> list[Document]:
+                                      rng: np.random.Generator) -> Sequence[Document]:
     """Draw k documents with probability sigmoid(f(d,q)) / sum over the pool.
 
     This is the self-contrastive sampler: the discriminator's own output,
@@ -114,7 +115,7 @@ def normalized_discriminator_sampling(model: Scorer, query, pool, k: int,
     if k < 1:
         raise ValueError(f"sample count must be >= 1, got {k}")
     probs = discriminator_sampling_probs(model, query, pool)
-    return [pool[i] for i in _draw_from_cdf(_sampling_cdf(probs), k, rng)]
+    return take(pool, _draw_from_cdf(_sampling_cdf(probs), k, rng))
 
 
 def discriminator_sampling_probs(model: Scorer, query, pool) -> np.ndarray:

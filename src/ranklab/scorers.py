@@ -30,7 +30,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Document, Query
+from .core import Document, GroupDocs, Query
 from ._util import atomic_write
 
 SIGMOID_CLAMP = 30.0
@@ -226,7 +226,9 @@ class Scorer:
 
 
 def _feature_matrix(docs: Sequence[Document], kind: str) -> np.ndarray:
-    """Document features stacked into rows, shape (len(docs), feature_dim)."""
+    """Document features as rows, shape (len(docs), feature_dim)."""
+    if isinstance(docs, GroupDocs) and docs.matrix is not None:
+        return docs.matrix if docs.positions is None else docs.matrix[docs.positions]
     for doc in docs:
         if doc.features is None:
             raise RepresentationError(f"{kind} scorer needs features; doc {doc.id!r} has none")

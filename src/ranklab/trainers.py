@@ -33,7 +33,7 @@ from .baselines import (
     MonteCarloValueBaseline,
     ValueFunctionBaseline,
 )
-from .core import Dataset, Document, Query
+from .core import Dataset, Document, Query, take
 from .metrics import EvalReport, evaluate_model
 from .policy import (
     SoftmaxPolicy,
@@ -240,7 +240,7 @@ def _mc_value(probs, model, query, pool, reward_fn, n, rng) -> tuple[float, floa
     ``probs`` exactly as ``sample_docs`` draws them."""
     if n < 2:
         raise ValueError("Monte-Carlo baseline needs n >= 2")
-    docs = [pool[i] for i in _draw_from_cdf(_sampling_cdf(probs), n, rng)]
+    docs = take(pool, _draw_from_cdf(_sampling_cdf(probs), n, rng))
     rewards = reward_fn(model, query, docs)
     return float(rewards.mean()), float(rewards.std(ddof=1) / np.sqrt(n))
 
@@ -276,7 +276,7 @@ def generator_gradient(policy: SoftmaxPolicy, model: Scorer, query, pool, k: int
     idx = _draw_from_cdf(_sampling_cdf(probs), k, rng)
     b = resolve_baseline(baseline, probs, model, query, pool, reward_fn, rng)
     unique, counts = np.unique(idx, return_counts=True)
-    advantages = reward_fn(model, query, [pool[i] for i in unique]) - b
+    advantages = reward_fn(model, query, take(pool, unique)) - b
     weights = -probs * float(counts @ advantages)
     np.add.at(weights, unique, counts * advantages)
     return policy.scorer.backward(fwd, weights) / (k * policy.temperature)
@@ -495,7 +495,7 @@ def _contrastive_batches(model: Scorer, table, entries, cfg, rng):
     negatives drawn from the sampler ``table`` (qid -> CDF over the pool)."""
 
     def draw(q, pos, neg_pool):
-        return [neg_pool[i] for i in _draw_from_cdf(table[q.id], len(pos), rng)]
+        return take(neg_pool, _draw_from_cdf(table[q.id], len(pos), rng))
 
     return _negative_epoch(model, entries, draw, cfg)
 
@@ -561,7 +561,7 @@ def dns_epoch(model: Scorer, dataset: Dataset, cfg: TrainConfig,
         k = min(cfg.dns_k, len(neg_pool))
         hardest = []
         for _ in pos:
-            cand = [neg_pool[i] for i in rng.choice(len(neg_pool), size=k, replace=False)]
+            cand = take(neg_pool, rng.choice(len(neg_pool), size=k, replace=False))
             hardest.append(cand[int(np.argmax(model.score_many(q, cand)))])
         return hardest
 

@@ -1,13 +1,15 @@
 """Differential tests: each fast path against a reference path, on edge shapes.
 
-The fast paths are the per-query groups (``Dataset.groups``), sampling
+The fast paths are the per-query groups (``Dataset.groups``) and the
+feature matrix each group's documents read their rows from, sampling
 with replacement from a precomputed CDF (``policy._sampling_cdf`` /
 ``policy._draw_from_cdf``), the argsort ranking of ``evaluate_model`` and
 the variance lab's two-sweep state pass.  Each reference here is written
 from the definitions: each document's grade looked up in ``judgments``,
-``Generator.choice`` with ``p=``, ``sorted(..., key=(-score, id))`` over
-RankedLists, and exact enumeration over a list that holds every visited
-state's policy and grad-log-prob matrix at once.  The edge shapes are pools
+features stacked from plain lists of documents, ``Generator.choice`` with
+``p=``, ``sorted(..., key=(-score, id))`` over RankedLists, and exact
+enumeration over a list that holds every visited state's policy and
+grad-log-prob matrix at once.  The edge shapes are pools
 of one document, all-relevant pools, queries with no relevant document,
 ``dns_k`` above the size of the negative pool, unvisited states and
 partitions with no action below the baseline.
@@ -30,7 +32,9 @@ from ranklab.core import (
     build_dataset,
     candidate_pool,
     relevant_fraction,
+    take,
 )
+from ranklab.dataio import normalize_features_minmax
 from ranklab.metrics import (
     RankedList,
     compute_metric,
@@ -44,7 +48,13 @@ from ranklab.policy import (
     policy_probs,
     sample_docs,
 )
-from ranklab.scorers import LinearScorer, ParamVector, build_scorer, layout_for
+from ranklab.scorers import (
+    LinearScorer,
+    ParamVector,
+    RepresentationError,
+    build_scorer,
+    layout_for,
+)
 from ranklab.trainers import (
     TrainConfig,
     dns_epoch,
@@ -102,9 +112,10 @@ def reference_split(dataset, qid):
 
 
 def reference_group(dataset, qid):
-    """The query's group rebuilt from ``reference_split``."""
+    """The query's group rebuilt from ``reference_split``, as plain tuples
+    without a feature matrix, so scorers stack each call's rows."""
     grades, positives, negatives = reference_split(dataset, qid)
-    return QueryGroup(query=dataset.query(qid), pool=dataset.pool(qid),
+    return QueryGroup(query=dataset.query(qid), pool=tuple(dataset.pool(qid)),
                       grades=np.array(grades, dtype=np.int64),
                       positives=positives, negatives=negatives)
 
@@ -180,7 +191,7 @@ class TestCdfSampling:
             pool = dataset.pool(q.id)
             expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
             idx = choice_draw(policy_probs(policy, q, pool), k, expected_rng)
-            assert sample_docs(policy, q, pool, k, rng) == [pool[i] for i in idx]
+            assert list(sample_docs(policy, q, pool, k, rng)) == [pool[i] for i in idx]
             assert rng.random() == expected_rng.random()
 
 
@@ -236,9 +247,9 @@ def run_epochs(dataset, seed, dns_k):
 
 
 class TestTrainersOnReferencePaths:
-    """The epochs read groups and CDFs; rerun on a dataset whose groups were
-    rebuilt from its judgments and on ``Generator.choice``, they must end
-    with the same parameter bits."""
+    """The epochs read groups, their feature matrices and CDFs; rerun on a
+    dataset whose groups were rebuilt from its judgments without a matrix
+    and on ``Generator.choice``, they must end with the same parameter bits."""
 
     @settings(max_examples=40)
     @given(datasets(), st.integers(0, 1000), st.integers(1, 9))
@@ -250,6 +261,94 @@ class TestTrainersOnReferencePaths:
             reference = run_epochs(reference_dataset(dataset), seed, dns_k)
         for a, b in zip(fast, reference):
             assert np.array_equal(a, b)
+
+
+@st.composite
+def mixed_datasets(draw):
+    """(dataset, scorers) over one to three queries of one to five documents.
+    A pool holds feature documents, token documents, or a mix of feature,
+    token and feature-and-token documents; a feature dataset may be min-max
+    normalized, and any dataset may be a ``select`` of some of its queries."""
+    shape = draw(st.sampled_from(["features", "normalized", "tokens", "mixed"]))
+    has = {"features": ["f"], "normalized": ["f"], "tokens": ["t"],
+           "mixed": ["f", "t", "ft"]}[shape]
+    pools, judgments, query_tokens = {}, [], {}
+    for qi in range(draw(st.integers(1, 3))):
+        qid = f"q{qi}"
+        query_tokens[qid] = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+        pools[qid] = []
+        for di in range(draw(st.integers(1, 5))):
+            what = draw(st.sampled_from(has))
+            features = draw(st.lists(st.floats(-3, 3), min_size=FEATURE_DIM,
+                                     max_size=FEATURE_DIM)) if "f" in what else None
+            tokens = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)) \
+                if "t" in what else None
+            pools[qid].append(Document(f"{qid}_d{di}", features and np.array(features),
+                                       tokens and tuple(tokens)))
+            if draw(st.booleans()):
+                judgments.append(Judgment(qid, pools[qid][-1].id, 1))
+    dataset = build_dataset(pools, judgments, "qa", query_tokens=query_tokens)
+    if shape == "normalized":
+        dataset = normalize_features_minmax(dataset)
+    keep = draw(st.lists(st.sampled_from(dataset.query_ids()), min_size=1, unique=True))
+    if draw(st.booleans()):
+        dataset = dataset.select(keep)
+    seed = draw(st.integers(0, 1000))
+    scorers = [build_scorer("linear", {"feature_dim": FEATURE_DIM}, scale=0.8, seed=seed),
+               build_scorer("mlp1", {"feature_dim": FEATURE_DIM, "hidden": 3}, scale=0.8,
+                            seed=seed),
+               build_scorer("text", {"vocab_size": 5, "embed_dim": 2}, scale=0.8, seed=seed)]
+    return dataset, scorers
+
+
+def outcome(call):
+    """The bytes of a kernel's result, or the type of what it raised."""
+    try:
+        return call().tobytes()
+    except RepresentationError as exc:
+        return type(exc)
+
+
+class TestGroupMatrix:
+    """A group's documents and ``take`` subsets of them score, and give
+    gradients, with the bits of plain lists of the same documents."""
+
+    @settings(max_examples=150)
+    @given(mixed_datasets(), st.data())
+    def test_kernels_match_plain_lists(self, case, data):
+        dataset, scorers = case
+        for g in dataset.groups.values():
+            pool_idx = data.draw(st.lists(st.integers(0, len(g.pool) - 1), max_size=7))
+            seqs = [g.pool, g.positives, g.negatives, take(g.pool, pool_idx)]
+            if g.negatives:
+                neg_idx = data.draw(st.lists(st.integers(0, len(g.negatives) - 1),
+                                             min_size=1, max_size=7))
+                seqs.append(take(g.negatives, neg_idx))
+                seqs.append(take(seqs[-1], list(reversed(range(len(neg_idx))))))
+            for seq in filter(len, seqs):
+                plain = list(seq)
+                weights = np.linspace(-1.0, 2.0, len(seq))
+                for model in scorers:
+                    for kernel, args in (("score_many", ()), ("gradient_matrix", ()),
+                                         ("grad_weighted_sum", (weights,))):
+                        fn = getattr(model, kernel)
+                        assert (outcome(lambda: fn(g.query, seq, *args))
+                                == outcome(lambda: fn(g.query, plain, *args))), kernel
+
+    @settings(max_examples=150)
+    @given(mixed_datasets())
+    def test_rows_are_read_only_views_of_the_group_matrix(self, case):
+        dataset, _ = case
+        for g in dataset.groups.values():
+            assert (g.features is None) == any(d.features is None for d in g.pool)
+            if g.features is None:
+                continue
+            assert g.features.shape == (len(g.pool), FEATURE_DIM)
+            assert g.features.dtype == np.float64 and not g.features.flags.writeable
+            for i, d in enumerate(g.pool):
+                assert d.features.base is g.features and not d.features.flags.writeable
+                assert np.shares_memory(d.features, g.features[i])
+                assert np.array_equal(d.features, g.features[i])
 
 
 class TestNoRelevanceLookups:
