@@ -84,6 +84,13 @@ class Conf:
             raise CliConfigError(" ".join(str(exc).split())) from None
         if not read:
             raise FileNotFoundError(f"config file not found: {path}")
+        for section in self.parser.sections():
+            for key in self.parser.options(section):
+                try:  # interpolate every value now, before any key is read
+                    self.parser.get(section, key)
+                except configparser.InterpolationError as exc:
+                    raise CliConfigError(f"bad value for '{key}' in [{section}]: "
+                                         + " ".join(str(exc).split())) from None
         self.path = path
 
     def get(self, section, key, default=None, required=False):

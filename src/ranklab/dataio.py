@@ -199,6 +199,8 @@ def parse_interactions(path, threshold: float = 4.0) -> Dataset:
                 raise ParseError(
                     f"{path}:{line_no}: non-numeric rating {parts[2]!r}"
                 ) from None
+            if not math.isfinite(rating):
+                raise ParseError(f"{path}:{line_no}: rating {parts[2]!r} is not finite")
             key = (user, item)
             if key in ratings:
                 raise ParseError(
@@ -296,6 +298,8 @@ def parse_qa_pairs(path, vocab: Vocab) -> ParsedQA:
             if key not in rec:
                 raise ParseError(f"{path}:{line_no}: missing field {key!r}")
         qid = str(rec.get("id", f"q{line_no - 1:0{q_digits}d}"))
+        if qid in pools:
+            raise ParseError(f"{path}:{line_no}: question id {qid!r} used twice")
         query_tokens[qid] = map_seq(rec["question"], "question")
         candidates = rec["candidates"]
         if not isinstance(candidates, list) or not candidates:

@@ -489,6 +489,15 @@ LETOR_CONFIG = """
 source = letor
 path = {data}
 """ + TestModelAndSplitKeys.CONFIG[TestModelAndSplitKeys.CONFIG.index("[model]"):]
+INTERACTIONS_CONFIG = """
+[dataset]
+source = interactions
+path = {data}
+
+[model]
+kind = matfac
+embed_dim = 2
+""" + TestModelAndSplitKeys.CONFIG[TestModelAndSplitKeys.CONFIG.index("[trainer]"):]
 
 
 def variance_config(old, new):
@@ -526,6 +535,11 @@ MALFORMED_INPUT = [
     ("train", LETOR_CONFIG, "1 qid:1 1:0.5 2:0.1 # d0\n0 qid:1 1:nan 2:0.1 # d1\n", 2,
      "{data}:2"),
     ("train", LETOR_CONFIG, "1 qid:1 1:0.5 2:inf # d0\n", 2, "{data}:1"),
+    ("variance", "[run]\nname = a%\n" + TestVariance.CONFIG, None, 1, "'name' in [run]"),
+    ("train", QA_CONFIG, QA_RECORD.replace("{", '{"id": "x", ') + "\n"
+     + QA_RECORD.replace("{", '{"id": "x", ').replace("[0]", "[1]") + "\n", 2, "{data}:2"),
+    ("train", INTERACTIONS_CONFIG, "u1\ti1\t5\nu1\ti2\tnan\n", 2, "{data}:2"),
+    ("train", INTERACTIONS_CONFIG, "u1\ti1\tinf\nu1\ti2\t5\n", 2, "{data}:1"),
 ]
 
 
@@ -540,7 +554,8 @@ class TestMalformedInput:
         "variance-noise_sigma", "variance-batch_size", "variance-learning_rate",
         "variance-b-nan", "variance-enumeration-limit", "qa-record-not-object", "qa-correct-not-list",
         "qa-correct-string", "qa-correct-float", "qa-candidates-string",
-        "qa-question-empty", "letor-nan-feature", "letor-inf-feature"])
+        "qa-question-empty", "letor-nan-feature", "letor-inf-feature", "ini-bare-percent",
+        "qa-duplicate-id", "interactions-nan-rating", "interactions-inf-rating"])
     def test_fails_before_work(self, tmp_path, capsys, command, config, data, code, names):
         data_path, vocab_path = tmp_path / "data.txt", tmp_path / "vocab.txt"
         if data is not None:
