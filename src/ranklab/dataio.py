@@ -326,11 +326,13 @@ def parse_qa_pairs(path, vocab: Vocab) -> ParsedQA:
 def normalize_features_minmax(dataset: Dataset) -> Dataset:
     """Optional per-query min-max feature normalization pass (off by default).
 
-    Constant features within a query map to 0.
+    Constant features within a query map to 0.  Every document needs features.
     """
     pools: dict[str, list[Document]] = {}
     for qid, g in dataset.groups.items():
         X = g.features
+        if X is None:
+            raise DatasetError(f"query {qid!r} has documents without features")
         lo, hi = X.min(axis=0), X.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
         X = np.where(hi > lo, (X - lo) / span, 0.0)

@@ -222,6 +222,12 @@ class TestTransforms:
             X = np.stack([d.features for d in normalized.pool(q.id)])
             assert X.min() >= 0.0 and X.max() <= 1.0
 
+    def test_minmax_normalization_needs_features(self):
+        docs = [Document("d0", np.array([1.0])), Document("d1", tokens=(1,))]
+        dataset = build_dataset({"q": docs}, [Judgment("q", "d0", 1)], "qa")
+        with pytest.raises(DatasetError, match="'q' has documents without features"):
+            normalize_features_minmax(dataset)
+
     def test_split_queries_partition(self, planted_dataset):
         dataset, _ = planted_dataset
         train, held = split_queries(dataset, 0.25, seed=3)
