@@ -8,12 +8,17 @@ a Monte-Carlo estimate of the value function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class ConstantBaseline:
     value: float = 0.5
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"constant baseline must be finite, got {self.value}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import shutil
 import sys
@@ -93,118 +94,99 @@ class Conf:
                                          + " ".join(str(exc).split())) from None
         self.path = path
 
-    def get(self, section, key, default=None, required=False):
+    def get(self, section, key, default=None, required=False, type=str, low=None):
+        """``key`` converted by ``type`` (str, int, float, bool or a parser such
+        as ``parse_baseline``), or ``default`` when the key is unset."""
         if not self.parser.has_option(section, key):
             if required:
                 raise CliConfigError(f"missing key '{key}' in [{section}]")
             return default
-        return self.parser.get(section, key)
+        raw = self.parser.get(section, key)
+        return _convert(raw, type, low, key, f"for '{key}' in [{section}]: {raw!r}")
 
-    def _typed(self, section, key, default, required, convert, type_name):
-        raw = self.get(section, key, default, required)
-        if raw is default and not self.parser.has_option(section, key):
-            return default
-        try:
-            return convert(raw)
-        except (TypeError, ValueError):
-            raise CliConfigError(
-                f"bad {type_name} for '{key}' in [{section}]: {raw!r}"
-            ) from None
-
-    def get_int(self, section, key, default=None, required=False, low=None):
-        """An integer key; when ``low`` is given, a value below it is an error."""
-        value = self._typed(section, key, default, required, int, "integer")
-        if low is not None and value is not None and value < low:
-            raise CliConfigError(f"bad value for '{key}' in [{section}]: {value} "
-                                 f"(must be >= {low})")
-        return value
-
-    def get_float(self, section, key, default=None, required=False):
-        return self._typed(section, key, default, required, float, "number")
-
-    def get_bool(self, section, key, default=False):
-        raw = self.get(section, key, None, False)
-        if raw is None:
-            return default
-        if raw.strip().lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.strip().lower() in ("0", "false", "no", "off"):
-            return False
-        raise CliConfigError(f"bad boolean for '{key}' in [{section}]: {raw!r}")
-
-    def get_list(self, section, key, default=None, required=False):
+    def get_list(self, section, key, default=(), required=False, type=str, low=None):
+        """The comma-separated items of ``key``, each converted as by ``get``."""
         raw = self.get(section, key, None, required)
         if raw is None:
-            return default if default is not None else []
-        return [item.strip() for item in raw.split(",") if item.strip()]
+            return list(default)
+        items = [item.strip() for item in raw.split(",")]
+        return [_convert(item, type, low, key, f"{item!r} in '{key}' in [{section}]")
+                for item in items if item]
 
-    def _typed_list(self, section, key, default, convert, type_name):
-        values = []
-        for item in self.get_list(section, key, default):
-            try:
-                values.append(convert(item))
-            except (TypeError, ValueError):
-                raise CliConfigError(
-                    f"bad {type_name} {item!r} in '{key}' in [{section}]"
-                ) from None
-        return values
 
-    def get_int_list(self, section, key, default=None):
-        return self._typed_list(section, key, default, int, "integer")
+# What a builtin converter's ValueError means; other converters say it themselves.
+TYPE_ERRORS = {int: "not an integer", float: "not a number", bool: "not a boolean"}
 
-    def get_float_list(self, section, key, default=None):
-        return self._typed_list(section, key, default, float, "number")
+
+def _convert(raw: str, type, low, key: str, where: str):
+    """``raw`` converted by ``type``; a failed conversion, a non-finite float
+    and a value below ``low`` raise a config error naming ``where``."""
+    try:
+        value = (configparser.ConfigParser.BOOLEAN_STATES[raw.lower()] if type is bool
+                 else type(raw))
+    except (KeyError, ValueError) as exc:
+        raise CliConfigError(f"bad value {where} ({TYPE_ERRORS.get(type, exc)})") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise CliConfigError(f"bad value {where} ({key} must be finite)")
+    if low is not None and value < low:
+        raise CliConfigError(f"bad value {where} ({key} must be >= {low})")
+    return value
+
+
+def one_of(names):
+    """A converter that accepts only ``names``."""
+    def choose(raw: str) -> str:
+        if raw not in names:
+            raise ValueError(f"expected one of {', '.join(names)}")
+        return raw
+    return choose
 
 
 def load_dataset(conf: Conf) -> Dataset:
-    source = conf.get("dataset", "source", default="synthetic")
+    source = conf.get("dataset", "source", default="synthetic",
+                      type=one_of(("synthetic", "letor", "interactions", "qa")))
     if source == "synthetic":
-        spec = SyntheticSpec(
-            num_queries=conf.get_int("dataset", "num_queries", required=True),
-            pool_size=conf.get_int("dataset", "pool_size", required=True),
-            relevant_fraction=conf.get_float("dataset", "relevant_fraction", required=True),
-            feature_dim=conf.get_int("dataset", "feature_dim", required=True),
-            noise_sigma=conf.get_float("dataset", "noise_sigma", default=0.0),
-            seed=conf.get_int("dataset", "seed", default=0, low=0),
-        )
+        try:
+            spec = SyntheticSpec(
+                num_queries=conf.get("dataset", "num_queries", required=True, type=int),
+                pool_size=conf.get("dataset", "pool_size", required=True, type=int),
+                relevant_fraction=conf.get("dataset", "relevant_fraction", required=True,
+                                           type=float),
+                feature_dim=conf.get("dataset", "feature_dim", required=True, type=int),
+                noise_sigma=conf.get("dataset", "noise_sigma", default=0.0, type=float),
+                seed=conf.get("dataset", "seed", default=0, type=int, low=0),
+            )
+        except DatasetError as exc:
+            raise CliConfigError(f"bad value in [dataset]: {exc}") from None
         return synth_retrieval(spec)[0]
     path = conf.get("dataset", "path", required=True)
     if source == "letor":
         return parse_letor(path)
     if source == "interactions":
-        return parse_interactions(path, threshold=conf.get_float("dataset", "threshold", default=4.0))
-    if source == "qa":
-        vocab_file = conf.get("dataset", "vocab_file", required=True)
-        with open(vocab_file, "r", encoding="utf-8") as fh:
-            vocab = Vocab([line.strip() for line in fh if line.strip()])
-        return parse_qa_pairs(path, vocab).dataset
-    raise CliConfigError(f"bad value for 'source' in [dataset]: {source!r}")
+        threshold = conf.get("dataset", "threshold", default=4.0, type=float)
+        return parse_interactions(path, threshold=threshold)
+    vocab_file = conf.get("dataset", "vocab_file", required=True)  # source is qa
+    with open(vocab_file, "r", encoding="utf-8") as fh:
+        vocab = Vocab([line.strip() for line in fh if line.strip()])
+    return parse_qa_pairs(path, vocab).dataset
 
 
 def _section_values(conf: Conf, section: str, base, keys) -> dict:
     """``keys`` of [section], each read with the type of its value in ``base``,
     the config dataclass that holds the defaults, and defaulting to it."""
-    getters = {bool: conf.get_bool, int: conf.get_int, float: conf.get_float, str: conf.get}
-    return {key: getters[type(getattr(base, key))](section, key, default=getattr(base, key))
+    return {key: conf.get(section, key, getattr(base, key), type=type(getattr(base, key)))
             for key in keys}
 
 
 def load_train_config(conf: Conf, seed_override: int | None) -> TrainConfig:
     """The [trainer] section; every key but learning_rate defaults to TrainConfig's."""
     base = TrainConfig()
-    baseline_text = conf.get("trainer", "baseline")
-    try:
-        baseline = base.baseline if baseline_text is None else parse_baseline(baseline_text)
-    except ValueError as exc:
-        raise CliConfigError(f"bad value for 'baseline' in [trainer]: {exc}") from None
-    seed = conf.get_int("trainer", "seed", default=base.seed, low=0)
-    if seed_override is not None:
-        seed = seed_override
+    seed = conf.get("trainer", "seed", default=base.seed, type=int, low=0)
     return replace(
         base,
-        learning_rate=conf.get_float("trainer", "learning_rate", required=True),
-        baseline=baseline,
-        seed=seed,
+        learning_rate=conf.get("trainer", "learning_rate", required=True, type=float),
+        baseline=conf.get("trainer", "baseline", default=base.baseline, type=parse_baseline),
+        seed=seed if seed_override is None else seed_override,
         **_section_values(conf, "trainer", base, (
             "batch_size", "epochs_outer", "epochs_inner", "k_samples", "dns_k", "reward",
             "temperature", "exclude_positives", "d_steps", "g_steps", "pretrain_epochs",
@@ -234,18 +216,15 @@ class ModelSpec:
 
 def read_model(conf: Conf) -> ModelSpec:
     """Read and check every [model] key before any work; errors name the key."""
-    kind = conf.get("model", "kind", default="mlp1")
-    if kind not in MODEL_SIZES:
-        raise CliConfigError(f"bad value for 'kind' in [model]: {kind!r} "
-                             f"(expected one of {', '.join(MODEL_SIZES)})")
-    scale = conf.get_float("model", "init_scale", default=0.1)
+    kind = conf.get("model", "kind", default="mlp1", type=one_of(MODEL_SIZES))
+    scale = conf.get("model", "init_scale", default=0.1, type=float)
     try:
         check_init_scale(scale)
     except ValueError as exc:
         raise CliConfigError(f"bad value for 'init_scale' in [model]: {exc}") from None
-    sizes = {key: conf.get_int("model", key, default=default, low=1)
+    sizes = {key: conf.get("model", key, default=default, type=int, low=1)
              for key, default in MODEL_SIZES[kind].items()}
-    return ModelSpec(kind, scale, conf.get_int("model", "init_seed", low=0), sizes)
+    return ModelSpec(kind, scale, conf.get("model", "init_seed", type=int, low=0), sizes)
 
 
 def model_dims(spec: ModelSpec, dataset: Dataset) -> dict:
@@ -279,23 +258,6 @@ def build_model(spec: ModelSpec, dims: dict, role: str, base_seed: int) -> Score
     return build_scorer(spec.kind, dims, scale=spec.init_scale, seed=seed)
 
 
-def eval_metrics(conf: Conf) -> tuple[str, ...]:
-    """The [eval] metrics, each checked by name; empty when unset."""
-    names = tuple(conf.get_list("eval", "metrics"))
-    for name in names:
-        try:
-            _parse_metric(name)
-        except ValueError:
-            raise CliConfigError(f"bad metric {name!r} in 'metrics' in [eval]") from None
-    return names
-
-
-def default_metrics(dataset: Dataset) -> tuple[str, ...]:
-    if dataset.kind.value == "qa":
-        return ("p@1",)
-    return ("p@5", "ndcg@5")
-
-
 def prepare_run_dir(conf: Conf, args) -> Path:
     out_root = Path(args.out or os.environ.get("RANK_LAB_OUT", "out"))
     name = conf.get("run", "name", default=Path(args.config).stem)
@@ -307,11 +269,27 @@ def prepare_run_dir(conf: Conf, args) -> Path:
 
 def read_split(conf: Conf) -> tuple[float, int]:
     """The [dataset] holdout_fraction and split_seed, checked before any work."""
-    holdout = conf.get_float("dataset", "holdout_fraction", default=0.2)
+    holdout = conf.get("dataset", "holdout_fraction", default=0.2, type=float)
     if not 0.0 < holdout < 1.0:
         raise CliConfigError(f"bad value for 'holdout_fraction' in [dataset]: {holdout!r} "
                              "(must lie in (0, 1))")
-    return holdout, conf.get_int("dataset", "split_seed", default=13, low=0)
+    return holdout, conf.get("dataset", "split_seed", default=13, type=int, low=0)
+
+
+def _metric_name(name: str) -> str:
+    _parse_metric(name)  # raises ValueError on an unknown metric
+    return name
+
+
+def load_task(conf: Conf) -> tuple:
+    """The [eval] metrics, [model] and split keys, checked before the dataset
+    is read; returns (metric names, train set, eval set, model spec, dims)."""
+    metric_names = tuple(conf.get_list("eval", "metrics", type=_metric_name))
+    spec, split = read_model(conf), read_split(conf)
+    dataset = load_dataset(conf)
+    if not metric_names:
+        metric_names = ("p@1",) if dataset.kind.value == "qa" else ("p@5", "ndcg@5")
+    return (metric_names, *split_queries(dataset, *split), spec, model_dims(spec, dataset))
 
 
 def cmd_pretrain(conf: Conf, args) -> int:
@@ -330,18 +308,8 @@ def cmd_pretrain(conf: Conf, args) -> int:
 
 def cmd_train(conf: Conf, args) -> int:
     cfg = load_train_config(conf, args.seed)
-    trainer = conf.get("trainer", "name", required=True)
-    if trainer not in TRAINER_NAMES:
-        raise CliConfigError(
-            f"bad value for 'name' in [trainer]: {trainer!r} "
-            f"(expected one of {', '.join(TRAINER_NAMES)})"
-        )
-    metric_names = eval_metrics(conf)
-    spec, split = read_model(conf), read_split(conf)
-    dataset = load_dataset(conf)
-    metric_names = metric_names or default_metrics(dataset)
-    train_set, eval_set = split_queries(dataset, *split)
-    dims = model_dims(spec, dataset)
+    trainer = conf.get("trainer", "name", required=True, type=one_of(TRAINER_NAMES))
+    metric_names, train_set, eval_set, spec, dims = load_task(conf)
     models = {role: build_model(spec, dims, role, cfg.seed)
               for role in TRAINER_ROLES[trainer]}
     run_dir = prepare_run_dir(conf, args)
@@ -368,25 +336,14 @@ def parity_outer_epochs(budget: int, inner: int) -> int:
 
 def cmd_compare(conf: Conf, args) -> int:
     cfg = load_train_config(conf, args.seed)
-    trainers = conf.get_list("compare", "trainers", required=True)
+    trainers = conf.get_list("compare", "trainers", required=True, type=one_of(TRAINER_NAMES))
     if len(trainers) < 2:
         raise CliConfigError("need at least two entries for 'trainers' in [compare]")
-    for name in trainers:
-        if name not in TRAINER_NAMES:
-            raise CliConfigError(f"bad trainer {name!r} in [compare]")
-    seeds = conf.get_int_list("compare", "seeds", default=["1"])
-    for seed in seeds:
-        if seed < 0:
-            raise CliConfigError(f"bad seed {seed} in 'seeds' in [compare] (must be >= 0)")
+    seeds = conf.get_list("compare", "seeds", default=(1,), type=int, low=0)
     seeds = seeds if args.seed is None else [args.seed]
-    budget = conf.get_int("compare", "budget_epochs", default=cfg.epochs_outer, low=1)
-    dual_override = conf.get_int("compare", "dual_d_outer", low=1)
-    metric_names = eval_metrics(conf)
-    spec, split = read_model(conf), read_split(conf)
-    dataset = load_dataset(conf)
-    metric_names = metric_names or default_metrics(dataset)
-    train_set, eval_set = split_queries(dataset, *split)
-    dims = model_dims(spec, dataset)
+    budget = conf.get("compare", "budget_epochs", default=cfg.epochs_outer, type=int, low=1)
+    dual_override = conf.get("compare", "dual_d_outer", type=int, low=1)
+    metric_names, train_set, eval_set, spec, dims = load_task(conf)
     run_dir = prepare_run_dir(conf, args)
 
     warnings = []
@@ -447,15 +404,14 @@ def _variance_point(study_cfg: StudyConfig, fraction: float, seed: int, sweep):
 
 
 def cmd_variance(conf: Conf, args) -> int:
-    fractions = conf.get_float_list("variance", "fractions",
-                                    default=["0.002", "0.005", "0.015"])
+    fractions = conf.get_list("variance", "fractions", default=(0.002, 0.005, 0.015),
+                              type=float)
     if not fractions:
         raise CliConfigError("need at least one entry for 'fractions' in [variance]")
-    sweep = conf.get_float_list("variance", "b_sweep",
-                                default=[str(round(0.1 * i, 1)) for i in range(1, 10)])
-    seed = conf.get_int("variance", "seed", default=7, low=0)
-    if args.seed is not None:
-        seed = args.seed
+    sweep = conf.get_list("variance", "b_sweep", type=float,
+                          default=[round(0.1 * i, 1) for i in range(1, 10)])
+    seed = conf.get("variance", "seed", default=7, type=int, low=0)
+    seed = seed if args.seed is None else args.seed
     base = StudyConfig()
     values = _section_values(conf, "variance", base, (
         "num_queries", "pool_size", "feature_dim", "noise_sigma", "init_scale",

@@ -14,7 +14,7 @@ Trainers and metrics iterate ``Dataset.groups``; ``Dataset.select`` keeps some.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
@@ -235,6 +235,27 @@ class Dataset:
         )
 
 
+def _viewed_matrix(docs: Sequence[Document]) -> np.ndarray | None:
+    """The read-only matrix whose rows, in pool order, ``docs``' features
+    already are (a built dataset's pool, built again), or None."""
+    matrix = docs[0].features.base
+    if (matrix is None or matrix.flags.writeable
+            or matrix.shape != (len(docs), len(docs[0].features))):
+        return None
+    same = all(d.features.__array_interface__ == matrix[i].__array_interface__
+               for i, d in enumerate(docs))
+    return matrix if same else None
+
+
+def _view_row(doc: Document, row: np.ndarray) -> Document:
+    """``doc`` pointed at ``row``; a copy of it when its features are read-only
+    (a row of another dataset's matrix), so that dataset keeps its views."""
+    if not doc.features.flags.writeable:
+        return replace(doc, features=row)
+    object.__setattr__(doc, "features", row)
+    return doc
+
+
 def build_dataset(
     pools: Mapping[QueryId, Sequence[Document]],
     judgments: Iterable[Judgment],
@@ -300,11 +321,12 @@ def build_dataset(
         grades.flags.writeable = False
         matrix = None
         if all(d.features is not None for d in docs):
-            # Each document's features become its row view: shared, not copied.
-            matrix = np.array([d.features for d in docs])
-            matrix.flags.writeable = False
-            for d, row in zip(docs, matrix):
-                object.__setattr__(d, "features", row)
+            matrix = _viewed_matrix(docs)
+            if matrix is None:
+                # Each document's features become its row view: shared, not copied.
+                matrix = np.array([d.features for d in docs])
+                matrix.flags.writeable = False
+                docs = tuple(_view_row(d, row) for d, row in zip(docs, matrix))
         pool = GroupDocs(docs, matrix)
         groups[qid] = QueryGroup(
             query=Query(qid, tuple(query_tokens[qid]) if qid in query_tokens else None),

@@ -85,8 +85,9 @@ class TrainConfig:
     pretrain_lr: float = 0.01
 
     def __post_init__(self):
-        if not self.learning_rate >= 0:
-            raise InvalidConfigError("learning_rate must be >= 0")
+        for name in ("learning_rate", "pretrain_lr"):
+            if not getattr(self, name) >= 0:
+                raise InvalidConfigError(f"{name} must be >= 0")
         for name in ("batch_size", "epochs_outer", "epochs_inner", "k_samples",
                      "dns_k", "d_steps", "g_steps"):
             if getattr(self, name) < 1:

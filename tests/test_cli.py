@@ -505,6 +505,16 @@ def variance_config(old, new):
     return TestVariance.CONFIG.replace(old, new)
 
 
+def trainer_config(old, new):
+    assert old in TestModelAndSplitKeys.CONFIG
+    return TestModelAndSplitKeys.CONFIG.replace(old, new)
+
+
+def irgan_config(pretrain_lr):
+    return trainer_config("name = single-d", "name = irgan-pointwise\npretrain_epochs = 1\n"
+                          f"pretrain_lr = {pretrain_lr}")
+
+
 def qa_rows(*records):
     """A QA file whose second line is each of ``records``."""
     return [("train", QA_CONFIG, QA_RECORD + "\n" + record + "\n", 2, "{data}:2")
@@ -540,6 +550,26 @@ MALFORMED_INPUT = [
      + QA_RECORD.replace("{", '{"id": "x", ').replace("[0]", "[1]") + "\n", 2, "{data}:2"),
     ("train", INTERACTIONS_CONFIG, "u1\ti1\t5\nu1\ti2\tnan\n", 2, "{data}:2"),
     ("train", INTERACTIONS_CONFIG, "u1\ti1\tinf\nu1\ti2\t5\n", 2, "{data}:1"),
+    ("train", INTERACTIONS_CONFIG.replace("path = {data}", "path = {data}\nthreshold = nan"),
+     "u1\ti1\t5\nu1\ti2\t3\nu2\ti1\t5\nu2\ti2\t3\n", 1, "'threshold' in [dataset]"),
+    ("train", trainer_config("learning_rate = 0.05", "learning_rate = inf"), None, 1,
+     "'learning_rate' in [trainer]"),
+    ("train", trainer_config("epochs_outer = 1", "epochs_outer = 1\ntemperature = inf"), None, 1,
+     "'temperature' in [trainer]"),
+    ("variance", variance_config("learning_rate = 0.3", "learning_rate = inf"), None, 1,
+     "'learning_rate' in [variance]"),
+    ("variance", TestVariance.CONFIG + "noise_sigma = inf\n", None, 1,
+     "'noise_sigma' in [variance]"),
+    ("train", trainer_config("num_queries = 8", "num_queries = 0"), None, 1,
+     "[dataset]: num_queries must be"),
+    ("train", trainer_config("relevant_fraction = 0.25", "relevant_fraction = 2"), None, 1,
+     "[dataset]: relevant_fraction must"),
+    ("train", irgan_config("-1"), None, 1, "pretrain_lr must be >= 0"),
+    ("train", irgan_config("nan"), None, 1, "'pretrain_lr' in [trainer]"),
+    ("train", trainer_config("name = single-d", "name = irgan-pointwise\nbaseline = constant:nan"),
+     None, 1, "'baseline' in [trainer]"),
+    ("train", trainer_config("source = synthetic", "source = bogus"), None, 1,
+     "'source' in [dataset]"),
 ]
 
 
@@ -555,7 +585,11 @@ class TestMalformedInput:
         "variance-b-nan", "variance-enumeration-limit", "qa-record-not-object", "qa-correct-not-list",
         "qa-correct-string", "qa-correct-float", "qa-candidates-string",
         "qa-question-empty", "letor-nan-feature", "letor-inf-feature", "ini-bare-percent",
-        "qa-duplicate-id", "interactions-nan-rating", "interactions-inf-rating"])
+        "qa-duplicate-id", "interactions-nan-rating", "interactions-inf-rating",
+        "interactions-nan-threshold", "trainer-inf-learning_rate", "trainer-inf-temperature",
+        "variance-inf-learning_rate", "variance-inf-noise_sigma", "dataset-num_queries",
+        "dataset-relevant_fraction", "trainer-negative-pretrain_lr", "trainer-nan-pretrain_lr",
+        "trainer-nan-baseline", "dataset-unknown-source"])
     def test_fails_before_work(self, tmp_path, capsys, command, config, data, code, names):
         data_path, vocab_path = tmp_path / "data.txt", tmp_path / "vocab.txt"
         if data is not None:

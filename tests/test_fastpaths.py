@@ -350,6 +350,34 @@ class TestGroupMatrix:
                 assert np.shares_memory(d.features, g.features[i])
                 assert np.array_equal(d.features, g.features[i])
 
+    @settings(max_examples=100)
+    @given(mixed_datasets(), st.data())
+    def test_datasets_built_from_the_same_documents_view_their_own_matrix(self, case, data):
+        """Building the documents of a built dataset again, whole pools or the
+        first few documents of each, leaves every dataset's rows views of its
+        own group matrices."""
+        first, _ = case
+        pools, judgments, kind, tokens = first.records()
+        again = build_dataset(pools, judgments, kind, tokens)
+        heads = {qid: docs[:data.draw(st.integers(1, len(docs)))] for qid, docs in pools.items()}
+        kept = {(qid, d.id) for qid, docs in heads.items() for d in docs}
+        part = build_dataset(heads, [j for j in judgments if (j.query, j.doc) in kept],
+                             kind, tokens)
+        assert again == first
+        for dataset in (first, again, part):
+            for g in dataset.groups.values():
+                if g.features is not None:
+                    assert all(d.features.base is g.features for d in g.pool)
+
+    def test_rows_of_a_read_only_matrix_out_of_pool_order_get_a_new_matrix(self):
+        m = np.array([[0.0, 1.0], [2.0, 3.0]])
+        m.flags.writeable = False
+        g = build_dataset({"q": [Document("a", m[1]), Document("b", m[0])]}, [],
+                          "synthetic").groups["q"]
+        assert g.features is not m
+        np.testing.assert_array_equal(g.features, [[2.0, 3.0], [0.0, 1.0]])
+        assert [d.features.base is g.features for d in g.pool] == [True, True]
+
 
 class TestNoRelevanceLookups:
     """Training and evaluation read the groups and never look a judgment up
