@@ -11,7 +11,10 @@ import numpy as np
 
 
 def fmt_cell(value) -> str:
-    """Format a cell so reruns are byte-identical: repr for floats, str otherwise."""
+    """Format a cell so reruns are byte-identical: repr for floats, ``undefined``
+    for a missing value, str otherwise."""
+    if value is None:
+        return "undefined"
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
     if isinstance(value, (float, np.floating)):

@@ -340,6 +340,10 @@ def cmd_compare(conf: Conf, args) -> int:
     if len(trainers) < 2:
         raise CliConfigError("need at least two entries for 'trainers' in [compare]")
     seeds = conf.get_list("compare", "seeds", default=(1,), type=int, low=0)
+    for key, items in (("trainers", trainers), ("seeds", seeds)):
+        for i, item in enumerate(items):
+            if item in items[:i]:
+                raise CliConfigError(f"bad value {item!r} in '{key}' in [compare] (listed twice)")
     seeds = seeds if args.seed is None else [args.seed]
     budget = conf.get("compare", "budget_epochs", default=cfg.epochs_outer, type=int, low=1)
     dual_override = conf.get("compare", "dual_d_outer", type=int, low=1)
@@ -384,10 +388,6 @@ def cmd_compare(conf: Conf, args) -> int:
     return EXIT_OK
 
 
-def _opt(v):
-    return v if v is not None else "undefined"
-
-
 def _variance_point(study_cfg: StudyConfig, fraction: float, seed: int, sweep):
     """One study fraction: its study row, its bound-chain row and, for each b
     in ``sweep``, the bound at the partition frozen at the configured b, which
@@ -395,11 +395,10 @@ def _variance_point(study_cfg: StudyConfig, fraction: float, seed: int, sweep):
     rep, row = study_point(study_cfg, fraction, seed)
     chain = (
         fraction, rep.b, rep.exact_var, rep.below_term, rep.above_term,
-        _opt(rep.lower_bound), rep.below_mass, _opt(rep.max_below),
+        rep.lower_bound, rep.below_mass, rep.max_below,
         rep.pointwise_ok, rep.holds_for_below_term, rep.holds_for_total,
     )
-    sweep_rows = [(b, rep.max_below, rep.bound_at(b)) if rep.defined
-                  else (b, "undefined", "undefined") for b in sweep]
+    sweep_rows = [(b, rep.max_below, rep.bound_at(b) if rep.defined else None) for b in sweep]
     return row, chain, sweep_rows
 
 

@@ -41,6 +41,14 @@ class ParseError(DatasetError):
     """Malformed input file; message carries the offending line number."""
 
 
+def _lines(path):
+    """Yield (file line number, stripped text) for each non-blank line of ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if line := raw.strip():
+                yield line_no, line
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     num_queries: int
@@ -56,8 +64,8 @@ class SyntheticSpec:
                 raise DatasetError(f"{name} must be >= 1")
         if not 0.0 < self.relevant_fraction <= 1.0:
             raise DatasetError("relevant_fraction must lie in (0, 1]")
-        if not self.noise_sigma >= 0:
-            raise DatasetError("noise_sigma must be non-negative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise DatasetError("noise_sigma must be non-negative and finite")
         if math.ceil(self.relevant_fraction * self.pool_size) < 1:
             raise DatasetError("spec yields zero relevant docs per query")
 
@@ -118,39 +126,31 @@ def parse_letor(path) -> Dataset:
     """Parse a LETOR-format feature file into a validated Dataset."""
     pools: dict[str, list[Document]] = {}
     judgments: list[Judgment] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            body, _, comment = line.partition("#")
-            parts = body.split()
-            if len(parts) < 2 or not parts[1].startswith("qid:"):
-                raise ParseError(f"{path}:{line_no}: expected '<rel> qid:<q> ...'")
+    for line_no, line in _lines(path):
+        body, _, comment = line.partition("#")
+        parts = body.split()
+        if len(parts) < 2 or not parts[1].startswith("qid:"):
+            raise ParseError(f"{path}:{line_no}: expected '<rel> qid:<q> ...'")
+        try:
+            rel = int(parts[0])
+        except ValueError:
+            raise ParseError(f"{path}:{line_no}: bad relevance {parts[0]!r}") from None
+        qid = parts[1][len("qid:") :]
+        feats: dict[int, float] = {}
+        for tok in parts[2:]:
+            idx_s, _, val_s = tok.partition(":")
             try:
-                rel = int(parts[0])
+                feats[int(idx_s)] = value = float(val_s)
             except ValueError:
-                raise ParseError(f"{path}:{line_no}: bad relevance {parts[0]!r}") from None
-            qid = parts[1][len("qid:") :]
-            feats: dict[int, float] = {}
-            for tok in parts[2:]:
-                idx_s, _, val_s = tok.partition(":")
-                try:
-                    feats[int(idx_s)] = value = float(val_s)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{line_no}: bad feature pair {tok!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(f"{path}:{line_no}: feature value {tok!r} is not finite")
-            if sorted(feats) != list(range(1, len(feats) + 1)):
-                raise ParseError(
-                    f"{path}:{line_no}: feature indices must be contiguous from 1"
-                )
-            vector = np.array([feats[i] for i in range(1, len(feats) + 1)])
-            doc_id = _letor_doc_id(comment.strip(), qid, line_no)
-            pools.setdefault(qid, []).append(Document(id=doc_id, features=vector))
-            judgments.append(Judgment(qid, doc_id, rel))
+                raise ParseError(f"{path}:{line_no}: bad feature pair {tok!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(f"{path}:{line_no}: feature value {tok!r} is not finite")
+        if sorted(feats) != list(range(1, len(feats) + 1)):
+            raise ParseError(f"{path}:{line_no}: feature indices must be contiguous from 1")
+        vector = np.array([feats[i] for i in range(1, len(feats) + 1)])
+        doc_id = _letor_doc_id(comment.strip(), qid, line_no)
+        pools.setdefault(qid, []).append(Document(id=doc_id, features=vector))
+        judgments.append(Judgment(qid, doc_id, rel))
     if not pools:
         raise DatasetError(f"{path}: no queries found")
     return build_dataset(pools, judgments, DatasetKind.WEB_SEARCH)
@@ -182,41 +182,31 @@ def parse_interactions(path, threshold: float = 4.0) -> Dataset:
     ratings: dict[tuple[str, str], float] = {}
     items: set[str] = set()
     users: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                parts = line.split()
-            if len(parts) < 3:
-                raise ParseError(f"{path}:{line_no}: expected 'user item rating'")
-            user, item = parts[0], parts[1]
-            try:
-                rating = float(parts[2])
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{line_no}: non-numeric rating {parts[2]!r}"
-                ) from None
-            if not math.isfinite(rating):
-                raise ParseError(f"{path}:{line_no}: rating {parts[2]!r} is not finite")
-            key = (user, item)
-            if key in ratings:
-                raise ParseError(
-                    f"{path}:{line_no}: duplicate interaction for user {user!r}, item {item!r}"
-                )
-            ratings[key] = rating
-            users.add(user)
-            items.add(item)
+    for line_no, line in _lines(path):
+        parts = line.split("\t")
+        if len(parts) < 3:
+            parts = line.split()
+        if len(parts) < 3:
+            raise ParseError(f"{path}:{line_no}: expected 'user item rating'")
+        user, item = parts[0], parts[1]
+        try:
+            rating = float(parts[2])
+        except ValueError:
+            raise ParseError(f"{path}:{line_no}: non-numeric rating {parts[2]!r}") from None
+        if not math.isfinite(rating):
+            raise ParseError(f"{path}:{line_no}: rating {parts[2]!r} is not finite")
+        key = (user, item)
+        if key in ratings:
+            raise ParseError(
+                f"{path}:{line_no}: duplicate interaction for user {user!r}, item {item!r}"
+            )
+        ratings[key] = rating
+        users.add(user)
+        items.add(item)
     if not ratings:
         raise DatasetError(f"{path}: no interactions found")
 
-    catalog = {
-        item: Document(id=item, tokens=(idx,))
-        for idx, item in enumerate(sorted(items))
-    }
-    docs = tuple(catalog[item] for item in sorted(items))
+    docs = tuple(Document(id=item, tokens=(idx,)) for idx, item in enumerate(sorted(items)))
     pools = {user: docs for user in sorted(users)}
     judgments = [
         Judgment(user, item, 1 if rating >= threshold else 0)
@@ -282,12 +272,11 @@ def parse_qa_pairs(path, vocab: Vocab) -> ParsedQA:
             out.append(mapped)
         return tuple(out)
 
-    with open(path, "r", encoding="utf-8") as fh:
-        records = [line for line in fh.read().splitlines() if line.strip()]
+    records = list(_lines(path))
     if not records:
         raise DatasetError(f"{path}: no records found")
     q_digits = max(5, len(str(len(records) - 1)))
-    for line_no, line in enumerate(records, start=1):
+    for index, (line_no, line) in enumerate(records):
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -297,7 +286,7 @@ def parse_qa_pairs(path, vocab: Vocab) -> ParsedQA:
         for key in ("question", "candidates", "correct"):
             if key not in rec:
                 raise ParseError(f"{path}:{line_no}: missing field {key!r}")
-        qid = str(rec.get("id", f"q{line_no - 1:0{q_digits}d}"))
+        qid = str(rec.get("id", f"q{index:0{q_digits}d}"))
         if qid in pools:
             raise ParseError(f"{path}:{line_no}: question id {qid!r} used twice")
         query_tokens[qid] = map_seq(rec["question"], "question")

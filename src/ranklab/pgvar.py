@@ -511,13 +511,10 @@ def sparsity_vs_bound_study(fractions: Sequence[float], cfg: StudyConfig,
 
 def write_study_csv(rows: Sequence[StudyRow], path) -> None:
     """Column names follow the study's published CSV contract."""
-    def opt(v):
-        return v if v is not None else "undefined"
-
     write_csv(
         path,
         ("fraction", "b", "q_max", "bound_rhs", "exact_variance",
          "mc_variance", "mc_se", "p_a1"),
-        ((r.fraction, r.b, opt(r.max_below), opt(r.lower_bound), r.exact_var,
+        ((r.fraction, r.b, r.max_below, r.lower_bound, r.exact_var,
           r.mc_var, r.mc_se, r.below_mass) for r in rows),
     )

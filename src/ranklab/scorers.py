@@ -333,11 +333,12 @@ class MatFacScorer(Scorer):
         if query is None or query.id not in self._q_index:
             qid = None if query is None else query.id
             raise RepresentationError(f"query {qid!r} not in factorization vocabulary")
-        for doc in docs:
-            if doc.id not in self._d_index:
-                raise RepresentationError(f"doc {doc.id!r} not in factorization vocabulary")
         qi = self._q_index[query.id]
-        rows = np.array([self._d_index[doc.id] for doc in docs])  # doc-table rows
+        try:
+            rows = np.array([self._d_index[doc.id] for doc in docs])  # doc-table rows
+        except KeyError as exc:
+            raise RepresentationError(
+                f"doc {exc.args[0]!r} not in factorization vocabulary") from None
         scores = self._doc_embed[rows] @ self._query_embed[qi] + self._doc_bias[rows]
         return Forward(scores, (qi, rows))
 
@@ -445,13 +446,9 @@ CHECKPOINT_VERSION = "1"
 
 
 def save_checkpoint(scorer: Scorer, path) -> None:
-    dims = dict(scorer.dims)
-    for key in ("query_ids", "doc_ids"):
-        if key in dims:
-            dims[key] = list(dims[key])
     with atomic_write(path) as fh:
         fh.write(CHECKPOINT_VERSION + "\n")
-        fh.write(json.dumps({"kind": scorer.kind, "dims": dims}, sort_keys=True) + "\n")
+        fh.write(json.dumps({"kind": scorer.kind, "dims": scorer.dims}, sort_keys=True) + "\n")
         for name, offset, length in scorer.params.layout.segments:
             fh.write(f"segment {name} {offset} {length}\n")
         fh.write("values\n")
@@ -482,11 +479,7 @@ def load_checkpoint(path) -> Scorer:
             raise ValueError("missing values block")
         values = np.array([float(v) for v in lines[i + 1 :]])
         params = ParamVector(values, Layout(tuple(segments)))
-        dims = meta["dims"]
-        for key in ("query_ids", "doc_ids"):
-            if key in dims:
-                dims[key] = tuple(dims[key])
-        return build_scorer(meta["kind"], dims, params)
+        return build_scorer(meta["kind"], meta["dims"], params)
     except KeyError as exc:
         raise CheckpointError(f"malformed checkpoint {path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

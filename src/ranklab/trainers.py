@@ -86,14 +86,14 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "pretrain_lr"):
-            if not getattr(self, name) >= 0:
-                raise InvalidConfigError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise InvalidConfigError(f"{name} must be >= 0 and finite")
         for name in ("batch_size", "epochs_outer", "epochs_inner", "k_samples",
                      "dns_k", "d_steps", "g_steps"):
             if getattr(self, name) < 1:
                 raise InvalidConfigError(f"{name} must be >= 1")
-        if not self.temperature > 0:
-            raise InvalidConfigError("temperature must be > 0")
+        if not 0 < self.temperature < np.inf:
+            raise InvalidConfigError("temperature must be > 0 and finite")
         if self.reward not in REWARD_NAMES:
             raise InvalidConfigError(f"reward must be one of {REWARD_NAMES}")
         if self.pretrain_epochs < 0:

@@ -464,6 +464,19 @@ b_sweep = 0.5,0.6,0.7,0.8,0.9
         assert [getattr(seen[0], key) for key in omitted] == \
             [getattr(defaults, key) for key in omitted]
 
+    def test_undefined_cells_when_no_reward_lies_below_b(self, tmp_path):
+        # Every sigmoid reward lies above b = 0, so no bound anchor exists.
+        config = write_config(tmp_path, variance_config("\nb = 0.5", "\nb = 0.0")
+                              .replace("num_queries = 4", "num_queries = 3")
+                              .replace("pool_size = 300", "pool_size = 100"))
+        assert run(["variance", "--config", config, "--out", tmp_path / "out"]) == 0
+        for name, count in (("study.csv", 3), ("bound_chain.csv", 3), ("b_sweep.csv", 5)):
+            header, rows = read_csv(tmp_path / "out" / "run" / name)
+            assert len(rows) == count
+            cells = {row[header.index(column)] for row in rows
+                     for column in ("q_max", "bound_rhs")}
+            assert cells == {"undefined"}, name
+
     def test_rerun_identical(self, tmp_path):
         config = write_config(tmp_path, self.CONFIG)
         for out in ("v1", "v2"):
@@ -570,6 +583,11 @@ MALFORMED_INPUT = [
      None, 1, "'baseline' in [trainer]"),
     ("train", trainer_config("source = synthetic", "source = bogus"), None, 1,
      "'source' in [dataset]"),
+    ("train", QA_CONFIG, QA_RECORD + "\n\n\n\n5\n", 2, "{data}:5: expected a JSON object"),
+    ("compare", TestCompare.CONFIG.replace("single-d,dns", "single-d,dns,single-d"), None, 1,
+     "'single-d' in 'trainers' in [compare]"),
+    ("compare", TestCompare.CONFIG.replace("seeds = 1,2", "seeds = 1,2,1"), None, 1,
+     "1 in 'seeds' in [compare]"),
 ]
 
 
@@ -589,7 +607,8 @@ class TestMalformedInput:
         "interactions-nan-threshold", "trainer-inf-learning_rate", "trainer-inf-temperature",
         "variance-inf-learning_rate", "variance-inf-noise_sigma", "dataset-num_queries",
         "dataset-relevant_fraction", "trainer-negative-pretrain_lr", "trainer-nan-pretrain_lr",
-        "trainer-nan-baseline", "dataset-unknown-source"])
+        "trainer-nan-baseline", "dataset-unknown-source", "qa-record-after-blank-lines",
+        "compare-repeated-trainer", "compare-repeated-seed"])
     def test_fails_before_work(self, tmp_path, capsys, command, config, data, code, names):
         data_path, vocab_path = tmp_path / "data.txt", tmp_path / "vocab.txt"
         if data is not None:

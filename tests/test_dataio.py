@@ -174,6 +174,20 @@ class TestParseQaPairs:
         with pytest.raises(ParseError, match="correct"):
             parse_qa_pairs(path, vocab)
 
+    def test_raw_line_separator_inside_a_token(self, tmp_path):
+        # A JSON string may hold a raw U+2028; only a newline ends a record.
+        import json
+
+        token = "a\u2028b"
+        path = tmp_path / "qa.jsonl"
+        path.write_text(json.dumps({"question": [token], "candidates": [["a"], [token]],
+                                    "correct": [1]}, ensure_ascii=False) + "\n",
+                        encoding="utf-8")
+        assert "\u2028" in path.read_text(encoding="utf-8")
+        parsed = parse_qa_pairs(path, Vocab(["a", token]))
+        assert parsed.unknown_tokens == 0
+        assert parsed.dataset.queries[0].tokens == (1,)
+
 
 class TestSynthRetrieval:
     def test_planted_separability(self):
@@ -213,6 +227,11 @@ class TestSynthRetrieval:
             SyntheticSpec(num_queries=0, pool_size=5, relevant_fraction=0.5, feature_dim=2)
         with pytest.raises(DatasetError):
             SyntheticSpec(num_queries=1, pool_size=5, relevant_fraction=0.0, feature_dim=2)
+
+    def test_non_finite_noise_rejected(self):
+        with pytest.raises(DatasetError, match="noise_sigma"):
+            SyntheticSpec(num_queries=1, pool_size=5, relevant_fraction=0.5, feature_dim=2,
+                          noise_sigma=math.inf)
 
 
 class TestTransforms:

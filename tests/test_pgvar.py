@@ -501,6 +501,12 @@ class TestPeakMemory:
 class TestSparsityStudy:
     CFG = StudyConfig(num_queries=6, pool_size=500, mc_samples=4000)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "noise_sigma"])
+    def test_non_finite_config_rejected(self, name):
+        # The training config and the synthetic spec the study builds reject it.
+        with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+            StudyConfig(**{name: math.inf})
+
     def test_single_fraction_single_row(self):
         rows = sparsity_vs_bound_study([0.01], self.CFG, seed=5)
         assert len(rows) == 1

@@ -307,6 +307,11 @@ class TestTrainConfig:
         with pytest.raises(InvalidConfigError, match="seed"):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "pretrain_lr", "temperature"])
+    def test_non_finite_value_rejected(self, name):
+        with pytest.raises(InvalidConfigError, match=f"{name} must be .* finite"):
+            TrainConfig(**{name: math.inf})
+
     def test_default_dns_k_is_five(self):
         assert TrainConfig().dns_k == 5
 
