@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -87,6 +87,23 @@ class Document:
             object.__setattr__(self, "features", arr)
         if self.tokens is not None and len(self.tokens) == 0:
             raise DatasetError(f"document {self.id!r} has an empty token sequence")
+
+    @classmethod
+    def rows(cls, ids: Sequence[str], matrix: np.ndarray) -> GroupDocs:
+        """One document per row of a read-only 2-D float64 ``matrix``, each
+        viewing its row; the matrix and ids are checked once, not per row."""
+        if matrix.ndim != 2 or matrix.dtype != np.float64 or matrix.flags.writeable:
+            raise DatasetError("document rows need a read-only 2-D float64 matrix")
+        if len(ids) != len(matrix) or not all(ids):
+            raise DatasetError("document rows need one non-empty id per matrix row")
+        docs = []
+        # Set up each document before making the next, so their dicts share one key table.
+        for doc_id, row in zip(ids, matrix):
+            docs.append(doc := object.__new__(cls))
+            object.__setattr__(doc, "id", doc_id)
+            object.__setattr__(doc, "features", row)
+            object.__setattr__(doc, "tokens", None)
+        return GroupDocs(docs, matrix)
 
     def __eq__(self, other):
         if not isinstance(other, Document):
@@ -235,9 +252,13 @@ class Dataset:
         )
 
 
-def _viewed_matrix(docs: Sequence[Document]) -> np.ndarray | None:
-    """The read-only matrix whose rows, in pool order, ``docs``' features
-    already are (a built dataset's pool, built again), or None."""
+def _viewed_matrix(given: Sequence[Document], docs: Sequence[Document]) -> np.ndarray | None:
+    """The read-only matrix whose rows ``docs`` (``given`` sorted by id) already
+    view in order, or None: a whole-group pool in id order keeps its own."""
+    if (isinstance(given, GroupDocs) and given.positions is None and given.matrix is not None
+            and not given.matrix.flags.writeable and all(map(is_, given, docs))):
+        return given.matrix
+    # Other pools, such as a built dataset's pool built again, are checked per document.
     matrix = docs[0].features.base
     if (matrix is None or matrix.flags.writeable
             or matrix.shape != (len(docs), len(docs[0].features))):
@@ -321,7 +342,7 @@ def build_dataset(
         grades.flags.writeable = False
         matrix = None
         if all(d.features is not None for d in docs):
-            matrix = _viewed_matrix(docs)
+            matrix = _viewed_matrix(pools[qid], docs)
             if matrix is None:
                 # Each document's features become its row view: shared, not copied.
                 matrix = np.array([d.features for d in docs])

@@ -88,21 +88,19 @@ def synth_retrieval(spec: SyntheticSpec) -> tuple[Dataset, PlantedTruth]:
     d_digits = max(3, len(str(spec.pool_size - 1)))
     doc_suffixes = [f"_d{di:0{d_digits}d}" for di in range(spec.pool_size)]
 
-    pools: dict[str, list[Document]] = {}
+    pools: dict[str, Sequence[Document]] = {}
     judgments: list[Judgment] = []
     for qi in range(spec.num_queries):
         qid = f"q{qi:0{q_digits}d}"
         X = rng.normal(size=(spec.pool_size, spec.feature_dim))
+        X.flags.writeable = False
         noisy = X @ w_star + (
             rng.normal(scale=spec.noise_sigma, size=spec.pool_size)
             if spec.noise_sigma > 0
             else 0.0
         )
-        top = np.argsort(-noisy)[:n_rel]
-        docs = [Document(id=qid + suffix, features=x) for suffix, x in zip(doc_suffixes, X)]
-        pools[qid] = docs
-        for di in top:
-            judgments.append(Judgment(qid, docs[di].id, 1))
+        pools[qid] = docs = Document.rows([qid + suffix for suffix in doc_suffixes], X)
+        judgments += [Judgment(qid, docs[di].id, 1) for di in np.argsort(-noisy)[:n_rel]]
 
     dataset = build_dataset(pools, judgments, DatasetKind.SYNTHETIC)
     return dataset, PlantedTruth(weights=w_star)
@@ -149,6 +147,8 @@ def parse_letor(path) -> Dataset:
             raise ParseError(f"{path}:{line_no}: feature indices must be contiguous from 1")
         vector = np.array([feats[i] for i in range(1, len(feats) + 1)])
         doc_id = _letor_doc_id(comment.strip(), qid, line_no)
+        if not qid or not doc_id:
+            raise ParseError(f"{path}:{line_no}: empty {'document' if qid else 'query'} id")
         pools.setdefault(qid, []).append(Document(id=doc_id, features=vector))
         judgments.append(Judgment(qid, doc_id, rel))
     if not pools:
@@ -189,6 +189,8 @@ def parse_interactions(path, threshold: float = 4.0) -> Dataset:
         if len(parts) < 3:
             raise ParseError(f"{path}:{line_no}: expected 'user item rating'")
         user, item = parts[0], parts[1]
+        if not item:
+            raise ParseError(f"{path}:{line_no}: empty item id")
         try:
             rating = float(parts[2])
         except ValueError:
@@ -287,6 +289,8 @@ def parse_qa_pairs(path, vocab: Vocab) -> ParsedQA:
             if key not in rec:
                 raise ParseError(f"{path}:{line_no}: missing field {key!r}")
         qid = str(rec.get("id", f"q{index:0{q_digits}d}"))
+        if not qid:
+            raise ParseError(f"{path}:{line_no}: empty question id")
         if qid in pools:
             raise ParseError(f"{path}:{line_no}: question id {qid!r} used twice")
         query_tokens[qid] = map_seq(rec["question"], "question")

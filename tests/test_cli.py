@@ -588,6 +588,12 @@ MALFORMED_INPUT = [
      "'single-d' in 'trainers' in [compare]"),
     ("compare", TestCompare.CONFIG.replace("seeds = 1,2", "seeds = 1,2,1"), None, 1,
      "1 in 'seeds' in [compare]"),
+    ("train", LETOR_CONFIG, "1 qid: 1:0.5 # d1\n", 2, "{data}:1: empty query id"),
+    ("train", LETOR_CONFIG, "1 qid:1 1:0.5 # d0\n0 qid:1 1:0.2 # docid=\n", 2,
+     "{data}:2: empty document id"),
+    ("train", INTERACTIONS_CONFIG, "u1\ti1\t5\nu1\t\t5\n", 2, "{data}:2: empty item id"),
+    ("train", QA_CONFIG, QA_RECORD + "\n" + QA_RECORD.replace("{", '{"id": "", ') + "\n", 2,
+     "{data}:2: empty question id"),
 ]
 
 
@@ -608,7 +614,8 @@ class TestMalformedInput:
         "variance-inf-learning_rate", "variance-inf-noise_sigma", "dataset-num_queries",
         "dataset-relevant_fraction", "trainer-negative-pretrain_lr", "trainer-nan-pretrain_lr",
         "trainer-nan-baseline", "dataset-unknown-source", "qa-record-after-blank-lines",
-        "compare-repeated-trainer", "compare-repeated-seed"])
+        "compare-repeated-trainer", "compare-repeated-seed", "letor-empty-query-id",
+        "letor-empty-document-id", "interactions-empty-item-id", "qa-empty-id"])
     def test_fails_before_work(self, tmp_path, capsys, command, config, data, code, names):
         data_path, vocab_path = tmp_path / "data.txt", tmp_path / "vocab.txt"
         if data is not None:

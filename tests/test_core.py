@@ -94,6 +94,31 @@ class TestBuildDataset:
         assert one == build_dataset({"q": docs}, [], "synthetic", query_tokens={"q": (1,)})
 
 
+def read_only(matrix):
+    matrix.flags.writeable = False
+    return matrix
+
+
+class TestDocumentRows:
+    def test_each_document_views_its_row(self):
+        m = read_only(np.arange(6.0).reshape(3, 2).copy())
+        docs = Document.rows(["a", "b", "c"], m)
+        assert docs.matrix is m and docs.positions is None
+        assert list(docs) == [Document(i, features=row) for i, row in zip("abc", m)]
+        assert all(d.features.base is m and d.tokens is None for d in docs)
+
+    @pytest.mark.parametrize("ids,matrix,match", [
+        (["a", "b"], np.zeros((2, 2)), "read-only"),
+        (["a", "b"], read_only(np.zeros((2, 2), dtype=np.float32)), "float64"),
+        (["a", "b"], read_only(np.zeros(2)), "2-D"),
+        (["a"], read_only(np.zeros((2, 2))), "one non-empty id per matrix row"),
+        (["a", ""], read_only(np.zeros((2, 2))), "one non-empty id per matrix row"),
+    ], ids=["writeable", "float32", "one-dimensional", "id-count", "empty-id"])
+    def test_rejected(self, ids, matrix, match):
+        with pytest.raises(DatasetError, match=match):
+            Document.rows(ids, matrix)
+
+
 class TestRelevanceLookups:
     def setup_method(self):
         docs = make_docs([[1.0], [2.0], [3.0]])

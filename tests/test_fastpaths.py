@@ -3,10 +3,12 @@
 The fast paths are the per-query groups (``Dataset.groups``) and the
 feature matrix each group's documents read their rows from, sampling
 with replacement from a precomputed CDF (``policy._sampling_cdf`` /
-``policy._draw_from_cdf``), the argsort ranking of ``evaluate_model`` and
-the variance lab's two-sweep state pass.  Each reference here is written
-from the definitions: each document's grade looked up in ``judgments``,
-features stacked from plain lists of documents, ``Generator.choice`` with
+``policy._draw_from_cdf``), the argsort ranking of ``evaluate_model``,
+the variance lab's two-sweep state pass and the synthetic generator's
+documents made as rows of one matrix (``Document.rows``).  Each reference
+here is written from the definitions: each document's grade looked up in
+``judgments``, features stacked from plain lists of documents, a synthetic
+task built from one ``Document`` per row copy, ``Generator.choice`` with
 ``p=``, ``sorted(..., key=(-score, id))`` over RankedLists, and exact
 enumeration over a list that holds every visited state's policy and
 grad-log-prob matrix at once.  The edge shapes are pools
@@ -26,6 +28,7 @@ from ranklab.baselines import ConstantBaseline, ValueFunctionBaseline
 from ranklab.core import (
     Dataset,
     Document,
+    GroupDocs,
     Judgment,
     Query,
     QueryGroup,
@@ -34,7 +37,7 @@ from ranklab.core import (
     relevant_fraction,
     take,
 )
-from ranklab.dataio import normalize_features_minmax
+from ranklab.dataio import SyntheticSpec, normalize_features_minmax, synth_retrieval
 from ranklab.metrics import (
     RankedList,
     compute_metric,
@@ -377,6 +380,95 @@ class TestGroupMatrix:
         assert g.features is not m
         np.testing.assert_array_equal(g.features, [[2.0, 3.0], [0.0, 1.0]])
         assert [d.features.base is g.features for d in g.pool] == [True, True]
+
+    @staticmethod
+    def pools_that_do_not_view_their_matrix_in_id_order():
+        """(pool, matrix it views, the rows of the pool in id order) per case."""
+        m = np.arange(6.0).reshape(3, 2).copy()
+        m.flags.writeable = False
+        writeable = np.arange(6.0).reshape(3, 2).copy()
+        g = build_dataset({"q": Document.rows(["a", "b", "c"], m)},
+                          [Judgment("q", "a", 1), Judgment("q", "c", 1)], "synthetic").groups["q"]
+        return {
+            "out-of-id-order": (Document.rows(["c", "b", "a"], m), m, m[::-1]),
+            "positions-set": (g.positives, m, m[[0, 2]]),
+            "writeable-matrix": (GroupDocs([Document(i, features=row)
+                                            for i, row in zip("abc", writeable)], writeable),
+                                 writeable, writeable),
+        }
+
+    @pytest.mark.parametrize("case", ["out-of-id-order", "positions-set", "writeable-matrix"])
+    def test_group_docs_not_whole_and_in_id_order_get_a_new_matrix(self, case):
+        pool, matrix, rows = self.pools_that_do_not_view_their_matrix_in_id_order()[case]
+        g = build_dataset({"q": pool}, [], "synthetic").groups["q"]
+        assert g.features is not matrix and not g.features.flags.writeable
+        np.testing.assert_array_equal(g.features, rows)
+        assert all(d.features.base is g.features for d in g.pool)
+
+    def test_whole_group_docs_in_id_order_keep_their_matrix(self):
+        m = np.arange(6.0).reshape(3, 2).copy()
+        m.flags.writeable = False
+        pool = Document.rows(["a", "b", "c"], m)
+        g = build_dataset({"q": pool}, [Judgment("q", "b", 1)], "synthetic").groups["q"]
+        assert g.features is m
+        assert all(a is b for a, b in zip(g.pool, pool))
+
+
+def reference_synth(spec):
+    """``synth_retrieval``'s task from the same draws in the same order, each
+    document made on its own from a copy of its row and the pools built
+    through ``build_dataset``'s per-document path."""
+    rng = np.random.default_rng(spec.seed)
+    w_star = rng.normal(size=spec.feature_dim)
+    n_rel = math.ceil(spec.relevant_fraction * spec.pool_size)
+    q_digits = max(3, len(str(spec.num_queries - 1)))
+    d_digits = max(3, len(str(spec.pool_size - 1)))
+    pools, judgments = {}, []
+    for qi in range(spec.num_queries):
+        qid = f"q{qi:0{q_digits}d}"
+        X = rng.normal(size=(spec.pool_size, spec.feature_dim))
+        noise = (rng.normal(scale=spec.noise_sigma, size=spec.pool_size)
+                 if spec.noise_sigma > 0 else 0.0)
+        pools[qid] = [Document(f"{qid}_d{di:0{d_digits}d}", features=x.copy())
+                      for di, x in enumerate(X)]
+        judgments += [Judgment(qid, pools[qid][di].id, 1)
+                      for di in np.argsort(-(X @ w_star + noise))[:n_rel]]
+    return build_dataset(pools, judgments, "synthetic"), w_star
+
+
+synthetic_specs = st.builds(
+    SyntheticSpec, num_queries=st.integers(1, 4), pool_size=st.integers(1, 300),
+    relevant_fraction=st.floats(0.001, 1.0), feature_dim=st.integers(1, 6),
+    noise_sigma=st.one_of(st.just(0.0), st.floats(0.01, 3.0)), seed=st.integers(0, 2**32 - 1))
+
+
+class TestSynthRetrievalRows:
+    """``synth_retrieval`` makes each query's documents as rows of one
+    read-only matrix that ``build_dataset`` keeps; the task is the bits of
+    one built from plain per-document lists."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(synthetic_specs)
+    def test_matches_per_document_reference(self, spec):
+        dataset, truth = synth_retrieval(spec)
+        reference, w_star = reference_synth(spec)
+        assert truth.weights.tobytes() == w_star.tobytes()
+        assert dataset.judgments == reference.judgments
+        assert dataset.feature_dim == reference.feature_dim == spec.feature_dim
+        assert list(dataset.groups) == list(reference.groups)
+        for qid, g in dataset.groups.items():
+            want = reference.group(qid)
+            assert g.features.dtype == want.features.dtype == np.float64
+            assert g.features.shape == want.features.shape
+            assert g.features.tobytes() == want.features.tobytes()
+            assert g.grades.dtype == want.grades.dtype
+            np.testing.assert_array_equal(g.grades, want.grades)
+            for part in ("pool", "positives", "negatives"):
+                assert ([d.id for d in getattr(g, part)]
+                        == [d.id for d in getattr(want, part)]), part
+            assert not g.features.flags.writeable
+            for d in g.pool:
+                assert d.features.base is g.features and not d.features.flags.writeable
 
 
 class TestNoRelevanceLookups:
