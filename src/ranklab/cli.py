@@ -85,8 +85,16 @@ class Conf:
             raise CliConfigError(" ".join(str(exc).split())) from None
         if not read:
             raise FileNotFoundError(f"config file not found: {path}")
+        defaults = self.parser.defaults()  # [DEFAULT] keys appear in every section
+        for key in defaults:
+            if key not in set().union(*KEYS.values()):
+                raise CliConfigError(f"unknown key '{key}' in [{self.parser.default_section}]")
         for section in self.parser.sections():
+            if section not in KEYS:
+                raise CliConfigError(f"unknown section [{section}]")
             for key in self.parser.options(section):
+                if key not in KEYS[section] and key not in defaults:
+                    raise CliConfigError(f"unknown key '{key}' in [{section}]")
                 try:  # interpolate every value now, before any key is read
                     self.parser.get(section, key)
                 except configparser.InterpolationError as exc:
@@ -97,6 +105,8 @@ class Conf:
     def get(self, section, key, default=None, required=False, type=str, low=None):
         """``key`` converted by ``type`` (str, int, float, bool or a parser such
         as ``parse_baseline``), or ``default`` when the key is unset."""
+        if key not in KEYS[section]:
+            raise KeyError(f"'{key}' in [{section}] is read but not listed in cli.KEYS")
         if not self.parser.has_option(section, key):
             if required:
                 raise CliConfigError(f"missing key '{key}' in [{section}]")
@@ -187,10 +197,7 @@ def load_train_config(conf: Conf, seed_override: int | None) -> TrainConfig:
         learning_rate=conf.get("trainer", "learning_rate", required=True, type=float),
         baseline=conf.get("trainer", "baseline", default=base.baseline, type=parse_baseline),
         seed=seed if seed_override is None else seed_override,
-        **_section_values(conf, "trainer", base, (
-            "batch_size", "epochs_outer", "epochs_inner", "k_samples", "dns_k", "reward",
-            "temperature", "exclude_positives", "d_steps", "g_steps", "pretrain_epochs",
-            "pretrain_lr")),
+        **_section_values(conf, "trainer", base, TRAINER_DEFAULTED),
     )
 
 
@@ -201,6 +208,28 @@ MODEL_SIZES = {
     "mlp1": {"hidden": 46},
     "matfac": {"embed_dim": 20},
     "text": {"embed_dim": 100, "vocab_size": None},
+}
+
+
+# The [trainer] and [variance] keys that default to TrainConfig's and StudyConfig's.
+TRAINER_DEFAULTED = ("batch_size", "epochs_outer", "epochs_inner", "k_samples", "dns_k",
+                     "reward", "temperature", "exclude_positives", "d_steps", "g_steps",
+                     "pretrain_epochs", "pretrain_lr")
+VARIANCE_DEFAULTED = ("num_queries", "pool_size", "feature_dim", "noise_sigma", "init_scale",
+                      "train_epochs", "learning_rate", "batch_size", "b", "mc_samples")
+
+# Every key some command reads, by section.  A config with any other section
+# or key fails to load, and ``Conf`` reads no key that is not listed here.
+KEYS = {
+    "run": {"name"},
+    "dataset": {"source", "num_queries", "pool_size", "relevant_fraction", "feature_dim",
+                "noise_sigma", "seed", "path", "threshold", "vocab_file", "holdout_fraction",
+                "split_seed"},
+    "model": {"kind", "init_scale", "init_seed"}.union(*MODEL_SIZES.values()),
+    "trainer": {"name", "learning_rate", "baseline", "seed", *TRAINER_DEFAULTED},
+    "eval": {"metrics"},
+    "compare": {"trainers", "seeds", "budget_epochs", "dual_d_outer"},
+    "variance": {"fractions", "b_sweep", "seed", *VARIANCE_DEFAULTED},
 }
 
 
@@ -239,11 +268,11 @@ def model_dims(spec: ModelSpec, dataset: Dataset) -> dict:
         return {"query_ids": dataset.query_ids(), "doc_ids": tuple(doc_ids), **spec.sizes}
     max_token = 0
     for g in dataset.groups.values():
-        if g.query.tokens:
-            max_token = max(max_token, max(g.query.tokens))
-        for d in g.pool:
-            if d.tokens:
-                max_token = max(max_token, max(d.tokens))
+        bare = next((x for x in (g.query, *g.pool) if not x.tokens), None)
+        if bare is not None:
+            what = "query" if bare is g.query else "document"
+            raise DatasetError(f"text scorer needs tokens; {what} {bare.id!r} has none")
+        max_token = max(max_token, *g.query.tokens, *(max(d.tokens) for d in g.pool))
     vocab_size = spec.sizes["vocab_size"]
     if vocab_size is None:
         vocab_size = max_token + 1
@@ -412,9 +441,7 @@ def cmd_variance(conf: Conf, args) -> int:
     seed = conf.get("variance", "seed", default=7, type=int, low=0)
     seed = seed if args.seed is None else args.seed
     base = StudyConfig()
-    values = _section_values(conf, "variance", base, (
-        "num_queries", "pool_size", "feature_dim", "noise_sigma", "init_scale",
-        "train_epochs", "learning_rate", "batch_size", "b", "mc_samples"))
+    values = _section_values(conf, "variance", base, VARIANCE_DEFAULTED)
     try:
         study_cfg = replace(base, **values)
     except ValueError as exc:

@@ -14,8 +14,9 @@ Trainers and metrics iterate ``Dataset.groups``; ``Dataset.select`` keeps some.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from operator import attrgetter, is_
 from typing import Iterable, Mapping, Sequence
 
@@ -89,20 +90,25 @@ class Document:
             raise DatasetError(f"document {self.id!r} has an empty token sequence")
 
     @classmethod
-    def rows(cls, ids: Sequence[str], matrix: np.ndarray) -> GroupDocs:
+    def rows(cls, ids: Sequence[str], matrix: np.ndarray,
+             tokens: Sequence[tuple[int, ...] | None] | None = None) -> GroupDocs:
         """One document per row of a read-only 2-D float64 ``matrix``, each
-        viewing its row; the matrix and ids are checked once, not per row."""
+        viewing its row, with one token tuple or None per row in ``tokens``;
+        the matrix, ids and tokens are checked once, not per row."""
         if matrix.ndim != 2 or matrix.dtype != np.float64 or matrix.flags.writeable:
             raise DatasetError("document rows need a read-only 2-D float64 matrix")
         if len(ids) != len(matrix) or not all(ids):
             raise DatasetError("document rows need one non-empty id per matrix row")
+        if tokens is not None and (len(tokens) != len(ids)
+                                   or any(t is not None and not t for t in tokens)):
+            raise DatasetError("document rows need one non-empty token tuple or None per row")
         docs = []
         # Set up each document before making the next, so their dicts share one key table.
-        for doc_id, row in zip(ids, matrix):
+        for doc_id, row, doc_tokens in zip(ids, matrix, tokens or repeat(None)):
             docs.append(doc := object.__new__(cls))
             object.__setattr__(doc, "id", doc_id)
             object.__setattr__(doc, "features", row)
-            object.__setattr__(doc, "tokens", None)
+            object.__setattr__(doc, "tokens", doc_tokens)
         return GroupDocs(docs, matrix)
 
     def __eq__(self, other):
@@ -157,8 +163,7 @@ class QueryGroup:
 
     ``grades[i]`` is the grade of ``pool[i]`` (0 when unjudged, read only);
     ``positives`` are the pool documents with grade > 0 and ``negatives``
-    those with grade <= 0.  ``features`` is the pool's read-only feature
-    matrix, None unless every pool document has features.
+    those with grade <= 0.
     """
 
     query: Query
@@ -166,7 +171,11 @@ class QueryGroup:
     grades: np.ndarray
     positives: tuple[Document, ...]
     negatives: tuple[Document, ...]
-    features: np.ndarray | None = None
+
+    @property
+    def features(self) -> np.ndarray | None:
+        """The pool's read-only feature matrix; None unless every document has features."""
+        return getattr(self.pool, "matrix", None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,22 +268,13 @@ def _viewed_matrix(given: Sequence[Document], docs: Sequence[Document]) -> np.nd
             and not given.matrix.flags.writeable and all(map(is_, given, docs))):
         return given.matrix
     # Other pools, such as a built dataset's pool built again, are checked per document.
-    matrix = docs[0].features.base
-    if (matrix is None or matrix.flags.writeable
+    matrix = getattr(docs[0].features, "base", None)
+    if (not isinstance(matrix, np.ndarray) or matrix.flags.writeable
             or matrix.shape != (len(docs), len(docs[0].features))):
         return None
-    same = all(d.features.__array_interface__ == matrix[i].__array_interface__
+    same = all(getattr(d.features, "__array_interface__", None) == matrix[i].__array_interface__
                for i, d in enumerate(docs))
     return matrix if same else None
-
-
-def _view_row(doc: Document, row: np.ndarray) -> Document:
-    """``doc`` pointed at ``row``; a copy of it when its features are read-only
-    (a row of another dataset's matrix), so that dataset keeps its views."""
-    if not doc.features.flags.writeable:
-        return replace(doc, features=row)
-    object.__setattr__(doc, "features", row)
-    return doc
 
 
 def build_dataset(
@@ -288,14 +288,15 @@ def build_dataset(
     Queries and pools are sorted lexicographically by id.  Raises a distinct
     error naming the offending id for: duplicate (query, doc) judgments,
     judged documents missing from their pool, and inconsistent feature
-    dimensionality.
+    dimensionality.  No given document is changed: an all-feature pool that
+    does not view one read-only matrix in id order gets new documents on a new one.
     """
     kind = DatasetKind(kind)
     if not pools:
         raise DatasetError("dataset has no queries")
     query_tokens = dict(query_tokens or {})
 
-    sorted_pools: dict[QueryId, tuple[Document, ...]] = {}
+    sorted_pools: dict[QueryId, GroupDocs] = {}
     pool_ids: dict[QueryId, set[str]] = {}
     feature_dim: int | None = None
     for qid in sorted(pools):
@@ -306,7 +307,9 @@ def build_dataset(
         if len(ids) < len(docs):
             twice = next(a.id for a, b in zip(docs, docs[1:]) if a.id == b.id)
             raise DatasetError(f"query {qid!r} pool lists document {twice!r} twice")
-        for d in docs:
+        matrix = _viewed_matrix(pools[qid], docs)
+        # Every row of a kept matrix has its width, so its first document stands for all.
+        for d in docs if matrix is None else docs[:1]:
             # Features are flat vectors, so len() is the feature count.
             if d.features is not None and len(d.features) != feature_dim:
                 if feature_dim is not None:
@@ -315,7 +318,11 @@ def build_dataset(
                         f"expected {feature_dim}"
                     )
                 feature_dim = len(d.features)
-        sorted_pools[qid] = tuple(docs)
+        if matrix is None and all(d.features is not None for d in docs):
+            matrix = np.array([d.features for d in docs])
+            matrix.flags.writeable = False
+            docs = Document.rows([d.id for d in docs], matrix, [d.tokens for d in docs])
+        sorted_pools[qid] = GroupDocs(docs, matrix)
         pool_ids[qid] = ids
 
     relevance: dict[QueryId, dict[str, int]] = {}
@@ -336,22 +343,13 @@ def build_dataset(
         ordered.append(j)
 
     groups = {}
-    for qid, docs in sorted_pools.items():
+    for qid, pool in sorted_pools.items():
         judged = relevance.get(qid, {})
-        grades = np.array([judged.get(d.id, 0) for d in docs], dtype=np.int64)
+        grades = np.array([judged.get(d.id, 0) for d in pool], dtype=np.int64)
         grades.flags.writeable = False
-        matrix = None
-        if all(d.features is not None for d in docs):
-            matrix = _viewed_matrix(pools[qid], docs)
-            if matrix is None:
-                # Each document's features become its row view: shared, not copied.
-                matrix = np.array([d.features for d in docs])
-                matrix.flags.writeable = False
-                docs = tuple(_view_row(d, row) for d, row in zip(docs, matrix))
-        pool = GroupDocs(docs, matrix)
         groups[qid] = QueryGroup(
             query=Query(qid, tuple(query_tokens[qid]) if qid in query_tokens else None),
-            pool=pool, grades=grades, features=matrix,
+            pool=pool, grades=grades,
             positives=take(pool, np.flatnonzero(grades > 0)),
             negatives=take(pool, np.flatnonzero(grades <= 0)),
         )

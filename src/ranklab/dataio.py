@@ -321,7 +321,7 @@ def normalize_features_minmax(dataset: Dataset) -> Dataset:
 
     Constant features within a query map to 0.  Every document needs features.
     """
-    pools: dict[str, list[Document]] = {}
+    pools: dict[str, Sequence[Document]] = {}
     for qid, g in dataset.groups.items():
         X = g.features
         if X is None:
@@ -329,8 +329,8 @@ def normalize_features_minmax(dataset: Dataset) -> Dataset:
         lo, hi = X.min(axis=0), X.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
         X = np.where(hi > lo, (X - lo) / span, 0.0)
-        pools[qid] = [Document(id=d.id, features=x, tokens=d.tokens)
-                      for d, x in zip(g.pool, X)]
+        X.flags.writeable = False
+        pools[qid] = Document.rows([d.id for d in g.pool], X, [d.tokens for d in g.pool])
     _, judgments, kind, tokens = dataset.records()
     return build_dataset(pools, judgments, kind, query_tokens=tokens)
 

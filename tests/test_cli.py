@@ -1,6 +1,7 @@
 """CLI commands: outputs, exit codes, determinism, and CSV round-trips."""
 
 import filecmp
+import importlib.util
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -594,6 +595,21 @@ MALFORMED_INPUT = [
     ("train", INTERACTIONS_CONFIG, "u1\ti1\t5\nu1\t\t5\n", 2, "{data}:2: empty item id"),
     ("train", QA_CONFIG, QA_RECORD + "\n" + QA_RECORD.replace("{", '{"id": "", ') + "\n", 2,
      "{data}:2: empty question id"),
+    ("train", trainer_config("epochs_outer = 1", "epochs_outr = 1"), None, 1,
+     "unknown key 'epochs_outr' in [trainer]"),
+    ("train", trainer_config("[compare]", "[comparison]"), None, 1,
+     "unknown section [comparison]"),
+    ("train", trainer_config("epochs_outer = 1", "epochs_outer = 1\nhidden = 46"), None, 1,
+     "unknown key 'hidden' in [trainer]"),
+    ("train", "[DEFAULT]\nepochs = 3\n" + TestModelAndSplitKeys.CONFIG, None, 1,
+     "unknown key 'epochs' in [DEFAULT]"),
+    ("train", trainer_config("kind = linear", "kind = text"), None, 2,
+     "text scorer needs tokens; query 'q000' has none"),
+    ("train", INTERACTIONS_CONFIG.replace("kind = matfac", "kind = text"),
+     "u1\ti1\t5\nu1\ti2\t3\nu2\ti1\t5\nu2\ti2\t3\n", 2,
+     "text scorer needs tokens; query 'u1' has none"),
+    ("train", trainer_config("epochs_outer = 1", "epochs_outer = 1\nd_steps = 0"), None, 1,
+     "d_steps must be >= 1"),
 ]
 
 
@@ -615,7 +631,10 @@ class TestMalformedInput:
         "dataset-relevant_fraction", "trainer-negative-pretrain_lr", "trainer-nan-pretrain_lr",
         "trainer-nan-baseline", "dataset-unknown-source", "qa-record-after-blank-lines",
         "compare-repeated-trainer", "compare-repeated-seed", "letor-empty-query-id",
-        "letor-empty-document-id", "interactions-empty-item-id", "qa-empty-id"])
+        "letor-empty-document-id", "interactions-empty-item-id", "qa-empty-id",
+        "ini-misspelled-key", "ini-unknown-section", "ini-other-sections-key",
+        "ini-unknown-default-key", "text-model-on-synthetic", "text-model-on-interactions",
+        "trainer-zero-d_steps"])
     def test_fails_before_work(self, tmp_path, capsys, command, config, data, code, names):
         data_path, vocab_path = tmp_path / "data.txt", tmp_path / "vocab.txt"
         if data is not None:
@@ -629,6 +648,43 @@ class TestMalformedInput:
         assert names.replace("{data}", str(data_path)) in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+class TestConfigKeys:
+    """``cli.KEYS`` lists every key some command reads: each config the
+    project ships or writes loads, and ``Conf`` reads no key it leaves out."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def test_shipped_configs_load(self):
+        configs = sorted((self.ROOT / "configs").glob("*.ini"))
+        assert len(configs) == 3
+        for path in configs:
+            cli.Conf(path)
+
+    def test_benchmark_workload_configs_load(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", self.ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+        spec.loader.exec_module(workloads)
+        for cls in workloads.WORKLOADS.values():
+            cls(1, tmp_path)
+        configs = sorted(tmp_path.glob("*.ini"))
+        assert len(configs) == 6
+        for path in configs:
+            cli.Conf(path)
+
+    def test_default_keys_are_checked_against_every_section(self, tmp_path):
+        conf = cli.Conf(write_config(tmp_path, "[DEFAULT]\nseed = 5\n[trainer]\nname = dns\n"))
+        assert conf.get("trainer", "seed", type=int) == 5
+
+    def test_unlisted_key_is_not_read(self, tmp_path):
+        conf = cli.Conf(write_config(tmp_path, "[trainer]\nlearning_rate = 0.05\n"))
+        with pytest.raises(KeyError, match="'dns_kk' in \\[trainer\\]"):
+            conf.get("trainer", "dns_kk")
+        with pytest.raises(KeyError, match="'dns_k' in \\[variance\\]"):
+            conf.get_list("variance", "dns_k")
 
 
 class TestOutputRoot:

@@ -118,6 +118,17 @@ class TestDocumentRows:
         with pytest.raises(DatasetError, match=match):
             Document.rows(ids, matrix)
 
+    def test_each_document_keeps_its_tokens(self):
+        m = read_only(np.arange(6.0).reshape(3, 2).copy())
+        docs = Document.rows(["a", "b", "c"], m, [(1, 2), None, (3,)])
+        assert [d.tokens for d in docs] == [(1, 2), None, (3,)]
+        assert all(d.features.base is m for d in docs)
+
+    @pytest.mark.parametrize("tokens", [[(1,)], [(1,), ()]], ids=["token-count", "empty-tokens"])
+    def test_tokens_rejected(self, tokens):
+        with pytest.raises(DatasetError, match="one non-empty token tuple or None per row"):
+            Document.rows(["a", "b"], read_only(np.zeros((2, 2))), tokens)
+
 
 class TestRelevanceLookups:
     def setup_method(self):

@@ -241,6 +241,15 @@ class TestTransforms:
             X = np.stack([d.features for d in normalized.pool(q.id)])
             assert X.min() >= 0.0 and X.max() <= 1.0
 
+    def test_minmax_normalization_keeps_tokens_and_its_matrix(self):
+        docs = [Document(i, np.array([k, 2.0 * k, 1.0]), tokens=(k + 1,))
+                for k, i in enumerate(["d2", "d0", "d1"])]
+        g = normalize_features_minmax(build_dataset({"q": docs}, [], "qa")).group("q")
+        want = np.array([[0.5, 0.5, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])  # d0, d1, d2
+        assert g.features.tobytes() == want.tobytes() and not g.features.flags.writeable
+        assert [d.tokens for d in g.pool] == [(2,), (3,), (1,)]
+        assert all(d.features.base is g.features for d in g.pool)
+
     def test_minmax_normalization_needs_features(self):
         docs = [Document("d0", np.array([1.0])), Document("d1", tokens=(1,))]
         dataset = build_dataset({"q": docs}, [Judgment("q", "d0", 1)], "qa")

@@ -4,11 +4,13 @@ The fast paths are the per-query groups (``Dataset.groups``) and the
 feature matrix each group's documents read their rows from, sampling
 with replacement from a precomputed CDF (``policy._sampling_cdf`` /
 ``policy._draw_from_cdf``), the argsort ranking of ``evaluate_model``,
-the variance lab's two-sweep state pass and the synthetic generator's
-documents made as rows of one matrix (``Document.rows``).  Each reference
-here is written from the definitions: each document's grade looked up in
-``judgments``, features stacked from plain lists of documents, a synthetic
-task built from one ``Document`` per row copy, ``Generator.choice`` with
+the variance lab's two-sweep state pass, the synthetic generator's
+documents made as rows of one matrix (``Document.rows``) and
+``build_dataset``'s one decision per pool of the matrix it keeps or makes.
+Each reference here is written from the definitions: each document's grade
+looked up in ``judgments``, features stacked from plain lists of documents,
+a synthetic task built from one ``Document`` per row copy, pools checked and
+stacked document by document, ``Generator.choice`` with
 ``p=``, ``sorted(..., key=(-score, id))`` over RankedLists, and exact
 enumeration over a list that holds every visited state's policy and
 grad-log-prob matrix at once.  The edge shapes are pools
@@ -28,6 +30,7 @@ from ranklab.baselines import ConstantBaseline, ValueFunctionBaseline
 from ranklab.core import (
     Dataset,
     Document,
+    FeatureDimensionError,
     GroupDocs,
     Judgment,
     Query,
@@ -412,6 +415,155 @@ class TestGroupMatrix:
         g = build_dataset({"q": pool}, [Judgment("q", "b", 1)], "synthetic").groups["q"]
         assert g.features is m
         assert all(a is b for a, b in zip(g.pool, pool))
+
+
+def reference_build(pools, judgments):
+    """``build_dataset``'s feature count and, per query in id order, the pool's
+    ids, tokens, grades and stacked feature matrix (None unless every document
+    has features), each found document by document.  Raises the
+    ``FeatureDimensionError`` of the first document, in query and pool order,
+    whose feature count differs from the first one seen."""
+    grade = {(j.query, j.doc): j.relevance for j in judgments}
+    feature_dim, groups = None, {}
+    for qid in sorted(pools):
+        docs = sorted(pools[qid], key=lambda d: d.id)
+        for d in docs:
+            if d.features is not None and len(d.features) != feature_dim:
+                if feature_dim is not None:
+                    raise FeatureDimensionError(f"document {d.id!r} has {len(d.features)} "
+                                                f"features, expected {feature_dim}")
+                feature_dim = len(d.features)
+        matrix = (np.array([d.features for d in docs])
+                  if all(d.features is not None for d in docs) else None)
+        groups[qid] = ([d.id for d in docs], [d.tokens for d in docs],
+                       [grade.get((qid, d.id), 0) for d in docs], matrix)
+    return feature_dim, groups
+
+
+POOL_SHAPES = ["rows", "rows-list", "rows-shuffled", "rows-subset", "letor", "with-tokens",
+               "mixed"]
+
+
+@st.composite
+def raw_pools(draw):
+    """Up to four pools, each one of: the documents ``Document.rows`` makes
+    over a read-only matrix (whole, as a list in or out of id order, or a
+    ``take`` of some of them), LETOR-style documents that each own a
+    writeable vector, documents with features and tokens, and documents
+    with features, tokens or both.  Feature counts are mostly the dataset's
+    own, but a pool or a single document may have another, so some datasets
+    are ragged.  Some documents are judged."""
+    width = draw(st.integers(1, 2))
+
+    def other_width_or(w):
+        return 3 - w if draw(st.integers(0, 5)) == 0 else w
+
+    def vector(w):
+        return np.array(draw(st.lists(st.integers(-3, 3), min_size=w, max_size=w)), dtype=float)
+
+    def tokens():
+        return tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+
+    pools, judgments = {}, []
+    for qi in range(draw(st.integers(1, 4))):
+        qid = f"q{qi}"
+        ids = [f"{qid}_d{i}" for i in range(draw(st.integers(1, 5)))]
+        pool_width = other_width_or(width)
+        shape = draw(st.sampled_from(POOL_SHAPES))
+        if shape.startswith("rows"):
+            matrix = np.array([vector(pool_width) for _ in ids])
+            matrix.flags.writeable = False
+            docs = Document.rows(ids, matrix)
+            if shape == "rows-list":
+                docs = list(docs)
+            elif shape == "rows-shuffled":
+                docs = draw(st.permutations(list(docs)))
+            elif shape == "rows-subset":
+                docs = take(docs, sorted(draw(st.sets(st.integers(0, len(ids) - 1),
+                                                      min_size=1))))
+        else:
+            docs = []
+            for doc_id in ids:
+                has = (draw(st.sampled_from(["f", "t", "ft"])) if shape == "mixed"
+                       else {"letor": "f", "with-tokens": "ft"}[shape])
+                docs.append(Document(doc_id,
+                                     vector(other_width_or(pool_width)) if "f" in has else None,
+                                     tokens() if "t" in has else None))
+        pools[qid] = docs
+        for d in docs:
+            g = draw(st.sampled_from([None, 0, 1, 2]))
+            if g is not None:
+                judgments.append(Judgment(qid, d.id, g))
+    return pools, judgments
+
+
+def caller_state(pools):
+    """What a caller holds of its documents: each one, its features object and
+    writeable flag, and its tokens."""
+    return {qid: [(id(d), id(d.features), d.features is not None and d.features.flags.writeable,
+                   d.tokens) for d in docs] for qid, docs in pools.items()}
+
+
+class TestBuildDatasetPerDocument:
+    """``build_dataset`` decides each pool's matrix once and never changes a
+    document it is given; its results are those of a build that checks and
+    stacks document by document."""
+
+    @settings(max_examples=300)
+    @given(raw_pools())
+    def test_matches_per_document_reference(self, case):
+        pools, judgments = case
+        before = caller_state(pools)
+        try:
+            want_dim, want = reference_build(pools, judgments)
+        except FeatureDimensionError as exc:
+            with pytest.raises(FeatureDimensionError) as got:
+                build_dataset(pools, judgments, "qa")
+            assert str(got.value) == str(exc)
+            assert caller_state(pools) == before
+            return
+        dataset = build_dataset(pools, judgments, "qa")
+        assert caller_state(pools) == before
+        assert dataset.feature_dim == want_dim
+        assert list(dataset.groups) == list(want)
+        for qid, (ids, tokens, grades, matrix) in want.items():
+            g = dataset.group(qid)
+            assert [d.id for d in g.pool] == ids
+            assert [d.tokens for d in g.pool] == tokens
+            assert g.grades.dtype == np.int64 and g.grades.tolist() == grades
+            if matrix is None:
+                assert g.features is None
+                continue
+            assert g.features.dtype == matrix.dtype and g.features.shape == matrix.shape
+            assert g.features.tobytes() == matrix.tobytes()
+            assert not g.features.flags.writeable
+            assert all(d.features.base is g.features for d in g.pool)
+
+    @staticmethod
+    def caller_pools():
+        m = np.arange(6.0).reshape(3, 2).copy()
+        m.flags.writeable = False
+        return {
+            "letor-writeable": [Document(i, features=np.array([k, 1.0]))
+                                for k, i in enumerate("cab")],
+            "read-only-rows-out-of-order": list(Document.rows(["c", "b", "a"], m)),
+            "features-and-tokens": [Document(i, features=np.array([k, 1.0]), tokens=(k,))
+                                    for k, i in enumerate("cab", start=1)],
+        }
+
+    @pytest.mark.parametrize("case", ["letor-writeable", "read-only-rows-out-of-order",
+                                      "features-and-tokens"])
+    def test_caller_documents_are_untouched(self, case):
+        pool = self.caller_pools()[case]
+        before = caller_state({"q": pool})
+        g = build_dataset({"q": pool}, [Judgment("q", "a", 1)], "qa").groups["q"]
+        assert caller_state({"q": pool}) == before
+        by_id = {d.id: d for d in pool}
+        assert [d.id for d in g.pool] == ["a", "b", "c"]
+        for d in g.pool:
+            assert d is not by_id[d.id] and d == by_id[d.id]
+            assert d.features.base is g.features and d.tokens == by_id[d.id].tokens
+        assert not g.features.flags.writeable
 
 
 def reference_synth(spec):

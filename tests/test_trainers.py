@@ -463,6 +463,31 @@ class TestIrganPairwiseEpoch:
         assert records[0] == records[1]
 
 
+class TestIrganStepKnobs:
+    """Per batch, ``d_steps`` discriminator steps come first, then ``g_steps``
+    generator updates (IRGAN's d-steps and g-steps)."""
+
+    @pytest.mark.parametrize("epoch_fn,d_step", [
+        (irgan_pointwise_epoch, "discriminator_step"),
+        (irgan_pairwise_epoch, "discriminator_pair_step"),
+    ], ids=["pointwise", "pairwise"])
+    def test_steps_per_batch(self, monkeypatch, epoch_fn, d_step):
+        dataset = small_planted()  # every query has positives and negatives
+        events = []
+        for name, tag in ((d_step, "D"), ("_generator_step", "G")):
+            def counted(*args, _original=getattr(trainers, name), _tag=tag):
+                events.append(_tag)
+                return _original(*args)
+            monkeypatch.setattr(trainers, name, counted)
+        models = fresh_models(dataset)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=4, d_steps=2, g_steps=3)
+        epoch_fn(SoftmaxPolicy(models["G"]), models["D"], dataset, cfg,
+                 np.random.default_rng(0))
+        batches = math.ceil(dataset.num_queries / cfg.batch_size)
+        assert batches == 3
+        assert events == ["D", "D", "G", "G", "G"] * batches
+
+
 class TestSingleDEpoch:
     def test_uniform_init_samples_uniformly_first_epoch(self):
         from ranklab.policy import discriminator_sampling_probs
