@@ -45,6 +45,8 @@ def parse_baseline(text: str) -> BaselineSpec:
     if name == "constant":
         return ConstantBaseline(float(arg) if arg else 0.5)
     if name == "value-exact":
+        if arg:
+            raise ValueError("value-exact takes no argument")
         return ValueFunctionBaseline()
     if name == "value-mc":
         return MonteCarloValueBaseline(int(arg) if arg else 1000)

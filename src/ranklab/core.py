@@ -244,8 +244,9 @@ class Dataset:
         )
 
     def records(self):
-        """Raw (pools, judgments, kind, query_tokens) from which this dataset rebuilds."""
-        pools = {qid: list(g.pool) for qid, g in self.groups.items()}
+        """Raw (pools, judgments, kind, query_tokens) from which this dataset
+        rebuilds; each pool is its group's own, so a rebuild keeps every matrix."""
+        pools = {qid: g.pool for qid, g in self.groups.items()}
         tokens = {qid: g.query.tokens for qid, g in self.groups.items()
                   if g.query.tokens is not None}
         return pools, list(self.judgments), self.kind, tokens
@@ -261,22 +262,6 @@ class Dataset:
         )
 
 
-def _viewed_matrix(given: Sequence[Document], docs: Sequence[Document]) -> np.ndarray | None:
-    """The read-only matrix whose rows ``docs`` (``given`` sorted by id) already
-    view in order, or None: a whole-group pool in id order keeps its own."""
-    if (isinstance(given, GroupDocs) and given.positions is None and given.matrix is not None
-            and not given.matrix.flags.writeable and all(map(is_, given, docs))):
-        return given.matrix
-    # Other pools, such as a built dataset's pool built again, are checked per document.
-    matrix = getattr(docs[0].features, "base", None)
-    if (not isinstance(matrix, np.ndarray) or matrix.flags.writeable
-            or matrix.shape != (len(docs), len(docs[0].features))):
-        return None
-    same = all(getattr(d.features, "__array_interface__", None) == matrix[i].__array_interface__
-               for i, d in enumerate(docs))
-    return matrix if same else None
-
-
 def build_dataset(
     pools: Mapping[QueryId, Sequence[Document]],
     judgments: Iterable[Judgment],
@@ -288,8 +273,10 @@ def build_dataset(
     Queries and pools are sorted lexicographically by id.  Raises a distinct
     error naming the offending id for: duplicate (query, doc) judgments,
     judged documents missing from their pool, and inconsistent feature
-    dimensionality.  No given document is changed: an all-feature pool that
-    does not view one read-only matrix in id order gets new documents on a new one.
+    dimensionality.  No given document is changed.  A pool that is a whole
+    read-only ``Document.rows`` group in id order keeps its matrix and
+    documents; any other pool whose documents all have features gets new
+    documents on a new read-only matrix.
     """
     kind = DatasetKind(kind)
     if not pools:
@@ -307,7 +294,11 @@ def build_dataset(
         if len(ids) < len(docs):
             twice = next(a.id for a, b in zip(docs, docs[1:]) if a.id == b.id)
             raise DatasetError(f"query {qid!r} pool lists document {twice!r} twice")
-        matrix = _viewed_matrix(pools[qid], docs)
+        given = pools[qid]
+        matrix = None
+        if (isinstance(given, GroupDocs) and given.positions is None and given.matrix is not None
+                and not given.matrix.flags.writeable and all(map(is_, given, docs))):
+            matrix = given.matrix
         # Every row of a kept matrix has its width, so its first document stands for all.
         for d in docs if matrix is None else docs[:1]:
             # Features are flat vectors, so len() is the feature count.

@@ -177,14 +177,6 @@ def _mean_gradient(instance, states, baseline: BaselineSpec) -> np.ndarray:
     return mean
 
 
-def _squared_deviations(instance, states, baseline: BaselineSpec):
-    """Per visited state, (s, rho, probs, ||g(b) - E[g(b)]||^2 per action); two sweeps."""
-    mean = _mean_gradient(instance, states, baseline)
-    for s, rho, probs, gradlog in states:
-        g = _advantage_rows(instance, baseline, s, probs, gradlog)
-        yield s, rho, probs, _sq_norms(g, mean)
-
-
 def exact_gradient_mean(instance: MDPInstance, policy: SoftmaxPolicy,
                         baseline: BaselineSpec) -> np.ndarray:
     """E[g(b)] by full enumeration over states and actions."""
@@ -193,11 +185,13 @@ def exact_gradient_mean(instance: MDPInstance, policy: SoftmaxPolicy,
 
 def exact_variance(instance: MDPInstance, policy: SoftmaxPolicy,
                    baseline: BaselineSpec) -> float:
-    """E[||g(b) - E[g(b)]||^2] by full enumeration."""
+    """E[||g(b) - E[g(b)]||^2] by full enumeration, in two sweeps."""
+    states = _StatePass(instance, policy)
+    mean = _mean_gradient(instance, states, baseline)
     total = 0.0
-    for _, rho, probs, sq in _squared_deviations(
-            instance, _StatePass(instance, policy), baseline):
-        total += rho * float(probs @ sq)
+    for s, rho, probs, gradlog in states:
+        g = _advantage_rows(instance, baseline, s, probs, gradlog)
+        total += rho * float(probs @ _sq_norms(g, mean))
     return total
 
 
@@ -266,15 +260,11 @@ def partition_actions(instance: MDPInstance, b: float) -> BaselinePartition:
 def variance_decomposition(instance: MDPInstance, policy: SoftmaxPolicy,
                            b: float) -> tuple[float, float]:
     """Split the exact variance at constant baseline b into the contributions
-    of below-baseline and at-or-above-baseline actions.  Both terms center on
-    the global mean gradient, so they sum to the exact variance."""
-    part = partition_actions(instance, b)
-    below_term = above_term = 0.0
-    for s, rho, probs, sq in _squared_deviations(
-            instance, _StatePass(instance, policy), ConstantBaseline(b)):
-        below_term += rho * float(probs[part.below[s]] @ sq[part.below[s]])
-        above_term += rho * float(probs[part.above[s]] @ sq[part.above[s]])
-    return below_term, above_term
+    of below-baseline and at-or-above-baseline actions: the two terms of
+    ``verify_variance_bound``'s report.  Both center on the global mean
+    gradient, so they sum to the exact variance."""
+    report = verify_variance_bound(instance, policy, b)
+    return report.below_term, report.above_term
 
 
 def _bound_factor(b: float, max_below: float) -> float:

@@ -15,8 +15,7 @@ Five trainers share one dataset/model vocabulary:
 The optimizer everywhere is plain SGD: it keeps the policy-gradient variance
 analysis in ``pgvar`` directly applicable to what the trainers actually do.
 Every epoch operation is a deterministic function of (params, dataset,
-config, rng state).  Training is single-writer per model; evaluation runs on
-frozen snapshots.
+config, rng state).  Training is single-writer per model.
 """
 
 from __future__ import annotations
@@ -526,21 +525,19 @@ def dual_d_outer_epoch(model_a: Scorer, model_b: Scorer, dataset: Dataset,
                        epoch: int = 1) -> list[RunRow]:
     """Co-training outer epoch.
 
-    Both models train for ``epochs_inner`` epochs against the partner's state
-    frozen at the start of the outer epoch (so two identically initialized
-    models fed identical streams stay identical), with the frozen copy's
-    parameter array marked read-only to enforce the no-update contract.
+    Both partners' sampler tables are built before either model trains, so
+    each model trains for ``epochs_inner`` epochs against the partner's table
+    as of the start of the outer epoch (two identically initialized models
+    fed identical streams stay identical).  The partner's checksum is checked
+    around each phase: a model must not change while the other trains.
     """
     phase_seed = int(rng.integers(2**63))
-    snap_a, snap_b = model_a.snapshot(), model_b.snapshot()
     entries, skipped = _negative_entries(dataset, cfg)
+    phases = ((model_a, _sampler_table(model_b, entries), model_b, "A"),
+              (model_b, _sampler_table(model_a, entries), model_a, "B"))
     rows = []
-    for model, frozen, other, tag in (
-        (model_a, snap_b, model_b, "A"),
-        (model_b, snap_a, model_a, "B"),
-    ):
+    for model, table, other, tag in phases:
         partner_sum = other.checksum()
-        table = _sampler_table(frozen, entries)
         phase_rng = np.random.default_rng(phase_seed)
         mean_obj = 0.0
         for _ in range(cfg.epochs_inner):

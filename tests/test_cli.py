@@ -584,6 +584,9 @@ MALFORMED_INPUT = [
      None, 1, "'baseline' in [trainer]"),
     ("train", trainer_config("source = synthetic", "source = bogus"), None, 1,
      "'source' in [dataset]"),
+    ("train", trainer_config("name = single-d",
+                             "name = irgan-pointwise\nbaseline = value-exact:5"),
+     None, 1, "bad value for 'baseline' in [trainer]: 'value-exact:5'"),
     ("train", QA_CONFIG, QA_RECORD + "\n\n\n\n5\n", 2, "{data}:5: expected a JSON object"),
     ("compare", TestCompare.CONFIG.replace("single-d,dns", "single-d,dns,single-d"), None, 1,
      "'single-d' in 'trainers' in [compare]"),
@@ -629,7 +632,8 @@ class TestMalformedInput:
         "interactions-nan-threshold", "trainer-inf-learning_rate", "trainer-inf-temperature",
         "variance-inf-learning_rate", "variance-inf-noise_sigma", "dataset-num_queries",
         "dataset-relevant_fraction", "trainer-negative-pretrain_lr", "trainer-nan-pretrain_lr",
-        "trainer-nan-baseline", "dataset-unknown-source", "qa-record-after-blank-lines",
+        "trainer-nan-baseline", "dataset-unknown-source", "trainer-value-exact-argument",
+        "qa-record-after-blank-lines",
         "compare-repeated-trainer", "compare-repeated-seed", "letor-empty-query-id",
         "letor-empty-document-id", "interactions-empty-item-id", "qa-empty-id",
         "ini-misspelled-key", "ini-unknown-section", "ini-other-sections-key",
@@ -661,6 +665,13 @@ class TestConfigKeys:
         assert len(configs) == 3
         for path in configs:
             cli.Conf(path)
+
+    def test_readme_complete_config_trains(self, tmp_path):
+        readme = (self.ROOT / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert "epochs_outer = 50\n" in block
+        path = write_config(tmp_path, block.replace("epochs_outer = 50\n", "epochs_outer = 2\n"))
+        assert run(["train", "--config", path, "--out", tmp_path / "out"]) == 0
 
     def test_benchmark_workload_configs_load(self, tmp_path, monkeypatch):
         spec = importlib.util.spec_from_file_location(

@@ -268,7 +268,7 @@ class TestTransforms:
 
 def rebuild_half(parent, keep):
     """Reference for one half of a split: the half rebuilt from raw records."""
-    pools = {qid: list(parent.pool(qid)) for qid in keep}
+    pools = {qid: parent.pool(qid) for qid in keep}
     judgments = [j for j in parent.judgments if j.query in keep]
     tokens = {q.id: q.tokens for q in parent.queries
               if q.tokens is not None and q.id in keep}

@@ -375,6 +375,16 @@ class TestGroupMatrix:
                 if g.features is not None:
                     assert all(d.features.base is g.features for d in g.pool)
 
+    @settings(max_examples=50)
+    @given(mixed_datasets())
+    def test_a_rebuild_from_records_keeps_every_matrix(self, case):
+        dataset, _ = case
+        pools, judgments, kind, tokens = dataset.records()
+        again = build_dataset(pools, judgments, kind, query_tokens=tokens)
+        for qid, g in dataset.groups.items():
+            assert again.group(qid).features is g.features
+            assert all(a is b for a, b in zip(again.pool(qid), g.pool))
+
     def test_rows_of_a_read_only_matrix_out_of_pool_order_get_a_new_matrix(self):
         m = np.array([[0.0, 1.0], [2.0, 3.0]])
         m.flags.writeable = False
@@ -547,12 +557,13 @@ class TestBuildDatasetPerDocument:
             "letor-writeable": [Document(i, features=np.array([k, 1.0]))
                                 for k, i in enumerate("cab")],
             "read-only-rows-out-of-order": list(Document.rows(["c", "b", "a"], m)),
+            "read-only-rows-as-list": list(Document.rows(["a", "b", "c"], m)),
             "features-and-tokens": [Document(i, features=np.array([k, 1.0]), tokens=(k,))
                                     for k, i in enumerate("cab", start=1)],
         }
 
     @pytest.mark.parametrize("case", ["letor-writeable", "read-only-rows-out-of-order",
-                                      "features-and-tokens"])
+                                      "read-only-rows-as-list", "features-and-tokens"])
     def test_caller_documents_are_untouched(self, case):
         pool = self.caller_pools()[case]
         before = caller_state({"q": pool})

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ranklab import trainers
 from ranklab.baselines import (
@@ -129,6 +130,17 @@ class TestValueFunctionBaseline:
             MonteCarloValueBaseline(n)
         with pytest.raises(ValueError, match="n >= 2"):
             parse_baseline(f"value-mc:{n}")
+
+    @pytest.mark.parametrize("text,spec", [
+        ("constant", ConstantBaseline(0.5)), ("constant:0.25", ConstantBaseline(0.25)),
+        ("value-exact", ValueFunctionBaseline()), ("value-mc", MonteCarloValueBaseline(1000)),
+        ("value-mc:7", MonteCarloValueBaseline(7))])
+    def test_parse_baseline(self, text, spec):
+        assert parse_baseline(text) == spec
+
+    def test_value_exact_takes_no_argument(self):
+        with pytest.raises(ValueError, match="value-exact takes no argument"):
+            parse_baseline("value-exact:5")
 
     def test_mc_within_three_se(self):
         rng = np.random.default_rng(31)
@@ -522,7 +534,48 @@ class TestSingleDEpoch:
         assert np.array_equal(finals[0], finals[1])
 
 
+def snapshot_dual_d_outer_epoch(model_a, model_b, dataset, cfg, rng, epoch=1):
+    """Reference co-training outer epoch: each model trains against a read-only
+    snapshot of its partner taken at the start of the outer epoch."""
+    phase_seed = int(rng.integers(2**63))
+    snap_a, snap_b = model_a.snapshot(), model_b.snapshot()
+    entries, skipped = trainers._negative_entries(dataset, cfg)
+    rows = []
+    for model, frozen, other, tag in ((model_a, snap_b, model_b, "A"),
+                                      (model_b, snap_a, model_a, "B")):
+        partner_sum = other.checksum()
+        table = trainers._sampler_table(frozen, entries)
+        phase_rng = np.random.default_rng(phase_seed)
+        mean_obj = 0.0
+        for _ in range(cfg.epochs_inner):
+            mean_obj = trainers._contrastive_batches(model, table, entries, cfg, phase_rng)
+        assert other.checksum() == partner_sum
+        rows.append(trainers.RunRow(epoch, tag, "objective_mean", mean_obj))
+        rows.append(trainers.RunRow(epoch, tag, "queries_skipped", skipped))
+    return rows
+
+
 class TestDualDOuterEpoch:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["linear", "mlp1"]), st.integers(1, 4), st.integers(2, 10),
+           st.floats(0.1, 0.6), st.integers(0, 1000), st.integers(1, 3), st.integers(1, 8),
+           st.integers(1, 3))
+    def test_matches_snapshot_reference(self, kind, num_queries, pool_size, fraction, seed,
+                                        epochs_inner, batch_size, outer_epochs):
+        dataset, _ = synth_retrieval(SyntheticSpec(
+            num_queries=num_queries, pool_size=pool_size, relevant_fraction=fraction,
+            feature_dim=3, seed=seed))
+        cfg = TrainConfig(learning_rate=0.2, epochs_inner=epochs_inner, batch_size=batch_size)
+        runs = []
+        for outer_epoch in (dual_d_outer_epoch, snapshot_dual_d_outer_epoch):
+            a, b = (build_scorer(kind, {"feature_dim": 3, "hidden": 3}, scale=0.5,
+                                 seed=seed + i) for i in (0, 1))
+            rng = np.random.default_rng(seed)
+            rows = [outer_epoch(a, b, dataset, cfg, rng, epoch)
+                    for epoch in range(1, outer_epochs + 1)]
+            runs.append((a.params.values.tobytes(), b.params.values.tobytes(), rows))
+        assert runs[0] == runs[1]
+
     def test_identical_initialization_stays_identical(self):
         dataset = small_planted()
         a = build_scorer("linear", {"feature_dim": 4}, scale=0.1, seed=3)
