@@ -15,10 +15,8 @@ from .scorers import (
     ParamVector,
     Scorer,
     build_scorer,
-    discriminator_prob,
     init_params,
     load_checkpoint,
-    pairwise_prob,
     save_checkpoint,
 )
 from .policy import (
@@ -39,7 +37,6 @@ from .metrics import (
     RankedList,
     evaluate_model,
     ndcg_at_k,
-    p_at_1,
     precision_at_k,
     rank,
 )
@@ -67,7 +64,6 @@ from .trainers import (
     pretrain_mle,
     run_trainer,
     single_d_epoch,
-    value_function_baseline,
 )
 from .pgvar import (
     BaselinePartition,

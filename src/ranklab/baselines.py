@@ -31,7 +31,7 @@ class MonteCarloValueBaseline:
     n: int = 1000
 
     def __post_init__(self):
-        if self.n < 2:  # the standard error of the estimate needs two draws
+        if self.n < 2:  # an estimate averages at least two draws
             raise ValueError(f"Monte-Carlo baseline needs n >= 2, got {self.n}")
 
 

@@ -498,7 +498,10 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise CliConfigError(f"bad value for '--seed': {args.seed} (must be >= 0)")
         conf = Conf(Path(args.config))
-        return COMMANDS[args.command](conf, args)
+        # A non-finite parameter or score raises NumericError, so numpy's
+        # overflow and invalid-value warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return COMMANDS[args.command](conf, args)
     except (CliConfigError, InvalidConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -204,11 +204,6 @@ class Dataset:
     def pool(self, query_id: QueryId) -> tuple[Document, ...]:
         return self.group(query_id).pool
 
-    def relevance(self, query_id: QueryId, doc_id: str) -> int:
-        """The judged grade of one pair; 0 when unjudged or the query is unknown."""
-        return next((j.relevance for j in self.judgments
-                     if j.query == query_id and j.doc == doc_id), 0)
-
     def relevance_map(self, query_id: QueryId) -> dict[str, int]:
         """The query's judgments by document id, grade-0 judgments included."""
         self.group(query_id)  # raise on unknown query

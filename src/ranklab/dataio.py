@@ -313,28 +313,6 @@ def parse_qa_pairs(path, vocab: Vocab) -> ParsedQA:
     return ParsedQA(dataset, unknown)
 
 
-# -- transforms ---------------------------------------------------------------
-
-
-def normalize_features_minmax(dataset: Dataset) -> Dataset:
-    """Optional per-query min-max feature normalization pass (off by default).
-
-    Constant features within a query map to 0.  Every document needs features.
-    """
-    pools: dict[str, Sequence[Document]] = {}
-    for qid, g in dataset.groups.items():
-        X = g.features
-        if X is None:
-            raise DatasetError(f"query {qid!r} has documents without features")
-        lo, hi = X.min(axis=0), X.max(axis=0)
-        span = np.where(hi > lo, hi - lo, 1.0)
-        X = np.where(hi > lo, (X - lo) / span, 0.0)
-        X.flags.writeable = False
-        pools[qid] = Document.rows([d.id for d in g.pool], X, [d.tokens for d in g.pool])
-    _, judgments, kind, tokens = dataset.records()
-    return build_dataset(pools, judgments, kind, query_tokens=tokens)
-
-
 def split_queries(dataset: Dataset, holdout_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic query-level split into (train, held-out) datasets, both
     selected from ``dataset`` without validating or grouping again."""

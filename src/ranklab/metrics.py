@@ -91,13 +91,6 @@ def ndcg_at_k(ranked: RankedList, relevance: Mapping[str, int], k: int) -> float
     return _ndcg(_ranked_grades(ranked, relevance), k, ranked.query)
 
 
-def p_at_1(ranked: RankedList, relevance: Mapping[str, int]) -> float:
-    """1.0 iff the top-ranked document is relevant."""
-    if not ranked.docs:
-        raise ValueError("ranked list is empty")
-    return 1.0 if relevance.get(ranked.docs[0], 0) > 0 else 0.0
-
-
 def _parse_metric(name: str):
     name = name.strip().lower()
     if name == "p@1":

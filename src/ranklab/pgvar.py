@@ -33,7 +33,7 @@ from .baselines import BaselineSpec, ConstantBaseline, ValueFunctionBaseline
 from .dataio import SyntheticSpec, synth_retrieval
 from .policy import SoftmaxPolicy, policy_probs
 from .scorers import Scorer, build_scorer, check_init_scale
-from .trainers import InvalidConfigError, TrainConfig, dns_epoch, make_reward
+from .trainers import InvalidConfigError, TrainConfig, _check_finite, dns_epoch, make_reward
 from ._util import write_csv
 
 ENUMERATION_LIMIT = 1_000_000
@@ -464,6 +464,7 @@ def study_instance(cfg: StudyConfig, fraction: float,
     rng = np.random.default_rng(seed)
     for epoch in range(1, cfg.train_epochs + 1):
         dns_epoch(model, dataset, train_cfg, rng, epoch)
+        _check_finite({"D": model})
     uniform = SoftmaxPolicy(
         build_scorer("linear", {"feature_dim": cfg.feature_dim}, zero=True),
         temperature=1.0,

@@ -1,14 +1,12 @@
 """Generator distribution over candidate pools.
 
 A SoftmaxPolicy turns a scorer into p(d|q) = softmax(scores / T) over an
-explicit pool.  Sampling is i.i.d. with replacement by default, matching the
-expectation the policy-gradient update averages over; a without-replacement
-flag exists for ablations.  Draws with replacement search a cumulative
-distribution (``_sampling_cdf`` / ``_draw_from_cdf``): the same indices and
-the same random stream as ``Generator.choice(n, size, p=probs)``, without
-re-validating ``probs`` on every call.  All operations are pure given
-(params snapshot, rng), so evaluation can run concurrently on frozen scorer
-snapshots.
+explicit pool.  Sampling is i.i.d. with replacement, matching the
+expectation the policy-gradient update averages over.  Draws search a
+cumulative distribution (``_sampling_cdf`` / ``_draw_from_cdf``): the same
+indices and the same random stream as ``Generator.choice(n, size, p=probs)``,
+without re-validating ``probs`` on every call.  Every operation is a pure
+function of (params, pool, rng state).
 """
 
 from __future__ import annotations
@@ -79,17 +77,13 @@ def log_policy_probs(policy: SoftmaxPolicy, query, pool) -> np.ndarray:
 
 
 def sample_docs(policy: SoftmaxPolicy, query, pool, k: int,
-                rng: np.random.Generator, replace: bool = True) -> Sequence[Document]:
+                rng: np.random.Generator) -> Sequence[Document]:
     """Draw k documents i.i.d. from the policy distribution over the pool."""
     _check_pool(pool)
     if k < 1:
         raise ValueError(f"sample count must be >= 1, got {k}")
     probs = policy_probs(policy, query, pool)
-    if replace:
-        idx = _draw_from_cdf(_sampling_cdf(probs), k, rng)
-    else:
-        idx = rng.choice(len(pool), size=k, replace=False, p=probs)
-    return take(pool, idx)
+    return take(pool, _draw_from_cdf(_sampling_cdf(probs), k, rng))
 
 
 def log_prob_gradient(policy: SoftmaxPolicy, query, pool, doc: Document) -> np.ndarray:

@@ -13,8 +13,7 @@ Four scorer kinds cover the three task families:
 Each kind defines one kernel pair, ``forward`` and ``backward`` (see
 ``Scorer``); both are pure functions of (params, input).  Training code
 mutates ``scorer.params.values`` in place, which the segment views a scorer
-binds at construction see, and ``snapshot()`` hands out a read-only copy
-safe for concurrent evaluation.
+binds at construction see; ``clone()`` hands out an independent copy.
 
 The discriminator map is ``sigmoid(f)``.  Scores are clamped to [-30, 30]
 inside the sigmoid so probabilities never reach exact 0 or 1; the same clamp
@@ -78,9 +77,6 @@ class Layout:
             if seg_name == name:
                 return slice(offset, offset + length)
         raise KeyError(name)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _, _ in self.segments)
 
 
 @dataclass
@@ -211,13 +207,6 @@ class Scorer:
 
     def clone(self) -> "Scorer":
         return build_scorer(self.kind, self.dims, self.params.copy())
-
-    def snapshot(self) -> "Scorer":
-        """Frozen copy: its parameter array is marked read-only before the copy
-        is built, so the segment views it binds are read-only too."""
-        params = self.params.copy()
-        params.values.flags.writeable = False
-        return build_scorer(self.kind, self.dims, params)
 
     def checksum(self) -> bytes:
         import hashlib
@@ -423,16 +412,6 @@ def build_scorer(kind: str, dims: Mapping, params: ParamVector | None = None, *,
     if kind == "text":
         return TextAvgEmbedScorer(params, dims["vocab_size"])
     raise ValueError(f"unknown scorer kind {kind!r}")
-
-
-def discriminator_prob(scorer: Scorer, query, doc) -> float:
-    """D(d|q) = sigmoid(f(d, q)), clamped away from exact 0 and 1."""
-    return float(sigmoid(scorer.score(query, doc)))
-
-
-def pairwise_prob(scorer: Scorer, query, doc_i, doc_j) -> float:
-    """Probability that doc_i ranks above doc_j: sigmoid(f_i - f_j)."""
-    return float(sigmoid(scorer.score(query, doc_i) - scorer.score(query, doc_j)))
 
 
 # -- checkpoints ----------------------------------------------------------

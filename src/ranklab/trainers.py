@@ -220,31 +220,6 @@ def _pairwise_reward(anchor: Document) -> RewardFn:
 # -- baselines over pools ------------------------------------------------------
 
 
-def value_function_baseline(policy: SoftmaxPolicy, model: Scorer, query, pool,
-                            reward_fn: RewardFn) -> float:
-    """Exact expected reward under the policy: sum_d p(d|q) * reward(d, q)."""
-    probs = policy_probs(policy, query, pool)
-    return float(probs @ reward_fn(model, query, pool))
-
-
-def value_function_baseline_mc(policy: SoftmaxPolicy, model: Scorer, query, pool,
-                               reward_fn: RewardFn, n: int,
-                               rng: np.random.Generator) -> tuple[float, float]:
-    """Monte-Carlo estimate of the value baseline; returns (estimate, std error)."""
-    return _mc_value(policy_probs(policy, query, pool), model, query, pool,
-                     reward_fn, n, rng)
-
-
-def _mc_value(probs, model, query, pool, reward_fn, n, rng) -> tuple[float, float]:
-    """Mean and standard error of the rewards of n documents drawn from
-    ``probs`` exactly as ``sample_docs`` draws them."""
-    if n < 2:
-        raise ValueError("Monte-Carlo baseline needs n >= 2")
-    docs = take(pool, _draw_from_cdf(_sampling_cdf(probs), n, rng))
-    rewards = reward_fn(model, query, docs)
-    return float(rewards.mean()), float(rewards.std(ddof=1) / np.sqrt(n))
-
-
 def resolve_baseline(spec: BaselineSpec, probs: np.ndarray, model, query, pool,
                      reward_fn: RewardFn, rng) -> float:
     """b(q) for one generator update; ``probs`` is the policy over ``pool``."""
@@ -253,7 +228,8 @@ def resolve_baseline(spec: BaselineSpec, probs: np.ndarray, model, query, pool,
     if isinstance(spec, ValueFunctionBaseline):
         return float(probs @ reward_fn(model, query, pool))
     if isinstance(spec, MonteCarloValueBaseline):
-        return _mc_value(probs, model, query, pool, reward_fn, spec.n, rng)[0]
+        docs = take(pool, _draw_from_cdf(_sampling_cdf(probs), spec.n, rng))
+        return float(reward_fn(model, query, docs).mean())
     raise TypeError(f"not a baseline spec: {spec!r}")
 
 
@@ -453,8 +429,7 @@ def irgan_pointwise_epoch(generator: SoftmaxPolicy, discriminator: Scorer,
         units = [(q, neg_pool, reward_fn) for q, _, neg_pool in active]
         for _ in range(cfg.g_steps):
             _generator_step(generator, discriminator, units, cfg, rng)
-    objective = irgan_objective(generator, discriminator, dataset, n_mc=1000,
-                                rng=np.random.default_rng(0))
+    objective = irgan_objective(generator, discriminator, dataset)
     return [
         RunRow(epoch, "GAN", "objective", objective),
         RunRow(epoch, "D", "objective_mean", _mean(d_objs)),
@@ -570,26 +545,19 @@ def dns_epoch(model: Scorer, dataset: Dataset, cfg: TrainConfig,
 
 
 def irgan_objective(generator: SoftmaxPolicy, discriminator: Scorer,
-                    dataset: Dataset, n_mc: int, rng: np.random.Generator) -> float:
+                    dataset: Dataset) -> float:
     """The joint minimax objective: per query, the expected log D over the true
     (relevant-document) distribution plus the expected log(1 - D) under the
-    generator.  Exact enumeration over pools of up to 1000 documents, else
-    Monte Carlo with n_mc draws.  The true distribution is uniform over
-    relevant documents.
+    generator, both by exact enumeration of the pool.  The true distribution
+    is uniform over relevant documents.
     """
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
     total = 0.0
     for g in dataset.groups.values():
         q, pool, pos = g.query, g.pool, g.positives
         if pos:
             total += float(log_sigmoid(discriminator.score_many(q, pos)).mean())
-        if len(pool) <= 1000:
-            probs = policy_probs(generator, q, pool)
-            total += float(probs @ log_sigmoid(-discriminator.score_many(q, pool)))
-        else:
-            docs = sample_docs(generator, q, pool, n_mc, rng)
-            total += float(log_sigmoid(-discriminator.score_many(q, docs)).mean())
+        probs = policy_probs(generator, q, pool)
+        total += float(probs @ log_sigmoid(-discriminator.score_many(q, pool)))
     return total
 
 

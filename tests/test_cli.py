@@ -616,6 +616,19 @@ MALFORMED_INPUT = [
 ]
 
 
+class TestNumericFailure:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command,body", [
+        ("train", trainer_config("learning_rate = 0.05", "learning_rate = 1e308")),
+        ("variance", variance_config("learning_rate = 0.3", "learning_rate = 1e308")),
+    ], ids=["train", "variance"])
+    def test_one_line_and_exit_three(self, command, body, tmp_path, capsys):
+        config = write_config(tmp_path, body)
+        assert run([command, "--config", config, "--out", tmp_path / "out"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure: ")
+
+
 class TestMalformedInput:
     """Malformed configs and data files exit 1 (config) or 2 (data) with a
     message naming the key or path:line, print no traceback, and fail before

@@ -33,7 +33,7 @@ class TestBuildDataset:
         ds = one_query_dataset()
         assert ds.num_queries == 1
         assert len(ds.pool("q")) == 1
-        assert ds.relevance("q", "d0") == 1
+        assert ds.relevance_map("q")["d0"] == 1
 
     def test_judged_doc_missing_from_pool(self):
         docs = make_docs([[1.0]])
@@ -138,10 +138,9 @@ class TestRelevanceLookups:
 
     def test_map_keeps_grade_zero_judgments_and_leaves_out_unjudged(self):
         assert self.ds.relevance_map("q") == {"d0": 2, "d1": 0}
-        assert self.ds.relevance("q", "d2") == 0
+        assert self.ds.relevance_map("q").get("d2", 0) == 0
 
     def test_unknown_query(self):
-        assert self.ds.relevance("zzz", "d0") == 0
         with pytest.raises(UnknownQueryError, match="zzz"):
             self.ds.relevance_map("zzz")
 

@@ -11,7 +11,6 @@ from ranklab.dataio import (
     ParseError,
     SyntheticSpec,
     Vocab,
-    normalize_features_minmax,
     parse_interactions,
     parse_letor,
     parse_qa_pairs,
@@ -29,7 +28,7 @@ class TestParseLetor:
         path.write_text("1 qid:10 1:0.5 2:0.1 # doc7\n0 qid:10 1:0.2 2:0.9 # doc8\n")
         ds = parse_letor(path)
         assert ds.query_ids() == ("10",)
-        assert ds.relevance("10", "doc7") == 1
+        assert ds.relevance_map("10")["doc7"] == 1
         doc = next(d for d in ds.pool("10") if d.id == "doc7")
         np.testing.assert_allclose(doc.features, [0.5, 0.1])
 
@@ -37,7 +36,7 @@ class TestParseLetor:
         path = tmp_path / "tiny.txt"
         path.write_text("2 qid:3 1:1.0 #docid = GX000-00-0000000 inc = 1\n")
         ds = parse_letor(path)
-        assert ds.relevance("3", "GX000-00-0000000") == 2
+        assert ds.relevance_map("3")["GX000-00-0000000"] == 2
 
     def test_synthesized_doc_id(self, tmp_path):
         path = tmp_path / "tiny.txt"
@@ -92,9 +91,8 @@ class TestParseInteractions:
         path.write_text("1\t50\t5\n1\t51\t3\n2\t50\t4\n")
         ds = parse_interactions(path)
         assert ds.kind == DatasetKind.RECOMMENDATION
-        assert ds.relevance("1", "50") == 1
-        assert ds.relevance("1", "51") == 0  # judged, below threshold
-        assert ds.relevance("2", "50") == 1
+        assert ds.relevance_map("1") == {"50": 1, "51": 0}  # 51 judged, below threshold
+        assert ds.relevance_map("2")["50"] == 1
 
     def test_full_catalog_pools(self, tmp_path):
         path = tmp_path / "ratings.tsv"
@@ -235,27 +233,6 @@ class TestSynthRetrieval:
 
 
 class TestTransforms:
-    def test_minmax_normalization(self, tiny_dataset):
-        normalized = normalize_features_minmax(tiny_dataset)
-        for q in normalized.queries:
-            X = np.stack([d.features for d in normalized.pool(q.id)])
-            assert X.min() >= 0.0 and X.max() <= 1.0
-
-    def test_minmax_normalization_keeps_tokens_and_its_matrix(self):
-        docs = [Document(i, np.array([k, 2.0 * k, 1.0]), tokens=(k + 1,))
-                for k, i in enumerate(["d2", "d0", "d1"])]
-        g = normalize_features_minmax(build_dataset({"q": docs}, [], "qa")).group("q")
-        want = np.array([[0.5, 0.5, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])  # d0, d1, d2
-        assert g.features.tobytes() == want.tobytes() and not g.features.flags.writeable
-        assert [d.tokens for d in g.pool] == [(2,), (3,), (1,)]
-        assert all(d.features.base is g.features for d in g.pool)
-
-    def test_minmax_normalization_needs_features(self):
-        docs = [Document("d0", np.array([1.0])), Document("d1", tokens=(1,))]
-        dataset = build_dataset({"q": docs}, [Judgment("q", "d0", 1)], "qa")
-        with pytest.raises(DatasetError, match="'q' has documents without features"):
-            normalize_features_minmax(dataset)
-
     def test_split_queries_partition(self, planted_dataset):
         dataset, _ = planted_dataset
         train, held = split_queries(dataset, 0.25, seed=3)

@@ -40,7 +40,7 @@ from ranklab.core import (
     relevant_fraction,
     take,
 )
-from ranklab.dataio import SyntheticSpec, normalize_features_minmax, synth_retrieval
+from ranklab.dataio import SyntheticSpec, synth_retrieval
 from ranklab.metrics import (
     RankedList,
     compute_metric,
@@ -143,7 +143,8 @@ def reference_evaluate(scorer, dataset, names):
     counted = skipped = 0
     for q in dataset.queries:
         pool = dataset.pool(q.id)
-        relevance = {d.id: dataset.relevance(q.id, d.id) for d in pool}
+        judged = dataset.relevance_map(q.id)
+        relevance = {d.id: judged.get(d.id, 0) for d in pool}
         if not any(g > 0 for g in relevance.values()):
             skipped += 1
             continue
@@ -273,11 +274,10 @@ class TestTrainersOnReferencePaths:
 def mixed_datasets(draw):
     """(dataset, scorers) over one to three queries of one to five documents.
     A pool holds feature documents, token documents, or a mix of feature,
-    token and feature-and-token documents; a feature dataset may be min-max
-    normalized, and any dataset may be a ``select`` of some of its queries."""
-    shape = draw(st.sampled_from(["features", "normalized", "tokens", "mixed"]))
-    has = {"features": ["f"], "normalized": ["f"], "tokens": ["t"],
-           "mixed": ["f", "t", "ft"]}[shape]
+    token and feature-and-token documents, and any dataset may be a ``select``
+    of some of its queries."""
+    shape = draw(st.sampled_from(["features", "tokens", "mixed"]))
+    has = {"features": ["f"], "tokens": ["t"], "mixed": ["f", "t", "ft"]}[shape]
     pools, judgments, query_tokens = {}, [], {}
     for qi in range(draw(st.integers(1, 3))):
         qid = f"q{qi}"
@@ -294,8 +294,6 @@ def mixed_datasets(draw):
             if draw(st.booleans()):
                 judgments.append(Judgment(qid, pools[qid][-1].id, 1))
     dataset = build_dataset(pools, judgments, "qa", query_tokens=query_tokens)
-    if shape == "normalized":
-        dataset = normalize_features_minmax(dataset)
     keep = draw(st.lists(st.sampled_from(dataset.query_ids()), min_size=1, unique=True))
     if draw(st.booleans()):
         dataset = dataset.select(keep)
@@ -641,10 +639,9 @@ class TestNoRelevanceLookups:
     def test_single_d_epoch_and_evaluate_model(self, planted_dataset, monkeypatch):
         dataset, _ = planted_dataset
         lookups = []
-        for name in ("relevance", "relevance_map"):
-            original = getattr(Dataset, name)
-            monkeypatch.setattr(Dataset, name, lambda self, *a, _o=original, _n=name:
-                                lookups.append(_n) or _o(self, *a))
+        original = Dataset.relevance_map
+        monkeypatch.setattr(Dataset, "relevance_map",
+                            lambda self, qid: lookups.append(qid) or original(self, qid))
         model = build_scorer("linear", {"feature_dim": 6}, scale=0.3, seed=1)
         single_d_epoch(model, dataset, TrainConfig(learning_rate=0.1),
                        np.random.default_rng(0))

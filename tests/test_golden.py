@@ -223,6 +223,17 @@ def run_case(tmp_path, case):
     }
 
 
+def numpy_environment():
+    """numpy's version and, from numpy 1.26 on, the BLAS it was built with."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26: show_config has no mode
+        return f"numpy {np.__version__}"
+    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_digests(tmp_path, case):
-    assert run_case(tmp_path, case) == GOLDEN[case]
+    assert run_case(tmp_path, case) == GOLDEN[case], (
+        f"digests pinned with numpy 2.4.6 and scipy-openblas 0.3.31; "
+        f"this run has {numpy_environment()}")

@@ -12,7 +12,6 @@ from ranklab.metrics import (
     RankedList,
     evaluate_model,
     ndcg_at_k,
-    p_at_1,
     precision_at_k,
     rank,
     write_eval_csv,
@@ -142,16 +141,11 @@ class TestNdcgAtK:
 class TestPAt1:
     def test_top_relevant(self):
         r, rel = ranked([1, 0])
-        assert p_at_1(r, rel) == 1.0
+        assert precision_at_k(r, rel, 1) == 1.0
 
     def test_top_irrelevant(self):
         r, rel = ranked([0, 1])
-        assert p_at_1(r, rel) == 0.0
-
-    @given(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=6))
-    def test_equals_precision_at_1(self, grades):
-        r, rel = ranked(grades)
-        assert p_at_1(r, rel) == precision_at_k(r, rel, 1)
+        assert precision_at_k(r, rel, 1) == 0.0
 
 
 class TestEvaluateModel:

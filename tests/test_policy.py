@@ -97,12 +97,6 @@ class TestSampleDocs:
         with pytest.raises(ValueError):
             sample_docs(SoftmaxPolicy(scorer), None, pool, 0, np.random.default_rng(0))
 
-    def test_without_replacement_flag(self):
-        scorer, pool = scored_pool([0.1, 0.2, 0.3])
-        docs = sample_docs(SoftmaxPolicy(scorer), None, pool, 3,
-                           np.random.default_rng(1), replace=False)
-        assert sorted(d.id for d in docs) == ["d0", "d1", "d2"]
-
 
 class TestLogProbGradient:
     def test_singleton_pool_zero_gradient(self):

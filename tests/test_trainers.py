@@ -23,8 +23,8 @@ from ranklab.scorers import (
     LinearScorer,
     ParamVector,
     build_scorer,
-    discriminator_prob,
     layout_for,
+    sigmoid,
 )
 from ranklab.trainers import (
     DEFAULT_TRAIN_CONFIGS,
@@ -44,8 +44,6 @@ from ranklab.trainers import (
     resolve_baseline,
     run_trainer,
     single_d_epoch,
-    value_function_baseline,
-    value_function_baseline_mc,
 )
 
 from conftest import make_docs
@@ -112,16 +110,17 @@ class TestValueFunctionBaseline:
         pool = [doc_with_score(0.3)]
         policy = SoftmaxPolicy(scorer)
         reward = make_reward("sigmoid")
-        assert value_function_baseline(policy, scorer, None, pool, reward) == pytest.approx(
-            reward(scorer, None, pool)[0]
-        )
+        value = resolve_baseline(ValueFunctionBaseline(), policy_probs(policy, None, pool),
+                                 scorer, None, pool, reward, None)
+        assert value == pytest.approx(reward(scorer, None, pool)[0])
 
     def test_uniform_two_docs(self):
         # equal policy scores, rewards approximately (0, 1) via saturated sigmoids
         model = fixed_score_scorer()
         uniform = SoftmaxPolicy(build_scorer("linear", {"feature_dim": 1}, zero=True))
         pool = [doc_with_score(-40.0, 0), doc_with_score(40.0, 1)]
-        value = value_function_baseline(uniform, model, None, pool, make_reward("sigmoid"))
+        value = resolve_baseline(ValueFunctionBaseline(), policy_probs(uniform, None, pool),
+                                 model, None, pool, make_reward("sigmoid"), None)
         assert value == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("n", [0, 1])
@@ -148,9 +147,14 @@ class TestValueFunctionBaseline:
         policy = SoftmaxPolicy(build_scorer("linear", {"feature_dim": 3}, scale=0.5, seed=8))
         pool = [Document(f"d{i}", rng.normal(size=3)) for i in range(6)]
         reward = make_reward("sigmoid")
-        exact = value_function_baseline(policy, model, None, pool, reward)
-        est, se = value_function_baseline_mc(policy, model, None, pool, reward,
-                                             100_000, np.random.default_rng(5))
+        probs = policy_probs(policy, None, pool)
+        rewards = reward(model, None, pool)
+        exact = resolve_baseline(ValueFunctionBaseline(), probs, model, None, pool,
+                                 reward, None)
+        n = 100_000
+        est = resolve_baseline(MonteCarloValueBaseline(n), probs, model, None, pool,
+                               reward, np.random.default_rng(5))
+        se = math.sqrt(probs @ (rewards - exact) ** 2 / n)
         assert abs(est - exact) <= 3.0 * se
 
 
@@ -183,9 +187,6 @@ class TestGeneratorGradient:
         want = float(reward(model, None, sample_docs(policy, None, pool, 40, ref_rng)).mean())
         assert got == want
         assert rng.random() == ref_rng.random()
-        mc = value_function_baseline_mc(policy, model, None, pool, reward, 40,
-                                        np.random.default_rng(seed))
-        assert mc[0] == want
 
     def test_pool_of_one_gives_zero(self):
         policy, model, pool = self.make_setup(n_docs=1)
@@ -196,8 +197,10 @@ class TestGeneratorGradient:
     def test_reward_equal_to_baseline_gives_zero(self):
         policy, model, pool = self.make_setup()
         reward = make_reward("sigmoid")
-        exact_value = value_function_baseline(policy, model, None, [pool[0]], reward)
-        same = [pool[0]] * 1  # single-doc pool: reward of every draw == baseline
+        same = [pool[0]]  # single-doc pool: reward of every draw == baseline
+        probs = policy_probs(policy, None, same)
+        exact_value = resolve_baseline(ValueFunctionBaseline(), probs, model, None, same,
+                                       reward, None)
         grad = generator_gradient(policy, model, None, same, 3, reward,
                                   ConstantBaseline(exact_value), np.random.default_rng(1))
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
@@ -259,9 +262,9 @@ class TestDiscriminatorStep:
             fresh = Mlp1Scorer(ParamVector(values, model.params.layout))
             total = 0.0
             for _, d in pos:
-                total += math.log(discriminator_prob(fresh, None, d))
+                total += math.log(sigmoid(fresh.score(None, d)))
             for _, d in neg:
-                total += math.log(1.0 - discriminator_prob(fresh, None, d))
+                total += math.log(1.0 - sigmoid(fresh.score(None, d)))
             return total
 
         numeric = fd_gradient(objective, before)
@@ -270,9 +273,9 @@ class TestDiscriminatorStep:
     def test_single_positive_probability_increases(self):
         model = build_scorer("linear", {"feature_dim": 2}, scale=0.3, seed=4)
         doc = Document("p", np.array([0.4, -0.2]))
-        before = discriminator_prob(model, None, doc)
+        before = float(sigmoid(model.score(None, doc)))
         discriminator_step(model, [(None, doc)], [], lr=0.5)
-        assert discriminator_prob(model, None, doc) > before
+        assert float(sigmoid(model.score(None, doc))) > before
 
     def test_empty_step_rejected(self):
         model = build_scorer("linear", {"feature_dim": 2}, zero=True)
@@ -535,10 +538,10 @@ class TestSingleDEpoch:
 
 
 def snapshot_dual_d_outer_epoch(model_a, model_b, dataset, cfg, rng, epoch=1):
-    """Reference co-training outer epoch: each model trains against a read-only
-    snapshot of its partner taken at the start of the outer epoch."""
+    """Reference co-training outer epoch: each model trains against a copy of
+    its partner taken at the start of the outer epoch."""
     phase_seed = int(rng.integers(2**63))
-    snap_a, snap_b = model_a.snapshot(), model_b.snapshot()
+    snap_a, snap_b = model_a.clone(), model_b.clone()
     entries, skipped = trainers._negative_entries(dataset, cfg)
     rows = []
     for model, frozen, other, tag in ((model_a, snap_b, model_b, "A"),
@@ -669,12 +672,12 @@ class TestIrganObjective:
         dataset = small_planted(num_queries=6)
         generator = SoftmaxPolicy(build_scorer("linear", {"feature_dim": 4}, scale=0.3, seed=1))
         flat = build_scorer("linear", {"feature_dim": 4}, zero=True)  # D == 0.5
-        value = irgan_objective(generator, flat, dataset, n_mc=10, rng=np.random.default_rng(0))
+        value = irgan_objective(generator, flat, dataset)
         assert value == pytest.approx(-2.0 * math.log(2.0) * dataset.num_queries, abs=1e-9)
 
-    def test_exact_vs_monte_carlo(self):
-        # one query, pool too large for enumeration: MC must agree with a
-        # test-side exact computation within 3 standard errors
+    def test_large_pool_is_enumerated(self):
+        # one query with a 1200-document pool: the objective still enumerates
+        # it and matches a test-side exact computation
         rng = np.random.default_rng(12)
         n_docs = 1200
         docs = [Document(f"d{i:05d}", rng.normal(size=3)) for i in range(n_docs)]
@@ -686,18 +689,13 @@ class TestIrganObjective:
         pool = ds.pool(q.id)
         probs = policy_probs(generator, q, pool)
         log_one_minus_d = np.log(1.0 - np.array(
-            [discriminator_prob(model, q, d) for d in pool]
+            [float(sigmoid(model.score(q, d))) for d in pool]
         ))
         exact_second = float(probs @ log_one_minus_d)
-        first = math.log(discriminator_prob(model, q, pool[0]))
+        first = math.log(sigmoid(model.score(q, pool[0])))
         exact = first + exact_second
 
-        n_mc = 20_000
-        estimate = irgan_objective(generator, model, ds, n_mc=n_mc,
-                                   rng=np.random.default_rng(77))
-        var = float(probs @ (log_one_minus_d - exact_second) ** 2)
-        se = math.sqrt(var / n_mc)
-        assert abs(estimate - exact) <= 3.0 * se
+        assert irgan_objective(generator, model, ds) == pytest.approx(exact, abs=1e-12)
 
 
 class TestRunTrainer:
