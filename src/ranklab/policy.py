@@ -95,7 +95,8 @@ def log_prob_gradient(policy: SoftmaxPolicy, query, pool, doc: Document) -> np.n
     fwd = policy.scorer.forward(query, pool)
     weights = -_softmax(fwd.scores, policy.temperature)
     weights[positions[0]] += 1.0
-    return policy.scorer.backward(fwd, weights) / policy.temperature
+    grad = policy.scorer.backward(fwd, weights, np.zeros(policy.scorer.params.layout.size))
+    return grad / policy.temperature
 
 
 def normalized_discriminator_sampling(model: Scorer, query, pool, k: int,

@@ -10,10 +10,11 @@ Four scorer kinds cover the three task families:
 * ``text``    -- mean token embeddings of query and document combined through
   a bilinear form, a lightweight stand-in for convolutional text encoders.
 
-Each kind defines one kernel pair, ``forward`` and ``backward`` (see
-``Scorer``); both are pure functions of (params, input).  Training code
-mutates ``scorer.params.values`` in place, which the segment views a scorer
-binds at construction see; ``clone()`` hands out an independent copy.
+Each kind defines one kernel pair (see ``Scorer``): ``forward``, a pure
+function of (params, input), and ``backward``, which adds a gradient into a
+buffer the caller owns.  Training code mutates ``scorer.params.values`` in
+place, which the segment views a scorer binds at construction see;
+``clone()`` hands out an independent copy.
 
 The discriminator map is ``sigmoid(f)``.  Scores are clamped to [-30, 30]
 inside the sigmoid so probabilities never reach exact 0 or 1; the same clamp
@@ -160,14 +161,18 @@ class Scorer:
     """Base scoring function.  Each kind implements one kernel pair:
 
     ``forward(query, docs)`` returns a ``Forward`` with f(d, query) for every
-    document, and ``backward(fwd, weights)`` returns sum_i weights[i] *
-    grad f(docs[i], query) from that forward in one vectorized pass; it is
-    the workhorse for log-softmax gradients and discriminator updates, which
-    need scores and a gradient at the same parameters from one forward.
-    ``score_many``, ``grad_weighted_sum``, ``score``, ``gradient`` and
-    ``gradient_matrix`` are views of that pair.  ``uses_query`` is False for
-    kinds that score joint query-document features and ignore the query
-    argument; batch updates may then lump documents across queries.
+    document, and ``backward(fwd, weights, out)`` adds sum_i weights[i] *
+    grad f(docs[i], query) from that forward into ``out`` (a flat float64
+    array of ``params.layout.size`` entries) in one vectorized pass and
+    returns ``out``.  It writes only the entries the gradient can reach:
+    ``text`` and ``matfac`` leave every table row their forward did not see
+    untouched.  The pair is the workhorse for log-softmax gradients and
+    discriminator updates, which need scores and a gradient at the same
+    parameters from one forward.  ``score_many``, ``grad_weighted_sum``,
+    ``score``, ``gradient`` and ``gradient_matrix`` are views of that pair.
+    ``uses_query`` is False for kinds that score joint query-document
+    features and ignore the query argument; batch updates may then lump
+    documents across queries.
     """
 
     kind: str
@@ -180,14 +185,15 @@ class Scorer:
     def forward(self, query: Query | None, docs: Sequence[Document]) -> Forward:
         raise NotImplementedError
 
-    def backward(self, fwd: Forward, weights) -> np.ndarray:
+    def backward(self, fwd: Forward, weights, out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def score_many(self, query: Query | None, docs: Sequence[Document]) -> np.ndarray:
         return self.forward(query, docs).scores
 
     def grad_weighted_sum(self, query, docs, weights) -> np.ndarray:
-        return self.backward(self.forward(query, docs), weights)
+        return self.backward(self.forward(query, docs), weights,
+                             np.zeros(self.params.layout.size))
 
     def score(self, query: Query | None, doc: Document) -> float:
         return float(self.score_many(query, [doc])[0])
@@ -241,10 +247,13 @@ class LinearScorer(Scorer):
         X = _feature_matrix(docs, self.kind)
         return Forward(X @ self._w + self._b[0], (X,))
 
-    def backward(self, fwd, weights):
+    def backward(self, fwd, weights, out):
         (X,) = fwd.saved
         w = np.asarray(weights, dtype=np.float64)
-        return np.concatenate([X.T @ w, [w.sum()]])
+        d = len(self._w)
+        out[:d] += X.T @ w
+        out[d] += w.sum()
+        return out
 
     def gradient_matrix(self, query, docs):
         X = _feature_matrix(docs, self.kind)
@@ -273,14 +282,17 @@ class Mlp1Scorer(Scorer):
         H = np.tanh(X @ self._hidden_w.T + self._hidden_b)
         return Forward(H @ self._out_w + self._out_b[0], (X, H))
 
-    def backward(self, fwd, weights):
+    def backward(self, fwd, weights, out):
         # (1 - H^2) * out_w is d f / d(hidden pre-activation), one row per document.
         X, H = fwd.saved
         w = np.asarray(weights, dtype=np.float64)
         aw = (1.0 - H * H) * self._out_w * w[:, None]
-        return np.concatenate(
-            [(aw.T @ X).ravel(), aw.sum(axis=0), H.T @ w, [w.sum()]]
-        )
+        hd, h = self._hidden_w.size, len(self._hidden_b)
+        out[:hd] += (aw.T @ X).ravel()
+        out[hd:hd + h] += aw.sum(axis=0)
+        out[hd + h:hd + 2 * h] += H.T @ w
+        out[-1] += w.sum()
+        return out
 
     def gradient_matrix(self, query, docs):
         # Each block is written into one preallocated matrix, in layout order.
@@ -331,16 +343,16 @@ class MatFacScorer(Scorer):
         scores = self._doc_embed[rows] @ self._query_embed[qi] + self._doc_bias[rows]
         return Forward(scores, (qi, rows))
 
-    def backward(self, fwd, weights):
+    def backward(self, fwd, weights, out):
         qi, rows = fwd.saved
         w = np.asarray(weights, dtype=np.float64)
-        qe_grad = np.zeros_like(self._query_embed)
-        qe_grad[qi] = self._doc_embed[rows].T @ w
-        de_grad = np.zeros_like(self._doc_embed)
-        np.add.at(de_grad, rows, np.outer(w, self._query_embed[qi]))
-        bias_grad = np.zeros_like(self._doc_bias)
-        np.add.at(bias_grad, rows, w)
-        return np.concatenate([qe_grad.ravel(), de_grad.ravel(), bias_grad])
+        (nq, k), nd = self._query_embed.shape, len(self._doc_bias)
+        out[qi * k:(qi + 1) * k] += self._doc_embed[rows].T @ w
+        each = np.arange(len(rows))
+        _add_rows(out[nq * k:(nq + nd) * k].reshape(nd, k), rows,
+                  np.outer(w, self._query_embed[qi]), each)
+        _add_rows(out[(nq + nd) * k:], rows, w, each)
+        return out
 
 
 class TextAvgEmbedScorer(Scorer):
@@ -376,20 +388,49 @@ class TextAvgEmbedScorer(Scorer):
         lhs = self._bilinear.T @ eq
         return Forward(np.array([ed @ lhs for ed in eds]), (q_idx, eq, d_ids, eds))
 
-    def backward(self, fwd, weights):
+    def backward(self, fwd, weights, out):
         q_idx, eq, d_ids, eds = fwd.saved
         M = self._bilinear
         w = np.asarray(weights, dtype=np.float64)
+        v, k = self._embed.shape
         ed_weighted = np.stack(eds).T @ w  # sum_i w_i ed_i
-        embed_grad = np.zeros_like(self._embed)
-        # query-token contribution: each query token receives (M ed_i) / len(q)
-        np.add.at(embed_grad, q_idx, (M @ ed_weighted) / len(q_idx))
-        # doc-token contribution: each token of doc i receives w_i M^T eq / len(d_i)
-        lengths = np.array([len(idx) for idx in d_ids])
-        per_doc = (w[:, None] * (M.T @ eq)) / lengths[:, None]
-        np.add.at(embed_grad, np.concatenate(d_ids), np.repeat(per_doc, lengths, axis=0))
-        bilinear_grad = np.outer(eq, ed_weighted)
-        return np.concatenate([embed_grad.ravel(), bilinear_grad.ravel()])
+        # Each query token receives (M sum_i w_i ed_i) / len(q) (row 0 of
+        # ``rows``), then each token of doc i receives w_i M^T eq / len(d_i)
+        # (row i + 1).
+        lengths = [len(q_idx)] + [len(idx) for idx in d_ids]
+        rows = np.vstack([(M @ ed_weighted) / len(q_idx),
+                          (w[:, None] * (M.T @ eq)) / np.array(lengths[1:])[:, None]])
+        _add_rows(out[:v * k].reshape(v, k), np.concatenate([q_idx, *d_ids]),
+                  rows, np.repeat(np.arange(len(rows)), lengths))
+        out[v * k:] += np.outer(eq, ed_weighted).ravel()
+        return out
+
+
+_ROW_CHUNK = 128
+
+
+def _add_rows(table, ids, values, which) -> None:
+    """``table[ids[j]] += values[which[j]]`` for each j, writing only the
+    rows in ``ids``, with the bits of a dense ``np.add.at`` into zeros
+    followed by ``table += dense``: each row's contributions are summed from
+    +0.0 in order, then added to the row once.  The dense add's +0.0 on the
+    other rows could only turn a -0.0 into +0.0, and a buffer summed from
+    +0.0 holds none (round-to-nearest gives -0.0 only for -0.0 + -0.0).
+    Layer j of the sums adds every row's j-th contribution at once; the sums
+    go into ``table`` ``_ROW_CHUNK`` rows at a time, which bounds the copy
+    that a fancy-indexed add gathers."""
+    unique, inverse = np.unique(ids, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")  # each row's occurrences, in order
+    counts = np.bincount(inverse)
+    first = np.cumsum(counts) - counts
+    local = values[which[order[first]]]
+    local += 0.0  # 0.0 + c, as in the zeroed buffer: -0.0 becomes +0.0
+    for j in range(1, counts.max()):
+        rows = np.flatnonzero(counts > j)
+        local[rows] += values[which[order[first[rows] + j]]]
+    for start in range(0, len(unique), _ROW_CHUNK):
+        part = slice(start, start + _ROW_CHUNK)
+        table[unique[part]] += local[part]
 
 
 def build_scorer(kind: str, dims: Mapping, params: ParamVector | None = None, *,
@@ -422,6 +463,7 @@ def build_scorer(kind: str, dims: Mapping, params: ParamVector | None = None, *,
 #   then:   "values" followed by one repr'd float per line.
 
 CHECKPOINT_VERSION = "1"
+_CHECKPOINT_SLICE = 8192  # values joined per write
 
 
 def save_checkpoint(scorer: Scorer, path) -> None:
@@ -431,8 +473,11 @@ def save_checkpoint(scorer: Scorer, path) -> None:
         for name, offset, length in scorer.params.layout.segments:
             fh.write(f"segment {name} {offset} {length}\n")
         fh.write("values\n")
-        for v in scorer.params.values:
-            fh.write(repr(float(v)) + "\n")
+        # Joined in slices: one string of every value would hold a second
+        # copy of the file in memory.
+        values = scorer.params.values
+        for i in range(0, len(values), _CHECKPOINT_SLICE):
+            fh.write("\n".join(map(repr, values[i:i + _CHECKPOINT_SLICE].tolist())) + "\n")
 
 
 def load_checkpoint(path) -> Scorer:
@@ -456,7 +501,7 @@ def load_checkpoint(path) -> Scorer:
             i += 1
         if i >= len(lines) or lines[i] != "values":
             raise ValueError("missing values block")
-        values = np.array([float(v) for v in lines[i + 1 :]])
+        values = np.fromiter(map(float, lines[i + 1:]), np.float64, count=len(lines) - i - 1)
         params = ParamVector(values, Layout(tuple(segments)))
         return build_scorer(meta["kind"], meta["dims"], params)
     except KeyError as exc:

@@ -255,7 +255,8 @@ def generator_gradient(policy: SoftmaxPolicy, model: Scorer, query, pool, k: int
     advantages = reward_fn(model, query, take(pool, unique)) - b
     weights = -probs * float(counts @ advantages)
     np.add.at(weights, unique, counts * advantages)
-    return policy.scorer.backward(fwd, weights) / (k * policy.temperature)
+    grad = policy.scorer.backward(fwd, weights, np.zeros(policy.scorer.params.layout.size))
+    return grad / (k * policy.temperature)
 
 
 def _group_by_query(model, pairs):
@@ -281,17 +282,20 @@ def discriminator_step(model: Scorer, positives, negatives, lr: float) -> float:
     for query, docs in _group_by_query(model, positives):
         fwd = model.forward(query, docs)
         objective += float(log_sigmoid(fwd.scores).sum())
-        grad += model.backward(fwd, 1.0 - sigmoid(fwd.scores))
+        model.backward(fwd, 1.0 - sigmoid(fwd.scores), grad)
     for query, docs in _group_by_query(model, negatives):
         fwd = model.forward(query, docs)
         objective += float(log_sigmoid(-fwd.scores).sum())
-        grad += model.backward(fwd, -sigmoid(fwd.scores))
+        model.backward(fwd, -sigmoid(fwd.scores), grad)
     model.params.values += lr * grad
     return objective
 
 
 def discriminator_pair_step(model: Scorer, triples, lr: float) -> float:
-    """Ascent on sum log sigmoid(f(better) - f(worse)) over (q, better, worse)."""
+    """Ascent on sum log sigmoid(f(better) - f(worse)) over (q, better, worse).
+
+    The delta comes from two one-document scores: a two-row forward can give
+    other bits for the same rows, so its scores feed only the gradient."""
     if not triples:
         raise ValueError("pairwise step needs at least one triple")
     objective = 0.0
@@ -300,7 +304,7 @@ def discriminator_pair_step(model: Scorer, triples, lr: float) -> float:
         delta = model.score(query, better) - model.score(query, worse)
         objective += float(log_sigmoid(delta))
         coef = float(1.0 - sigmoid(delta))
-        grad += model.grad_weighted_sum(query, [better, worse], [coef, -coef])
+        model.backward(model.forward(query, [better, worse]), [coef, -coef], grad)
     model.params.values += lr * grad
     return objective
 
@@ -335,7 +339,7 @@ def pretrain_mle(policy: SoftmaxPolicy, dataset: Dataset, cfg: TrainConfig) -> R
             fwd = policy.scorer.forward(q, pool)
             weights = -len(pos_idx) * _softmax(fwd.scores, policy.temperature)
             np.add.at(weights, pos_idx, 1.0)
-            grad += policy.scorer.backward(fwd, weights)
+            policy.scorer.backward(fwd, weights, grad)
         grad /= n_pairs * policy.temperature
         policy.scorer.params.values += cfg.learning_rate * grad
         total = 0.0

@@ -5,21 +5,25 @@ feature matrix each group's documents read their rows from, sampling
 with replacement from a precomputed CDF (``policy._sampling_cdf`` /
 ``policy._draw_from_cdf``), the argsort ranking of ``evaluate_model``,
 the variance lab's two-sweep state pass, the synthetic generator's
-documents made as rows of one matrix (``Document.rows``) and
-``build_dataset``'s one decision per pool of the matrix it keeps or makes.
+documents made as rows of one matrix (``Document.rows``),
+``build_dataset``'s one decision per pool of the matrix it keeps or makes,
+and each scorer's ``backward`` adding into a caller's buffer (the ``text``
+and ``matfac`` kinds touching only the rows their forward saw).
 Each reference here is written from the definitions: each document's grade
 looked up in ``judgments``, features stacked from plain lists of documents,
 a synthetic task built from one ``Document`` per row copy, pools checked and
 stacked document by document, ``Generator.choice`` with
 ``p=``, ``sorted(..., key=(-score, id))`` over RankedLists, and exact
 enumeration over a list that holds every visited state's policy and
-grad-log-prob matrix at once.  The edge shapes are pools
+grad-log-prob matrix at once, and a dense gradient of every table.  The edge shapes are pools
 of one document, all-relevant pools, queries with no relevant document,
-``dns_k`` above the size of the negative pool, unvisited states and
-partitions with no action below the baseline.
+``dns_k`` above the size of the negative pool, unvisited states,
+partitions with no action below the baseline, and tokens or document rows
+repeated within one backward.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -860,3 +864,165 @@ class TestStatePassMatchesListReference:
             assert (pgvar.mc_variance(instance, policy, baseline, n, rng)
                     == reference_mc(instance, policy, baseline, n, expected_rng))
             assert rng.random() == expected_rng.random()
+
+
+# -- backward into the step's gradient buffer ------------------------------------
+
+
+def reference_backward(scorer, fwd, weights):
+    """sum_i weights[i] * grad f(docs[i]) as one dense vector: each kind's
+    tables zeroed, filled with ``np.add.at`` and concatenated in layout
+    order, the way ``backward`` built its result before it added into a
+    caller's buffer."""
+    p, dims = scorer.params, scorer.dims
+    w = np.asarray(weights, dtype=np.float64)
+    if scorer.kind == "linear":
+        (X,) = fwd.saved
+        return np.concatenate([X.T @ w, [w.sum()]])
+    if scorer.kind == "mlp1":
+        X, H = fwd.saved
+        aw = (1.0 - H * H) * p.segment("out_w") * w[:, None]
+        return np.concatenate([(aw.T @ X).ravel(), aw.sum(axis=0), H.T @ w, [w.sum()]])
+    k = dims["embed_dim"]
+    if scorer.kind == "matfac":
+        qi, rows = fwd.saved
+        query_embed = p.segment("query_embed").reshape(-1, k)
+        doc_embed = p.segment("doc_embed").reshape(-1, k)
+        qe_grad = np.zeros_like(query_embed)
+        qe_grad[qi] = doc_embed[rows].T @ w
+        de_grad = np.zeros_like(doc_embed)
+        np.add.at(de_grad, rows, np.outer(w, query_embed[qi]))
+        bias_grad = np.zeros(len(dims["doc_ids"]))
+        np.add.at(bias_grad, rows, w)
+        return np.concatenate([qe_grad.ravel(), de_grad.ravel(), bias_grad])
+    q_idx, eq, d_ids, eds = fwd.saved
+    M = p.segment("bilinear").reshape(k, k)
+    ed_weighted = np.stack(eds).T @ w
+    embed_grad = np.zeros((dims["vocab_size"], k))
+    np.add.at(embed_grad, q_idx, (M @ ed_weighted) / len(q_idx))
+    lengths = np.array([len(idx) for idx in d_ids])
+    per_doc = (w[:, None] * (M.T @ eq)) / lengths[:, None]
+    np.add.at(embed_grad, np.concatenate(d_ids), np.repeat(per_doc, lengths, axis=0))
+    return np.concatenate([embed_grad.ravel(), np.outer(eq, ed_weighted).ravel()])
+
+
+def check_backward_matches_reference(scorer, query, docs, weights, seed):
+    """``backward`` adds the reference sum into a random non-zero buffer and
+    returns that buffer; ``grad_weighted_sum`` is the reference added to
+    zeros (which turns a -0.0 entry into +0.0)."""
+    fwd = scorer.forward(query, docs)
+    reference = reference_backward(scorer, fwd, weights)
+    out = np.random.default_rng(seed).normal(size=scorer.params.layout.size)
+    expected = out + reference
+    assert scorer.backward(fwd, weights, out) is out
+    assert out.tobytes() == expected.tobytes()
+    assert (scorer.grad_weighted_sum(query, docs, weights).tobytes()
+            == (np.zeros(len(reference)) + reference).tobytes())
+
+
+VOCAB, MATFAC_USERS, MATFAC_ITEMS = 6, 3, 5
+
+
+def kind_scorer(kind, seed):
+    dims = {"linear": {"feature_dim": 3},
+            "mlp1": {"feature_dim": 3, "hidden": 2},
+            "matfac": {"query_ids": tuple(f"u{i}" for i in range(MATFAC_USERS)),
+                       "doc_ids": tuple(f"i{i}" for i in range(MATFAC_ITEMS)),
+                       "embed_dim": 3},
+            "text": {"vocab_size": VOCAB, "embed_dim": 3}}[kind]
+    return build_scorer(kind, dims, scale=0.8, seed=seed)
+
+
+@st.composite
+def backward_cases(draw):
+    """A scorer of each kind, a query and a pool of one to six documents.
+    Small id spaces repeat tokens within a document, share tokens between
+    the query and its documents and repeat matfac document rows; features
+    hold zeros, so negative weights give -0.0 entries; weights may be all
+    zero or partly zero."""
+    kind = draw(st.sampled_from(["linear", "mlp1", "matfac", "text"]))
+    seed = draw(st.integers(0, 10_000))
+    n = draw(st.integers(1, 6))
+    small = st.integers(-1, 1).map(float)
+    if kind in ("linear", "mlp1"):
+        query = None
+        docs = [Document(f"d{i}", np.array(draw(st.lists(small, min_size=3, max_size=3))))
+                for i in range(n)]
+    elif kind == "matfac":
+        query = Query(f"u{draw(st.integers(0, MATFAC_USERS - 1))}")
+        docs = [Document(f"i{draw(st.integers(0, MATFAC_ITEMS - 1))}", tokens=(0,))
+                for _ in range(n)]
+    else:
+        tokens = st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=5).map(tuple)
+        query = Query("q", tokens=draw(tokens))
+        docs = [Document(f"d{i}", tokens=draw(tokens)) for i in range(n)]
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, -0.5, 1.25, -2.0]),
+                                     min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        weights = np.random.default_rng(seed).normal(size=n)
+    return kind_scorer(kind, seed), query, docs, weights, seed
+
+
+class TestBackwardIntoBuffer:
+    @settings(max_examples=300, deadline=None)
+    @given(backward_cases())
+    def test_adds_the_dense_reference(self, case):
+        check_backward_matches_reference(*case)
+
+    @pytest.mark.parametrize("kind, query, docs, weights", [
+        ("text", Query("q", tokens=(1, 4)),
+         [Document("a", tokens=(2, 5, 2, 2)), Document("b", tokens=(4, 1, 2))], [0.7, -1.3]),
+        ("text", Query("q", tokens=(3, 3)), [Document("a", tokens=(3,))], [0.0]),
+        ("matfac", Query("u1"),
+         [Document(f"i{i}", tokens=(0,)) for i in (2, 0, 2, 2)], [0.5, -1.0, 2.0, -0.25]),
+        ("matfac", Query("u0"), [Document("i4", tokens=(0,))], [-1.0]),
+        ("linear", None, [Document("a", np.zeros(3)), Document("b", np.ones(3))], [-1.0, 0.0]),
+        ("mlp1", None, [Document("a", np.array([0.0, 1.0, -1.0]))], [0.0]),
+    ], ids=["text-shared-and-repeated-tokens", "text-one-doc-zero-weight",
+            "matfac-repeated-rows", "matfac-one-doc", "linear-zero-features",
+            "mlp1-one-doc-zero-weight"])
+    def test_named_edge_shapes(self, kind, query, docs, weights):
+        check_backward_matches_reference(kind_scorer(kind, 5), query, docs,
+                                         np.array(weights), 5)
+
+
+def peak_bytes(call) -> int:
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBackwardAllocatesTouchedRowsOnly:
+    """A ``text`` or ``matfac`` backward into an existing buffer allocates in
+    proportion to the rows its forward saw, not to the table; the dense
+    reference shows what the measure would read for a whole-table gradient."""
+
+    def test_text_pool(self):
+        # The QA benchmark's shape: vocabulary 2000, embedding 100, a
+        # 20-candidate pool of 8-15 tokens each and a 5-9 token question.
+        rng = np.random.default_rng(17)
+        scorer = build_scorer("text", {"vocab_size": 2000, "embed_dim": 100}, seed=17)
+        tokens = lambda lo, hi: tuple(rng.integers(2000, size=int(rng.integers(lo, hi))).tolist())
+        query = Query("q", tokens=tokens(5, 10))
+        docs = [Document(f"d{i}", tokens=tokens(8, 16)) for i in range(20)]
+        fwd = scorer.forward(query, docs)
+        weights, out = rng.normal(size=20), rng.normal(size=scorer.params.layout.size)
+        table = scorer.params.segment("embed").nbytes
+        assert peak_bytes(lambda: scorer.backward(fwd, weights, out)) < table / 4
+        assert peak_bytes(lambda: reference_backward(scorer, fwd, weights)) >= 2 * table
+
+    def test_matfac_pool(self):
+        rng = np.random.default_rng(19)
+        dims = {"query_ids": tuple(f"u{i}" for i in range(50)),
+                "doc_ids": tuple(f"i{i}" for i in range(4000)), "embed_dim": 20}
+        scorer = build_scorer("matfac", dims, seed=19)
+        docs = [Document(f"i{i}", tokens=(0,)) for i in rng.integers(4000, size=20)]
+        fwd = scorer.forward(Query("u7"), docs)
+        weights, out = rng.normal(size=20), rng.normal(size=scorer.params.layout.size)
+        table = scorer.params.segment("doc_embed").nbytes
+        assert peak_bytes(lambda: scorer.backward(fwd, weights, out)) < table / 4
+        assert peak_bytes(lambda: reference_backward(scorer, fwd, weights)) >= 2 * table

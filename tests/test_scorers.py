@@ -1,5 +1,6 @@
 """Scorer kernels against hand values and the finite-difference oracle."""
 
+import json
 import math
 
 import numpy as np
@@ -254,7 +255,9 @@ class TestScoreGradient:
         fwd = scorer.forward(q, docs)
         for scores in (scorer.score_many(q, docs), fwd.scores):
             np.testing.assert_allclose(scores, ref_scores, atol=1e-12)
-        for grad in (scorer.grad_weighted_sum(q, docs, weights), scorer.backward(fwd, weights)):
+        out = np.zeros(scorer.params.layout.size)
+        assert scorer.backward(fwd, weights, out) is out
+        for grad in (scorer.grad_weighted_sum(q, docs, weights), out):
             np.testing.assert_allclose(grad, weights @ ref_grads, atol=1e-10)
         np.testing.assert_allclose(scorer.gradient_matrix(q, docs), ref_grads, atol=1e-12)
         assert scorer.score(q, docs[0]) == pytest.approx(ref_scores[0], abs=1e-12)
@@ -385,6 +388,29 @@ class TestCheckpoints:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match=str(path)):
             load_checkpoint(path)
+
+    def test_non_numeric_value_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "linear")
+        lines[-2] = "0.1x"
+        self.assert_rejected(path, lines)
+
+    def test_values_match_per_value_repr(self, tmp_path):
+        # 2 * 8192 + 101 values: the writer's slices end mid-file, and the
+        # special values sit on both sides of a slice boundary.
+        scorer = build_scorer("linear", {"feature_dim": 2 * 8192 + 100}, seed=3)
+        values = scorer.params.values
+        special = {8190: -0.0, 8191: 1e-300, 8192: 5e-324, 16383: 2.5e-310, 16384: -1.0}
+        for i, v in special.items():
+            values[i] = v
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(scorer, path)
+        assert load_checkpoint(path).params.values.tobytes() == values.tobytes()
+        values[[0, 8193, len(values) - 1]] = [float("nan"), float("inf"), float("-inf")]
+        save_checkpoint(scorer, path)
+        expected = ["1", json.dumps({"kind": "linear", "dims": scorer.dims}, sort_keys=True),
+                    *(f"segment {n} {o} {k}" for n, o, k in scorer.params.layout.segments),
+                    "values", *(repr(float(v)) for v in values)]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
     def test_version_line_only_rejected(self, tmp_path):
         path, lines = self.saved_lines(tmp_path, "linear")
