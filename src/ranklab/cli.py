@@ -9,9 +9,9 @@ eval, compare, variance); ``--seed`` overrides the trainer seed and the env
 var ``RANK_LAB_OUT`` sets the default output root.  Every command is a pure
 function of (config file, input files, seed): reruns are byte-identical.
 
-Outputs land in ``<out>/<run-name>/``: a verbatim copy of the config,
-``checkpoints/``, ``curves.csv`` (epoch,model,metric,value) and command-
-specific result CSVs.
+Outputs land in ``<out>/<run-name>/``: ``checkpoints/``, ``curves.csv``
+(epoch,model,metric,value), command-specific result CSVs and, written last so
+that a rerun that fails leaves the earlier run as it was, a verbatim config copy.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 numeric failure
 (training aborts as soon as a parameter goes non-finite).
@@ -23,7 +23,6 @@ import argparse
 import configparser
 import math
 import os
-import shutil
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -292,7 +291,6 @@ def prepare_run_dir(conf: Conf, args) -> Path:
     name = conf.get("run", "name", default=Path(args.config).stem)
     run_dir = out_root / name
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(args.config, run_dir / "config.copy")
     return run_dir
 
 
@@ -321,7 +319,7 @@ def load_task(conf: Conf) -> tuple:
     return (metric_names, *split_queries(dataset, *split), spec, model_dims(spec, dataset))
 
 
-def cmd_pretrain(conf: Conf, args) -> int:
+def cmd_pretrain(conf: Conf, args) -> Path:
     cfg = load_train_config(conf, args.seed)
     spec = read_model(conf)
     dataset = load_dataset(conf)
@@ -332,10 +330,10 @@ def cmd_pretrain(conf: Conf, args) -> int:
     record.to_csv(run_dir / "curves.csv")
     save_checkpoint(scorer, run_dir / "checkpoints" / "G.ckpt")
     print(f"pretrain: wrote {run_dir / 'curves.csv'}")
-    return EXIT_OK
+    return run_dir
 
 
-def cmd_train(conf: Conf, args) -> int:
+def cmd_train(conf: Conf, args) -> Path:
     cfg = load_train_config(conf, args.seed)
     trainer = conf.get("trainer", "name", required=True, type=one_of(TRAINER_NAMES))
     metric_names, train_set, eval_set, spec, dims = load_task(conf)
@@ -354,7 +352,7 @@ def cmd_train(conf: Conf, args) -> int:
         reports["chosen"] = reports[result.chosen]
     write_eval_csv(reports, run_dir / "results.csv")
     print(f"train[{trainer}]: wrote {run_dir / 'results.csv'}")
-    return EXIT_OK
+    return run_dir
 
 
 def parity_outer_epochs(budget: int, inner: int) -> int:
@@ -363,7 +361,7 @@ def parity_outer_epochs(budget: int, inner: int) -> int:
     return max(1, budget // (2 * inner))
 
 
-def cmd_compare(conf: Conf, args) -> int:
+def cmd_compare(conf: Conf, args) -> Path:
     cfg = load_train_config(conf, args.seed)
     trainers = conf.get_list("compare", "trainers", required=True, type=one_of(TRAINER_NAMES))
     if len(trainers) < 2:
@@ -414,7 +412,7 @@ def cmd_compare(conf: Conf, args) -> int:
     write_csv(run_dir / "per_seed.csv", ("model", "seed", "metric", "value"),
               per_seed_rows)
     print(f"compare: wrote {run_dir / 'results.csv'}")
-    return EXIT_OK
+    return run_dir
 
 
 def _variance_point(study_cfg: StudyConfig, fraction: float, seed: int, sweep):
@@ -431,7 +429,7 @@ def _variance_point(study_cfg: StudyConfig, fraction: float, seed: int, sweep):
     return row, chain, sweep_rows
 
 
-def cmd_variance(conf: Conf, args) -> int:
+def cmd_variance(conf: Conf, args) -> Path:
     fractions = conf.get_list("variance", "fractions", default=(0.002, 0.005, 0.015),
                               type=float)
     if not fractions:
@@ -467,7 +465,7 @@ def cmd_variance(conf: Conf, args) -> int:
     )
     write_csv(run_dir / "b_sweep.csv", ("b", "q_max", "bound_rhs"), sweeps[0])
     print(f"variance: wrote {run_dir / 'study.csv'}")
-    return EXIT_OK
+    return run_dir
 
 
 COMMANDS = {
@@ -501,7 +499,11 @@ def main(argv=None) -> int:
         # A non-finite parameter or score raises NumericError, so numpy's
         # overflow and invalid-value warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
-            return COMMANDS[args.command](conf, args)
+            run_dir = COMMANDS[args.command](conf, args)
+        # Last, so that a rerun that fails leaves the earlier run as it was.
+        with atomic_write(run_dir / "config.copy", binary=True) as fh:
+            fh.write(Path(args.config).read_bytes())
+        return EXIT_OK
     except (CliConfigError, InvalidConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -206,12 +206,13 @@ def make_reward(kind: str) -> RewardFn:
     return _REWARDS[kind]
 
 
-def _pairwise_reward(anchor: Document) -> RewardFn:
+def _pairwise_reward(model: Scorer, query: Query | None, anchor: Document) -> RewardFn:
     """2 * (sigmoid(f(d) - f(anchor)) - 0.5): pairwise analog of the pointwise
-    baselined reward, where the anchor is the paired relevant document."""
+    baselined reward, where the anchor is the paired relevant document, scored
+    once, here: ``model`` must not move while the reward is in use."""
+    f_anchor = model.score(query, anchor)
 
     def reward(model, query, docs):
-        f_anchor = model.score(query, anchor)
         return 2.0 * (sigmoid(model.score_many(query, docs) - f_anchor) - 0.5)
 
     return reward
@@ -259,54 +260,48 @@ def generator_gradient(policy: SoftmaxPolicy, model: Scorer, query, pool, k: int
     return grad / (k * policy.temperature)
 
 
-def _group_by_query(model, pairs):
-    if not model.uses_query:
-        return [(None, [d for _, d in pairs])] if pairs else []
-    groups: dict[str | None, tuple[Query | None, list[Document]]] = {}
-    for q, d in pairs:
-        key = q.id if q is not None else None
-        groups.setdefault(key, (q, []))[1].append(d)
-    return groups.values()
-
-
 def discriminator_step(model: Scorer, positives, negatives, lr: float) -> float:
     """One ascent step on sum log sigmoid(f) over positives plus
     sum log(1 - sigmoid(f)) over negatives; returns the pre-step objective.
 
-    ``positives`` and ``negatives`` are (Query, Document) pairs.
+    ``positives`` and ``negatives`` are (query, documents) groups, the shape
+    ``forward`` takes, and each non-empty group costs one forward; a kind that
+    ignores the query joins each side's groups, in order, into one forward.
     """
-    if not positives and not negatives:
+    if not any(docs for _, docs in [*positives, *negatives]):
         raise ValueError("discriminator step needs at least one sample")
     objective = 0.0
     grad = np.zeros(model.params.layout.size)
-    for query, docs in _group_by_query(model, positives):
-        fwd = model.forward(query, docs)
-        objective += float(log_sigmoid(fwd.scores).sum())
-        model.backward(fwd, 1.0 - sigmoid(fwd.scores), grad)
-    for query, docs in _group_by_query(model, negatives):
-        fwd = model.forward(query, docs)
-        objective += float(log_sigmoid(-fwd.scores).sum())
-        model.backward(fwd, -sigmoid(fwd.scores), grad)
+    for groups, positive in ((positives, True), (negatives, False)):
+        if not model.uses_query:
+            groups = [(None, [d for _, docs in groups for d in docs])]
+        for fwd in (model.forward(query, docs) for query, docs in groups if docs):
+            s = fwd.scores
+            objective += float(log_sigmoid(s if positive else -s).sum())
+            model.backward(fwd, 1.0 - sigmoid(s) if positive else -sigmoid(s), grad)
     model.params.values += lr * grad
     return objective
 
 
-def discriminator_pair_step(model: Scorer, triples, lr: float) -> float:
-    """Ascent on sum log sigmoid(f(better) - f(worse)) over (q, better, worse).
+def discriminator_pair_step(model: Scorer, triples, lr: float) -> tuple[float, list[np.ndarray]]:
+    """Ascent on sum log sigmoid(f(better) - f(worse)) over (q, better, worse);
+    returns the pre-step objective and each triple's one-row pre-step delta.
 
-    The delta comes from two one-document scores: a two-row forward can give
+    The delta comes from two one-row forwards: a two-row forward can give
     other bits for the same rows, so its scores feed only the gradient."""
     if not triples:
         raise ValueError("pairwise step needs at least one triple")
     objective = 0.0
     grad = np.zeros(model.params.layout.size)
+    deltas = []
     for query, better, worse in triples:
-        delta = model.score(query, better) - model.score(query, worse)
+        deltas.append(model.score_many(query, [better]) - model.score_many(query, [worse]))
+        delta = float(deltas[-1][0])
         objective += float(log_sigmoid(delta))
         coef = float(1.0 - sigmoid(delta))
         model.backward(model.forward(query, [better, worse]), [coef, -coef], grad)
     model.params.values += lr * grad
-    return objective
+    return objective, deltas
 
 
 # -- pretraining -----------------------------------------------------------------
@@ -377,12 +372,10 @@ def _negative_step(model: Scorer, active, draw, lr: float) -> float:
     """One discriminator step on every positive of the batch against the
     negatives ``draw(query, positives, pool)`` returns for its query; returns
     the step's objective per example."""
-    positives, negatives = [], []
-    for q, pos, neg_pool in active:
-        positives.extend((q, p) for p in pos)
-        negatives.extend((q, n) for n in draw(q, pos, neg_pool))
+    positives = [(q, pos) for q, pos, _ in active]
+    negatives = [(q, draw(q, pos, neg_pool)) for q, pos, neg_pool in active]
     obj = discriminator_step(model, positives, negatives, lr)
-    return obj / (len(positives) + len(negatives))
+    return obj / sum(len(docs) for _, docs in [*positives, *negatives])
 
 
 def _negative_epoch(model: Scorer, entries, draw, cfg: TrainConfig) -> float:
@@ -452,14 +445,14 @@ def irgan_pairwise_epoch(generator: SoftmaxPolicy, discriminator: Scorer,
     for active in _active_batches(entries, cfg.batch_size):
         pairs = [(q, anchor, neg_pool) for q, pos, neg_pool in active for anchor in pos]
         for _ in range(cfg.d_steps):
-            triples = []
-            for q, anchor, neg_pool in pairs:
-                sampled = sample_docs(generator, q, neg_pool, 1, rng)[0]
-                triples.append((q, anchor, sampled))
-                rewards.append(_pairwise_reward(anchor)(discriminator, q, [sampled]))
-            obj = discriminator_pair_step(discriminator, triples, cfg.learning_rate)
+            triples = [(q, anchor, sample_docs(generator, q, neg_pool, 1, rng)[0])
+                       for q, anchor, neg_pool in pairs]
+            obj, deltas = discriminator_pair_step(discriminator, triples, cfg.learning_rate)
             d_objs.append(obj / len(triples))
-        units = [(q, neg_pool, _pairwise_reward(anchor)) for q, anchor, neg_pool in pairs]
+            # The sampled document's pairwise reward, from f(anchor) - f(sampled).
+            rewards.extend(2.0 * (sigmoid(-delta) - 0.5) for delta in deltas)
+        units = [(q, neg_pool, _pairwise_reward(discriminator, q, anchor))
+                 for q, anchor, neg_pool in pairs]
         for _ in range(cfg.g_steps):
             _generator_step(generator, discriminator, units, cfg, rng)
     return [

@@ -733,3 +733,22 @@ class TestAtomicWrites:
             write_csv(path, ("model", "value"), rows())
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+
+    def test_failed_rerun_keeps_earlier_run(self, tmp_path):
+        # The config copy is written last, so a rerun that fails on a numeric
+        # error leaves every file of the earlier run as it was.
+        body = SYNTH_DATASET + MODEL_LINEAR + """
+[trainer]
+name = single-d
+learning_rate = {lr}
+epochs_outer = 3
+seed = 7
+"""
+        config = write_config(tmp_path, body.format(lr=0.05))
+        out = tmp_path / "out"
+        assert run(["train", "--config", config, "--out", out]) == 0
+        files = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        assert out / "run" / "config.copy" in files
+        write_config(tmp_path, body.format(lr=1e308))
+        assert run(["train", "--config", config, "--out", out]) == 3
+        assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == files

@@ -12,6 +12,7 @@ shared catalog (matfac scorer) are pinned too.
 """
 
 import configparser
+import ctypes
 import hashlib
 import json
 from pathlib import Path
@@ -223,17 +224,34 @@ def run_case(tmp_path, case):
     }
 
 
+def openblas_core():
+    """The core type whose kernels the OpenBLAS bundled in numpy's wheel runs
+    (chosen from the CPU at load time, or forced by ``OPENBLAS_CORETYPE``);
+    None when no bundled OpenBLAS reports one."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def numpy_environment():
-    """numpy's version and, from numpy 1.26 on, the BLAS it was built with."""
+    """numpy's version, from numpy 1.26 on the BLAS it was built with, and
+    the OpenBLAS core type when it can be read."""
+    core = openblas_core()
+    suffix = "" if core is None else f", OpenBLAS core {core}"
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy < 1.26: show_config has no mode
-        return f"numpy {np.__version__}"
-    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+        return f"numpy {np.__version__}{suffix}"
+    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}{suffix}"
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_digests(tmp_path, case):
     assert run_case(tmp_path, case) == GOLDEN[case], (
-        f"digests pinned with numpy 2.4.6 and scipy-openblas 0.3.31; "
-        f"this run has {numpy_environment()}")
+        f"digests pinned with numpy 2.4.6 and scipy-openblas 0.3.31 on its SkylakeX "
+        f"kernels; this run has {numpy_environment()}")

@@ -1,18 +1,19 @@
 """Every public name in the package has a user.
 
 The scan takes every public ``def`` and ``class`` in ``src/ranklab/*.py``
-(``__init__.py`` aside, since re-exporting a name does not use it) and looks
-for the name as a whole word in the package modules, the acceptance tests and
-the benchmark harness, beyond its own definition.  Unit tests do not
-count as users: a name only they call is surface without a purpose.
+(``__init__.py`` aside, since re-exporting a name does not use it) and counts
+the code references to it in the package modules, the acceptance tests and
+the benchmark harness, beyond its own definition.  A reference is a name, an
+attribute, an imported name or an identifier-like string constant (the
+benchmark's tracer tables name the functions they wrap in strings); words in
+docstrings and comments do not count.  Unit tests do not count as users: a
+name only they call is surface without a purpose.
 
-The scan is a floor, not a proof.  Any mention counts, in a docstring or a
-comment too, so a name that is also a common word (``snapshot``,
-``relevance``) slips past it.
+The scan is a floor, not a proof: a name is counted wherever it occurs as an
+attribute, so a method named like another object's attribute slips past it.
 """
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -27,6 +28,7 @@ KEPT = {
     "pairwise_accuracy": "a documented metric",
     "series": "reads a metric's curve back from the CLI's curves.csv",
     "from_csv": "reads the CLI's curves.csv back into a RunRecord",
+    "serialize_letor": "the LETOR writer that parse_letor round-trips",
 }
 
 
@@ -41,14 +43,32 @@ def public_names():
             and not node.name.startswith("_")}
 
 
+def references(tree):
+    """Each definition and code reference in a module, as the name it uses.
+    Comments never reach the tree, and a docstring is prose, not an
+    identifier-like constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from filter(None, (node.name.rsplit(".", 1)[-1], node.asname))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value
+
+
 def unused_names():
-    """Public names that occur as a word only once (their definition) in the
-    files a user may be in; a name defined twice counts the other definition
-    as a use."""
+    """Public names referenced only once (their definition) in the files a
+    user may be in; a name defined twice counts the other definition as a
+    use."""
     paths = [*modules(), ROOT / "tests" / "test_acceptance.py",
              *sorted((ROOT / "perfbench").glob("*.py"))]
-    words = Counter(w for path in paths for w in re.findall(r"\w+", path.read_text()))
-    return {name for name in public_names() if words[name] <= 1}
+    counts = Counter(name for path in paths for name in references(ast.parse(path.read_text())))
+    return {name for name in public_names() if counts[name] <= 1}
 
 
 def test_every_public_name_has_a_user():

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ranklab import trainers
 from ranklab.baselines import (
@@ -24,6 +24,7 @@ from ranklab.scorers import (
     ParamVector,
     build_scorer,
     layout_for,
+    log_sigmoid,
     sigmoid,
 )
 from ranklab.trainers import (
@@ -237,22 +238,69 @@ class TestGeneratorGradient:
         np.testing.assert_allclose(a, 2.0 * b, atol=1e-12)
 
 
+def pair_step_reference(model, positives, negatives, lr):
+    """The discriminator step as it was over (query, document) pairs: it
+    regrouped the pairs by query id, or lumped each side into one list for a
+    kind that ignores the query, before each forward."""
+
+    def group_by_query(pairs):
+        if not model.uses_query:
+            return [(None, [d for _, d in pairs])] if pairs else []
+        groups = {}
+        for q, d in pairs:
+            groups.setdefault(q.id if q is not None else None, (q, []))[1].append(d)
+        return groups.values()
+
+    objective = 0.0
+    grad = np.zeros(model.params.layout.size)
+    for query, docs in group_by_query(positives):
+        fwd = model.forward(query, docs)
+        objective += float(log_sigmoid(fwd.scores).sum())
+        model.backward(fwd, 1.0 - sigmoid(fwd.scores), grad)
+    for query, docs in group_by_query(negatives):
+        fwd = model.forward(query, docs)
+        objective += float(log_sigmoid(-fwd.scores).sum())
+        model.backward(fwd, -sigmoid(fwd.scores), grad)
+    model.params.values += lr * grad
+    return objective
+
+
+def step_catalog(kind, seed):
+    """A ``kind`` scorer, queries u1..u3 and documents i1..i4 that carry both
+    features and tokens, so every kind scores the same catalog."""
+    rng = np.random.default_rng(seed)
+    dims = {
+        "linear": {"feature_dim": 3},
+        "mlp1": {"feature_dim": 3, "hidden": 2},
+        "matfac": {"query_ids": ("u1", "u2", "u3"), "doc_ids": ("i1", "i2", "i3", "i4"),
+                   "embed_dim": 2},
+        "text": {"vocab_size": 7, "embed_dim": 2},
+    }[kind]
+    model = build_scorer(kind, dims, scale=0.5, seed=seed)
+    queries = [Query(f"u{i}", tokens=tuple(rng.integers(0, 7, size=3).tolist()))
+               for i in range(1, 4)]
+    docs = [Document(f"i{i}", features=rng.normal(size=3),
+                     tokens=tuple(rng.integers(0, 7, size=int(rng.integers(1, 4))).tolist()))
+            for i in range(1, 5)]
+    return model, queries, docs
+
+
 class TestDiscriminatorStep:
     def test_balanced_zero_scores_objective(self):
         model = build_scorer("linear", {"feature_dim": 2}, zero=True)
         docs = make_docs([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        pairs = [(None, d) for d in docs]
-        obj = discriminator_step(model, pairs, pairs, lr=0.0)
+        groups = [(None, docs)]
+        obj = discriminator_step(model, groups, groups, lr=0.0)
         assert obj == pytest.approx(-2.0 * 3 * math.log(2.0), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         model = build_scorer("mlp1", {"feature_dim": 3, "hidden": 2}, scale=0.5, seed=3)
-        pos = [(None, Document(f"p{i}", rng.normal(size=3))) for i in range(3)]
-        neg = [(None, Document(f"n{i}", rng.normal(size=3))) for i in range(2)]
+        pos = [Document(f"p{i}", rng.normal(size=3)) for i in range(3)]
+        neg = [Document(f"n{i}", rng.normal(size=3)) for i in range(2)]
         lr = 1e-3
         before = model.params.values.copy()
-        discriminator_step(model, pos, neg, lr)
+        discriminator_step(model, [(None, pos[:2]), (None, pos[2:])], [(None, neg)], lr)
         analytic = (model.params.values - before) / lr
 
         from ranklab.scorers import Mlp1Scorer
@@ -261,9 +309,9 @@ class TestDiscriminatorStep:
         def objective(values):
             fresh = Mlp1Scorer(ParamVector(values, model.params.layout))
             total = 0.0
-            for _, d in pos:
+            for d in pos:
                 total += math.log(sigmoid(fresh.score(None, d)))
-            for _, d in neg:
+            for d in neg:
                 total += math.log(1.0 - sigmoid(fresh.score(None, d)))
             return total
 
@@ -274,32 +322,56 @@ class TestDiscriminatorStep:
         model = build_scorer("linear", {"feature_dim": 2}, scale=0.3, seed=4)
         doc = Document("p", np.array([0.4, -0.2]))
         before = float(sigmoid(model.score(None, doc)))
-        discriminator_step(model, [(None, doc)], [], lr=0.5)
+        discriminator_step(model, [(None, [doc])], [], lr=0.5)
         assert float(sigmoid(model.score(None, doc))) > before
 
     def test_empty_step_rejected(self):
         model = build_scorer("linear", {"feature_dim": 2}, zero=True)
         with pytest.raises(ValueError):
             discriminator_step(model, [], [], lr=0.1)
+        with pytest.raises(ValueError):
+            discriminator_step(model, [(None, [])], [(None, [])], lr=0.1)
 
     def test_one_forward_per_query_group(self, monkeypatch):
-        # linear lumps every query into one group; matfac groups by query.
+        # linear lumps every group of a side into one forward; matfac runs one
+        # forward per non-empty group.
         rng = np.random.default_rng(2)
         linear = build_scorer("linear", {"feature_dim": 2}, scale=0.3, seed=4)
         docs = make_docs(rng.normal(size=(5, 2)).tolist())
         calls = count_forwards(monkeypatch, linear)
-        discriminator_step(linear, [(None, d) for d in docs[:2]],
-                           [(None, d) for d in docs[2:]], lr=0.1)
+        discriminator_step(linear, [(None, docs[:1]), (None, docs[1:2])],
+                           [(None, docs[2:4]), (None, []), (None, docs[4:])], lr=0.1)
         assert len(calls) == 2
         dims = {"query_ids": ("u1", "u2", "u3"), "doc_ids": ("i1", "i2"), "embed_dim": 2}
         matfac = build_scorer("matfac", dims, scale=0.3, seed=5)
         users = {u: Query(u) for u in dims["query_ids"]}
         items = [Document(i, tokens=(0,)) for i in dims["doc_ids"]]
-        positives = [(users["u1"], items[0]), (users["u2"], items[1]), (users["u1"], items[1])]
-        negatives = [(users[u], items[0]) for u in ("u3", "u2", "u1", "u3")]
+        positives = [(users["u1"], [items[0], items[1]]), (users["u2"], [items[1]])]
+        negatives = [(users["u3"], [items[0], items[0]]), (users["u2"], [items[0]]),
+                     (users["u3"], []), (users["u1"], [items[0]])]
         calls = count_forwards(monkeypatch, matfac)
         discriminator_step(matfac, positives, negatives, lr=0.1)
         assert [q.id for q in calls] == ["u1", "u2", "u3", "u2", "u1"]
+
+    @settings(max_examples=80)
+    @given(kind=st.sampled_from(("linear", "mlp1", "matfac", "text")),
+           seed=st.integers(0, 10_000),
+           sizes=st.tuples(*[st.lists(st.integers(0, 4), max_size=3)] * 2))
+    def test_groups_match_the_pair_regrouping_step(self, kind, seed, sizes):
+        # Per side, group i is query u{i+1}'s documents, as the negative step
+        # passes one group per batch query; the bits must be those of the
+        # step that took the same documents as (query, document) pairs.
+        assume(sum(map(sum, sizes)) > 0)
+        model, queries, catalog = step_catalog(kind, seed)
+        rng = np.random.default_rng(seed + 1)
+        sides = [[(queries[i], [catalog[j] for j in rng.integers(0, 4, size=n)])
+                  for i, n in enumerate(side)] for side in sizes]
+        reference = model.clone()
+        want = pair_step_reference(reference, *[[(q, d) for q, docs in side for d in docs]
+                                                for side in sides], 0.3)
+        got = discriminator_step(model, *sides, 0.3)
+        assert got == want
+        assert model.params.values.tobytes() == reference.params.values.tobytes()
 
 
 class TestTrainConfig:
@@ -459,6 +531,46 @@ class TestIrganPairwiseEpoch:
                                     np.random.default_rng(0), epoch=1)
         skipped = next(r.value for r in rows if r.metric == "queries_skipped")
         assert skipped == 1.0
+
+    def test_discriminator_forwards_per_triple_and_unit(self, monkeypatch):
+        # A D step costs each triple two one-row forwards (its delta) and one
+        # two-row forward (its gradient); the logged rewards cost none.  Each
+        # G-step unit scores its anchor once, after the D steps, and each G
+        # step then costs a unit two forwards (value baseline, sampled reward).
+        dataset = small_planted()
+        models = fresh_models(dataset)
+        segments = [["-", 0, []]]
+        original = models["D"].forward
+
+        def counted(query, docs):
+            segments[-1][2].append(len(docs))
+            return original(query, docs)
+
+        def marked(name, tag, size):
+            def step(*args, _original=getattr(trainers, name)):
+                segments.append([tag, len(args[size]), []])
+                result = _original(*args)
+                segments.append(["-", 0, []])
+                return result
+            monkeypatch.setattr(trainers, name, step)
+
+        monkeypatch.setattr(models["D"], "forward", counted)
+        marked("discriminator_pair_step", "D", 1)
+        marked("_generator_step", "G", 2)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=4, d_steps=2, g_steps=3,
+                          baseline=ValueFunctionBaseline())
+        irgan_pairwise_epoch(SoftmaxPolicy(models["G"]), models["D"], dataset, cfg,
+                             np.random.default_rng(0))
+        assert len(segments) == 3 * 10 + 1 and segments[-1] == ["-", 0, []]
+        for b in range(0, 30, 10):
+            batch = segments[b:b + 10]
+            t = batch[1][1]  # the batch's triples, one per G-step unit
+            assert [(tag, n) for tag, n, _ in batch] == [
+                ("-", 0), ("D", t), ("-", 0), ("D", t), ("-", 0),
+                ("G", t), ("-", 0), ("G", t), ("-", 0), ("G", t)]
+            assert [f for tag, _, f in batch if tag == "D"] == [[1, 1, 2] * t] * 2
+            assert [f for tag, _, f in batch if tag == "-"] == [[], [], [1] * t, [], []]
+            assert [len(f) for tag, _, f in batch if tag == "G"] == [2 * t] * 3
 
     def test_pairwise_accuracy_after_training(self):
         dataset = small_planted(seed=40, num_queries=15, pool_size=16, fraction=0.25, dim=5)
