@@ -25,15 +25,14 @@ def fmt_cell(value) -> str:
 
 
 @contextmanager
-def atomic_write(path, binary: bool = False):
-    """Text handle (UTF-8, LF), or a bytes handle, on a temporary file beside
-    ``path``.  On a clean exit the file replaces ``path`` in one step; on an
-    error it is removed, so ``path`` is never left half-written."""
+def atomic_write(path):
+    """Text handle (UTF-8, LF) on a temporary file beside ``path``.  On a
+    clean exit the file replaces ``path`` in one step; on an error it is
+    removed, so ``path`` is never left half-written."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with (open(tmp, "wb") if binary
-              else open(tmp, "w", encoding="utf-8", newline="\n")) as fh:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -10,8 +10,10 @@ var ``RANK_LAB_OUT`` sets the default output root.  Every command is a pure
 function of (config file, input files, seed): reruns are byte-identical.
 
 Outputs land in ``<out>/<run-name>/``: ``checkpoints/``, ``curves.csv``
-(epoch,model,metric,value), command-specific result CSVs and, written last so
-that a rerun that fails leaves the earlier run as it was, a verbatim config copy.
+(epoch,model,metric,value), command-specific result CSVs and a verbatim config
+copy.  A command writes into ``<out>/.<run-name>.<pid>.tmp/``, and only a run
+that succeeds replaces ``<out>/<run-name>/`` whole: a rerun leaves exactly its
+own files, and a rerun that fails leaves the earlier run as it was.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 numeric failure
 (training aborts as soon as a parameter goes non-finite).
@@ -23,6 +25,7 @@ import argparse
 import configparser
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -57,7 +60,7 @@ from .trainers import (
     pretrain_mle,
     run_trainer,
 )
-from ._util import atomic_write, write_csv
+from ._util import write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -286,14 +289,6 @@ def build_model(spec: ModelSpec, dims: dict, role: str, base_seed: int) -> Score
     return build_scorer(spec.kind, dims, scale=spec.init_scale, seed=seed)
 
 
-def prepare_run_dir(conf: Conf, args) -> Path:
-    out_root = Path(args.out or os.environ.get("RANK_LAB_OUT", "out"))
-    name = conf.get("run", "name", default=Path(args.config).stem)
-    run_dir = out_root / name
-    (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
-    return run_dir
-
-
 def read_split(conf: Conf) -> tuple[float, int]:
     """The [dataset] holdout_fraction and split_seed, checked before any work."""
     holdout = conf.get("dataset", "holdout_fraction", default=0.2, type=float)
@@ -319,27 +314,25 @@ def load_task(conf: Conf) -> tuple:
     return (metric_names, *split_queries(dataset, *split), spec, model_dims(spec, dataset))
 
 
-def cmd_pretrain(conf: Conf, args) -> Path:
+def cmd_pretrain(conf: Conf, args, run_dir: Path) -> None:
     cfg = load_train_config(conf, args.seed)
     spec = read_model(conf)
     dataset = load_dataset(conf)
     scorer = build_model(spec, model_dims(spec, dataset), "G", cfg.seed)
-    run_dir = prepare_run_dir(conf, args)
+    (run_dir / "checkpoints").mkdir(parents=True)
     policy = SoftmaxPolicy(scorer, cfg.temperature)
     record = pretrain_mle(policy, dataset, cfg)
     record.to_csv(run_dir / "curves.csv")
     save_checkpoint(scorer, run_dir / "checkpoints" / "G.ckpt")
-    print(f"pretrain: wrote {run_dir / 'curves.csv'}")
-    return run_dir
 
 
-def cmd_train(conf: Conf, args) -> Path:
+def cmd_train(conf: Conf, args, run_dir: Path) -> None:
     cfg = load_train_config(conf, args.seed)
     trainer = conf.get("trainer", "name", required=True, type=one_of(TRAINER_NAMES))
     metric_names, train_set, eval_set, spec, dims = load_task(conf)
     models = {role: build_model(spec, dims, role, cfg.seed)
               for role in TRAINER_ROLES[trainer]}
-    run_dir = prepare_run_dir(conf, args)
+    (run_dir / "checkpoints").mkdir(parents=True)
     result = run_trainer(trainer, train_set, cfg, models,
                          eval_dataset=eval_set, metric_names=metric_names)
     result.record.to_csv(run_dir / "curves.csv")
@@ -347,12 +340,9 @@ def cmd_train(conf: Conf, args) -> Path:
         save_checkpoint(model, run_dir / "checkpoints" / f"{role}.ckpt")
     reports = dict(result.reports)
     if result.chosen is not None:
-        with atomic_write(run_dir / "checkpoints" / "chosen") as fh:
-            fh.write(result.chosen + "\n")
+        (run_dir / "checkpoints" / "chosen").write_text(result.chosen + "\n", newline="\n")
         reports["chosen"] = reports[result.chosen]
     write_eval_csv(reports, run_dir / "results.csv")
-    print(f"train[{trainer}]: wrote {run_dir / 'results.csv'}")
-    return run_dir
 
 
 def parity_outer_epochs(budget: int, inner: int) -> int:
@@ -361,7 +351,7 @@ def parity_outer_epochs(budget: int, inner: int) -> int:
     return max(1, budget // (2 * inner))
 
 
-def cmd_compare(conf: Conf, args) -> Path:
+def cmd_compare(conf: Conf, args, run_dir: Path) -> None:
     cfg = load_train_config(conf, args.seed)
     trainers = conf.get_list("compare", "trainers", required=True, type=one_of(TRAINER_NAMES))
     if len(trainers) < 2:
@@ -375,7 +365,7 @@ def cmd_compare(conf: Conf, args) -> Path:
     budget = conf.get("compare", "budget_epochs", default=cfg.epochs_outer, type=int, low=1)
     dual_override = conf.get("compare", "dual_d_outer", type=int, low=1)
     metric_names, train_set, eval_set, spec, dims = load_task(conf)
-    run_dir = prepare_run_dir(conf, args)
+    run_dir.mkdir(parents=True)
 
     warnings = []
     per_seed_rows = []
@@ -411,8 +401,6 @@ def cmd_compare(conf: Conf, args) -> Path:
               result_rows + warnings)
     write_csv(run_dir / "per_seed.csv", ("model", "seed", "metric", "value"),
               per_seed_rows)
-    print(f"compare: wrote {run_dir / 'results.csv'}")
-    return run_dir
 
 
 def _variance_point(study_cfg: StudyConfig, fraction: float, seed: int, sweep):
@@ -429,7 +417,7 @@ def _variance_point(study_cfg: StudyConfig, fraction: float, seed: int, sweep):
     return row, chain, sweep_rows
 
 
-def cmd_variance(conf: Conf, args) -> Path:
+def cmd_variance(conf: Conf, args, run_dir: Path) -> None:
     fractions = conf.get_list("variance", "fractions", default=(0.002, 0.005, 0.015),
                               type=float)
     if not fractions:
@@ -450,7 +438,7 @@ def cmd_variance(conf: Conf, args) -> Path:
         except DatasetError as exc:
             raise CliConfigError(
                 f"bad fraction {fraction!r} in 'fractions' in [variance]: {exc}") from None
-    run_dir = prepare_run_dir(conf, args)
+    run_dir.mkdir(parents=True)
     # The b-sweep uses the first fraction's bound report.
     rows, chain_rows, sweeps = zip(*(
         _variance_point(study_cfg, fraction, seed, sweep if i == 0 else ())
@@ -464,8 +452,6 @@ def cmd_variance(conf: Conf, args) -> Path:
         chain_rows,
     )
     write_csv(run_dir / "b_sweep.csv", ("b", "q_max", "bound_rhs"), sweeps[0])
-    print(f"variance: wrote {run_dir / 'study.csv'}")
-    return run_dir
 
 
 COMMANDS = {
@@ -492,17 +478,36 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
+    staging = None
     try:
         if args.seed is not None and args.seed < 0:
             raise CliConfigError(f"bad value for '--seed': {args.seed} (must be >= 0)")
         conf = Conf(Path(args.config))
+        name = conf.get("run", "name", default=Path(args.config).stem)
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise CliConfigError(f"bad value for 'name' in [run]: {name!r} "
+                                 "(must be one directory name)")
+        out_root = Path(args.out or os.environ.get("RANK_LAB_OUT", "out"))
+        run_dir = out_root / name
+        if run_dir.exists() and not run_dir.is_dir():
+            raise FileExistsError(f"{run_dir} exists and is not a directory")
+        staging = out_root / f".{name}.{os.getpid()}.tmp"
+        old = out_root / f".{name}.{os.getpid()}.old"
+        for stale in (staging, old):  # left by a killed run that had this pid
+            shutil.rmtree(stale, ignore_errors=True)
         # A non-finite parameter or score raises NumericError, so numpy's
         # overflow and invalid-value warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
-            run_dir = COMMANDS[args.command](conf, args)
-        # Last, so that a rerun that fails leaves the earlier run as it was.
-        with atomic_write(run_dir / "config.copy", binary=True) as fh:
-            fh.write(Path(args.config).read_bytes())
+            COMMANDS[args.command](conf, args, staging)
+        shutil.copyfile(args.config, staging / "config.copy")
+        # Swap the finished run in whole; a crash between the two renames
+        # leaves the earlier run intact beside it, never a mix of the two.
+        if run_dir.is_dir():
+            run_dir.rename(old)
+        staging.rename(run_dir)
+        if old.exists():
+            shutil.rmtree(old)
+        print(f"{args.command}: wrote {run_dir}")
         return EXIT_OK
     except (CliConfigError, InvalidConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -513,6 +518,9 @@ def main(argv=None) -> int:
     except (DatasetError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
 
 
 if __name__ == "__main__":

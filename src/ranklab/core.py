@@ -238,14 +238,6 @@ class Dataset:
             feature_dim=next((len(f) for f in features), None),
         )
 
-    def records(self):
-        """Raw (pools, judgments, kind, query_tokens) from which this dataset
-        rebuilds; each pool is its group's own, so a rebuild keeps every matrix."""
-        pools = {qid: g.pool for qid, g in self.groups.items()}
-        tokens = {qid: g.query.tokens for qid, g in self.groups.items()
-                  if g.query.tokens is not None}
-        return pools, list(self.judgments), self.kind, tokens
-
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented

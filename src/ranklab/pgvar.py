@@ -33,7 +33,7 @@ from .baselines import BaselineSpec, ConstantBaseline, ValueFunctionBaseline
 from .dataio import SyntheticSpec, synth_retrieval
 from .policy import SoftmaxPolicy, policy_probs
 from .scorers import Scorer, build_scorer, check_init_scale
-from .trainers import InvalidConfigError, TrainConfig, _check_finite, dns_epoch, make_reward
+from .trainers import InvalidConfigError, TrainConfig, make_reward, run_trainer
 from ._util import write_csv
 
 ENUMERATION_LIMIT = 1_000_000
@@ -407,6 +407,8 @@ class StudyConfig:
     def __post_init__(self):
         """Check every field by the rule of the code that reads it, so a bad
         value fails before any study point is built; errors name the field."""
+        if self.train_epochs < 1:
+            raise InvalidConfigError("train_epochs must be >= 1")
         self.synthetic_spec(1.0, seed=0)
         self.train_config(seed=0)
         check_init_scale(self.init_scale)
@@ -430,7 +432,7 @@ class StudyConfig:
         """The hardest-negative training of the discriminator."""
         return TrainConfig(
             learning_rate=self.learning_rate, batch_size=self.batch_size,
-            epochs_outer=max(self.train_epochs, 1), dns_k=self.dns_k, seed=seed,
+            epochs_outer=self.train_epochs, dns_k=self.dns_k, seed=seed,
         )
 
 
@@ -460,11 +462,7 @@ def study_instance(cfg: StudyConfig, fraction: float,
     dataset, _ = synth_retrieval(cfg.synthetic_spec(fraction, seed))
     model = build_scorer("linear", {"feature_dim": cfg.feature_dim},
                          scale=cfg.init_scale, seed=seed)
-    train_cfg = cfg.train_config(seed)
-    rng = np.random.default_rng(seed)
-    for epoch in range(1, cfg.train_epochs + 1):
-        dns_epoch(model, dataset, train_cfg, rng, epoch)
-        _check_finite({"D": model})
+    run_trainer("dns", dataset, cfg.train_config(seed), {"D": model})
     uniform = SoftmaxPolicy(
         build_scorer("linear", {"feature_dim": cfg.feature_dim}, zero=True),
         temperature=1.0,

@@ -2,6 +2,7 @@
 
 import filecmp
 import importlib.util
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -613,6 +614,10 @@ MALFORMED_INPUT = [
      "text scorer needs tokens; query 'u1' has none"),
     ("train", trainer_config("epochs_outer = 1", "epochs_outer = 1\nd_steps = 0"), None, 1,
      "d_steps must be >= 1"),
+    ("variance", variance_config("train_epochs = 30", "train_epochs = 0"), None, 1,
+     "train_epochs must be >= 1"),
+    ("variance", variance_config("train_epochs = 30", "train_epochs = -3"), None, 1,
+     "train_epochs must be >= 1"),
 ]
 
 
@@ -651,7 +656,7 @@ class TestMalformedInput:
         "letor-empty-document-id", "interactions-empty-item-id", "qa-empty-id",
         "ini-misspelled-key", "ini-unknown-section", "ini-other-sections-key",
         "ini-unknown-default-key", "text-model-on-synthetic", "text-model-on-interactions",
-        "trainer-zero-d_steps"])
+        "trainer-zero-d_steps", "variance-zero-train_epochs", "variance-negative-train_epochs"])
     def test_fails_before_work(self, tmp_path, capsys, command, config, data, code, names):
         data_path, vocab_path = tmp_path / "data.txt", tmp_path / "vocab.txt"
         if data is not None:
@@ -735,8 +740,8 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 
     def test_failed_rerun_keeps_earlier_run(self, tmp_path):
-        # The config copy is written last, so a rerun that fails on a numeric
-        # error leaves every file of the earlier run as it was.
+        # A run is swapped in only when it succeeds, so a rerun that fails on a
+        # numeric error leaves every file of the earlier run as it was.
         body = SYNTH_DATASET + MODEL_LINEAR + """
 [trainer]
 name = single-d
@@ -752,3 +757,86 @@ seed = 7
         write_config(tmp_path, body.format(lr=1e308))
         assert run(["train", "--config", config, "--out", out]) == 3
         assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == files
+
+
+def tree(root):
+    """Every file under ``root``, by its relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def disk_full(model, path):
+    raise OSError(28, "No space left on device", str(path))
+
+
+class TestRunDirectory:
+    """Each run owns ``<out>/<name>/`` whole: it is staged beside it and
+    swapped in only on success."""
+
+    SINGLE_D = TestTrain().config("single-d")
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "a\\b"])
+    def test_name_must_be_one_directory(self, tmp_path, capsys, name):
+        (tmp_path / "out" / "keep").mkdir(parents=True)
+        (tmp_path / "out" / "keep" / "other.txt").write_text("unrelated")
+        config = write_config(tmp_path, f"[run]\nname = {name}\n" + self.SINGLE_D)
+        before = tree(tmp_path)
+        assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 1
+        assert "'name' in [run]" in capsys.readouterr().err
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("command,body", [
+        ("train", TestTrain().config("dual-d")),
+        ("compare", TestCompare.CONFIG),
+    ], ids=["dual-d", "compare"])
+    def test_rerun_leaves_only_its_own_files(self, tmp_path, command, body):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run([command, "--config", write_config(tmp_path, body), "--out", out]) == 0
+        config = write_config(tmp_path, self.SINGLE_D)
+        assert run(["train", "--config", config, "--out", out]) == 0
+        assert run(["train", "--config", config, "--out", fresh]) == 0
+        assert sorted(tree(out / "run")) == [
+            "checkpoints/M.ckpt", "config.copy", "curves.csv", "results.csv"]
+        assert tree(out) == tree(fresh)
+
+    def test_one_stdout_line_names_the_run_directory(self, tmp_path, capsys):
+        config = write_config(tmp_path, self.SINGLE_D)
+        assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 0
+        assert capsys.readouterr().out == f"train: wrote {tmp_path / 'out' / 'run'}\n"
+
+    def test_failed_write_keeps_earlier_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert run(["train", "--config", write_config(tmp_path, self.SINGLE_D),
+                    "--out", out]) == 0
+        before = tree(out)
+        monkeypatch.setattr(cli, "save_checkpoint", disk_full)
+        config = write_config(tmp_path, self.SINGLE_D.replace("seed = 40", "seed = 41"))
+        assert run(["train", "--config", config, "--out", out]) == 2
+        assert tree(out) == before
+
+    def test_killed_run_with_this_pid_leaves_nothing_behind(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        for end in ("tmp", "old"):
+            (out / f".run.{os.getpid()}.{end}").mkdir(parents=True)
+            (out / f".run.{os.getpid()}.{end}" / "study.csv").write_text("stale")
+        config = write_config(tmp_path, self.SINGLE_D)
+        assert run(["train", "--config", config, "--out", out]) == 0
+        assert run(["train", "--config", config, "--out", fresh]) == 0
+        assert tree(out) == tree(fresh)
+
+    @pytest.mark.parametrize("outcome,code", [
+        ("success", 0), ("numeric", 3), ("write-fails", 2), ("name-is-a-file", 2)])
+    def test_no_staging_entry_is_left(self, tmp_path, monkeypatch, outcome, code):
+        out = tmp_path / "out"
+        body = self.SINGLE_D
+        if outcome == "numeric":
+            body = body.replace("learning_rate = 0.05", "learning_rate = 1e308")
+        elif outcome == "write-fails":
+            monkeypatch.setattr(cli, "save_checkpoint", disk_full)
+        elif outcome == "name-is-a-file":
+            out.mkdir()
+            (out / "run").write_text("not a run")
+        assert run(["train", "--config", write_config(tmp_path, body), "--out", out]) == code
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+        if outcome == "name-is-a-file":
+            assert (out / "run").read_text() == "not a run"

@@ -80,10 +80,13 @@ class TestBuildDataset:
         assert [d.id for d in ds.pool("q2")] == ["d0", "d1", "d2"]
 
     def test_idempotent_rebuild(self, tiny_dataset):
-        pools, judgments, kind, tokens = tiny_dataset.records()
-        rebuilt = build_dataset(pools, judgments, kind, query_tokens=tokens)
+        def rebuild(dataset):
+            return build_dataset({qid: g.pool for qid, g in dataset.groups.items()},
+                                 dataset.judgments, dataset.kind)
+
+        rebuilt = rebuild(tiny_dataset)
         assert rebuilt == tiny_dataset
-        again = build_dataset(*rebuilt.records()[:3], query_tokens=rebuilt.records()[3])
+        again = rebuild(rebuilt)
         assert again == rebuilt
 
     def test_equality_sees_query_tokens(self):

@@ -365,7 +365,9 @@ class TestGroupMatrix:
         first few documents of each, leaves every dataset's rows views of its
         own group matrices."""
         first, _ = case
-        pools, judgments, kind, tokens = first.records()
+        pools = {qid: g.pool for qid, g in first.groups.items()}
+        tokens = {qid: g.query.tokens for qid, g in first.groups.items()}
+        judgments, kind = first.judgments, first.kind
         again = build_dataset(pools, judgments, kind, tokens)
         heads = {qid: docs[:data.draw(st.integers(1, len(docs)))] for qid, docs in pools.items()}
         kept = {(qid, d.id) for qid, docs in heads.items() for d in docs}
@@ -381,8 +383,10 @@ class TestGroupMatrix:
     @given(mixed_datasets())
     def test_a_rebuild_from_records_keeps_every_matrix(self, case):
         dataset, _ = case
-        pools, judgments, kind, tokens = dataset.records()
-        again = build_dataset(pools, judgments, kind, query_tokens=tokens)
+        again = build_dataset({qid: g.pool for qid, g in dataset.groups.items()},
+                              dataset.judgments, dataset.kind,
+                              query_tokens={qid: g.query.tokens
+                                            for qid, g in dataset.groups.items()})
         for qid, g in dataset.groups.items():
             assert again.group(qid).features is g.features
             assert all(a is b for a, b in zip(again.pool(qid), g.pool))

@@ -507,6 +507,11 @@ class TestSparsityStudy:
         with pytest.raises(ValueError, match=f"{name} must be .* finite"):
             StudyConfig(**{name: math.inf})
 
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_untrained_study_rejected(self, epochs):
+        with pytest.raises(ValueError, match="train_epochs must be >= 1"):
+            StudyConfig(train_epochs=epochs)
+
     def test_single_fraction_single_row(self):
         rows = sparsity_vs_bound_study([0.01], self.CFG, seed=5)
         assert len(rows) == 1
