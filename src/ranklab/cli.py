@@ -13,7 +13,8 @@ Outputs land in ``<out>/<run-name>/``: ``checkpoints/``, ``curves.csv``
 (epoch,model,metric,value), command-specific result CSVs and a verbatim config
 copy.  A command writes into ``<out>/.<run-name>.<pid>.tmp/``, and only a run
 that succeeds replaces ``<out>/<run-name>/`` whole: a rerun leaves exactly its
-own files, and a rerun that fails leaves the earlier run as it was.
+own files, and a rerun that fails leaves the earlier run as it was.  Before it
+stages, a run clears what killed runs of its name left behind.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 numeric failure
 (training aborts as soon as a parameter goes non-finite).
@@ -476,6 +477,32 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _clear_killed_runs(out_root: Path, name: str) -> None:
+    """Clear what killed runs of ``name`` left in ``out_root``: a staging
+    ``.<name>.<pid>.tmp`` is removed, and a set-aside ``.<name>.<pid>.old``
+    goes back to ``<name>`` when the kill came between the swap's two
+    renames, else is removed.  The entries of a live pid other than this
+    process's belong to a running run and stay; a pid that may not be
+    signalled counts as live."""
+    for entry in sorted(out_root.iterdir()) if out_root.is_dir() else ():
+        pid, _, end = entry.name[len(name) + 2:].partition(".")
+        if (not entry.name.startswith(f".{name}.") or end not in ("tmp", "old")
+                or not pid.isdigit()):
+            continue
+        try:
+            if int(pid) != os.getpid():
+                os.kill(int(pid), 0)
+                continue  # a live process
+        except PermissionError:
+            continue  # a live process of another user
+        except (ProcessLookupError, OverflowError):
+            pass  # no such process
+        if end == "old" and not (out_root / name).exists():
+            entry.rename(out_root / name)
+        else:
+            shutil.rmtree(entry, ignore_errors=True)
+
+
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     staging = None
@@ -493,8 +520,7 @@ def main(argv=None) -> int:
             raise FileExistsError(f"{run_dir} exists and is not a directory")
         staging = out_root / f".{name}.{os.getpid()}.tmp"
         old = out_root / f".{name}.{os.getpid()}.old"
-        for stale in (staging, old):  # left by a killed run that had this pid
-            shutil.rmtree(stale, ignore_errors=True)
+        _clear_killed_runs(out_root, name)
         # A non-finite parameter or score raises NumericError, so numpy's
         # overflow and invalid-value warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):

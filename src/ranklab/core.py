@@ -8,17 +8,21 @@ immutable after construction and safe for concurrent readers.
 
 Each query is one QueryGroup, made once by ``build_dataset`` while it
 validates: the query, its pool, the grade of every pool position in pool
-order, the positives, the negative pool and the pool's feature matrix.
-Trainers and metrics iterate ``Dataset.groups``; ``Dataset.select`` keeps some.
+order, the positives and the negative pool.  A pool whose documents all
+have features is a ``GroupDocs``: positions in a ``RowSpace``, a read-only
+matrix the dataset's feature pools share, so its features are rows of it and
+its documents are made only when it is indexed or iterated.  Any other pool is a tuple of the
+documents it was given.  Trainers and metrics iterate ``Dataset.groups``;
+``Dataset.select`` keeps some.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from operator import attrgetter, is_
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter, lt
 
 import numpy as np
 
@@ -92,9 +96,10 @@ class Document:
     @classmethod
     def rows(cls, ids: Sequence[str], matrix: np.ndarray,
              tokens: Sequence[tuple[int, ...] | None] | None = None) -> GroupDocs:
-        """One document per row of a read-only 2-D float64 ``matrix``, each
-        viewing its row, with one token tuple or None per row in ``tokens``;
-        the matrix, ids and tokens are checked once, not per row."""
+        """Every row of a read-only 2-D float64 ``matrix`` as one group, with
+        one id per row in ``ids`` and one token tuple or None per row in
+        ``tokens``; the matrix, ids and tokens are checked once, not per row,
+        and each row's document is made when the group is indexed or iterated."""
         if matrix.ndim != 2 or matrix.dtype != np.float64 or matrix.flags.writeable:
             raise DatasetError("document rows need a read-only 2-D float64 matrix")
         if len(ids) != len(matrix) or not all(ids):
@@ -102,14 +107,8 @@ class Document:
         if tokens is not None and (len(tokens) != len(ids)
                                    or any(t is not None and not t for t in tokens)):
             raise DatasetError("document rows need one non-empty token tuple or None per row")
-        docs = []
-        # Set up each document before making the next, so their dicts share one key table.
-        for doc_id, row, doc_tokens in zip(ids, matrix, tokens or repeat(None)):
-            docs.append(doc := object.__new__(cls))
-            object.__setattr__(doc, "id", doc_id)
-            object.__setattr__(doc, "features", row)
-            object.__setattr__(doc, "tokens", doc_tokens)
-        return GroupDocs(docs, matrix)
+        base = RowSpace(list(ids), matrix, None if tokens is None else list(tokens))
+        return GroupDocs(base, np.arange(len(ids)), matrix)
 
     def __eq__(self, other):
         if not isinstance(other, Document):
@@ -139,22 +138,87 @@ class Judgment:
             )
 
 
-class GroupDocs(tuple):
-    """Documents of one query group and their feature rows: ``matrix[positions]``,
-    or all of ``matrix`` when ``positions`` is None (``matrix`` may be None)."""
+class RowSpace:
+    """Rows of documents: per row an id, a row of the read-only 2-D float64
+    ``matrix`` and a token tuple or None (all None when ``tokens`` is None),
+    and in ``docs`` the row's document once made.  A dataset built from
+    records or by ``synth_retrieval`` keeps its feature pools in one."""
 
-    def __new__(cls, docs, matrix=None, positions=None):
-        self = super().__new__(cls, docs)
-        self.matrix, self.positions = matrix, positions
-        return self
+    __slots__ = ("ids", "matrix", "tokens", "docs")
+
+    def __init__(self, ids, matrix, tokens=None):
+        self.ids, self.matrix, self.tokens = ids, matrix, tokens
+        self.docs = [None] * len(ids)
+
+    def doc(self, row) -> Document:
+        """The document of ``row``, made on first use as a view of its row."""
+        doc = self.docs[row]
+        if doc is None:
+            doc = self.docs[row] = object.__new__(Document)
+            object.__setattr__(doc, "id", self.ids[row])
+            object.__setattr__(doc, "features", self.matrix[row])
+            object.__setattr__(doc, "tokens", None if self.tokens is None else self.tokens[row])
+        return doc
+
+
+class GroupDocs(Sequence):
+    """Documents of one query group as ``positions`` in a row space ``base``.
+
+    ``len``, ``take``, ``join`` and ``features`` read positions and rows
+    only; a document is made when the group is indexed or iterated, once per
+    row of ``base``, so ``g[i] is g[i]``.  ``features`` is
+    ``base.matrix[positions]``: for a span of rows the read-only view
+    ``span`` given, else a gathered copy.
+    """
+
+    __slots__ = ("base", "positions", "_span")
+
+    def __init__(self, base: RowSpace, positions: np.ndarray, span=None):
+        self.base, self.positions, self._span = base, positions, span
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.base.matrix[self.positions] if self._span is None else self._span
+
+    def ids(self) -> list[str]:
+        return list(map(self.base.ids.__getitem__, self.positions.tolist()))
+
+    def __len__(self):
+        return len(self.positions)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            span = self._span[i] if self._span is not None and i.step in (None, 1) else None
+            return GroupDocs(self.base, self.positions[i], span)
+        return self.base.doc(self.positions[i])
+
+    def __iter__(self):
+        return map(self.base.doc, self.positions.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, GroupDocs)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
 
 
 def take(docs: Sequence[Document], idx) -> Sequence[Document]:
-    """``docs[i]`` for each i in ``idx``; a group's documents keep their rows."""
+    """``docs[i]`` for each i in ``idx``, as a tuple, or for a group as
+    positions in the group's row space."""
     if not isinstance(docs, GroupDocs):
-        return [docs[i] for i in idx]
-    rows = idx if docs.positions is None else docs.positions[idx]
-    return GroupDocs([docs[i] for i in idx], docs.matrix, rows)
+        return tuple([docs[i] for i in idx])
+    return GroupDocs(docs.base, docs.positions[idx])
+
+
+def join(seqs: Sequence[Sequence[Document]]) -> Sequence[Document]:
+    """The documents of ``seqs``, in order, as one sequence: positions in
+    their row space when all are groups of one, else a plain list."""
+    if len(seqs) == 1:
+        return seqs[0]
+    try:
+        (base,) = {s.base for s in seqs}
+    except (AttributeError, ValueError):
+        return [d for s in seqs for d in s]
+    return GroupDocs(base, np.concatenate([s.positions for s in seqs]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,15 +231,15 @@ class QueryGroup:
     """
 
     query: Query
-    pool: tuple[Document, ...]
+    pool: Sequence[Document]
     grades: np.ndarray
-    positives: tuple[Document, ...]
-    negatives: tuple[Document, ...]
+    positives: Sequence[Document]
+    negatives: Sequence[Document]
 
     @property
     def features(self) -> np.ndarray | None:
-        """The pool's read-only feature matrix; None unless every document has features."""
-        return getattr(self.pool, "matrix", None)
+        """The pool's read-only feature rows; None unless every document has features."""
+        return getattr(self.pool, "features", None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +265,7 @@ class Dataset:
     def query(self, query_id: QueryId) -> Query:
         return self.group(query_id).query
 
-    def pool(self, query_id: QueryId) -> tuple[Document, ...]:
+    def pool(self, query_id: QueryId) -> Sequence[Document]:
         return self.group(query_id).pool
 
     def relevance_map(self, query_id: QueryId) -> dict[str, int]:
@@ -209,7 +273,7 @@ class Dataset:
         self.group(query_id)  # raise on unknown query
         return {j.doc: j.relevance for j in self.judgments if j.query == query_id}
 
-    def positives(self, query_id: QueryId) -> tuple[Document, ...]:
+    def positives(self, query_id: QueryId) -> Sequence[Document]:
         return self.group(query_id).positives
 
     def group(self, query_id: QueryId) -> QueryGroup:
@@ -260,50 +324,59 @@ def build_dataset(
     Queries and pools are sorted lexicographically by id.  Raises a distinct
     error naming the offending id for: duplicate (query, doc) judgments,
     judged documents missing from their pool, and inconsistent feature
-    dimensionality.  No given document is changed.  A pool that is a whole
-    read-only ``Document.rows`` group in id order keeps its matrix and
-    documents; any other pool whose documents all have features gets new
-    documents on a new read-only matrix.
+    dimensionality.  No given document is changed.  A pool that is a span of
+    a read-only row space (``Document.rows`` or a slice of it) in id order is
+    kept as it is; every other pool whose documents all have features is
+    stacked into one new read-only matrix, the row space of the dataset's
+    other feature pools.  Any other pool is the tuple of its documents, one
+    tuple for pools given as one object.
     """
     kind = DatasetKind(kind)
     if not pools:
         raise DatasetError("dataset has no queries")
     query_tokens = dict(query_tokens or {})
 
-    sorted_pools: dict[QueryId, GroupDocs] = {}
-    pool_ids: dict[QueryId, set[str]] = {}
+    sorted_pools: dict[QueryId, tuple[list[str], Sequence[Document]]] = {}
+    stacked, shared = [], {}
     feature_dim: int | None = None
     for qid in sorted(pools):
-        docs = sorted(pools[qid], key=attrgetter("id"))
-        if not docs:
+        pool = pools[qid]
+        span = (isinstance(pool, GroupDocs) and pool._span is not None
+                and not pool._span.flags.writeable)
+        ids = pool.ids() if span else None
+        if not span or not all(map(lt, ids, ids[1:])):
+            span, pool = False, sorted(pool, key=attrgetter("id"))
+            ids = [d.id for d in pool]
+        if not ids:
             raise EmptyPoolError(f"query {qid!r} has an empty pool")
-        ids = {d.id for d in docs}
-        if len(ids) < len(docs):
-            twice = next(a.id for a, b in zip(docs, docs[1:]) if a.id == b.id)
+        if not all(map(lt, ids, ids[1:])):
+            twice = next(a for a, b in zip(ids, ids[1:]) if not a < b)
             raise DatasetError(f"query {qid!r} pool lists document {twice!r} twice")
-        given = pools[qid]
-        matrix = None
-        if (isinstance(given, GroupDocs) and given.positions is None and given.matrix is not None
-                and not given.matrix.flags.writeable and all(map(is_, given, docs))):
-            matrix = given.matrix
-        # Every row of a kept matrix has its width, so its first document stands for all.
-        for d in docs if matrix is None else docs[:1]:
-            # Features are flat vectors, so len() is the feature count.
-            if d.features is not None and len(d.features) != feature_dim:
+        # Every row of a span has its width, so its first document stands for all.
+        widths = ([(ids[0], pool.features.shape[1])] if span else
+                  [(d.id, len(d.features)) for d in pool if d.features is not None])
+        for doc_id, width in widths:
+            if width != feature_dim:
                 if feature_dim is not None:
                     raise FeatureDimensionError(
-                        f"document {d.id!r} has {len(d.features)} features, "
-                        f"expected {feature_dim}"
-                    )
-                feature_dim = len(d.features)
-        if matrix is None and all(d.features is not None for d in docs):
-            matrix = np.array([d.features for d in docs])
-            matrix.flags.writeable = False
-            docs = Document.rows([d.id for d in docs], matrix, [d.tokens for d in docs])
-        sorted_pools[qid] = GroupDocs(docs, matrix)
-        pool_ids[qid] = ids
+                        f"document {doc_id!r} has {width} features, expected {feature_dim}")
+                feature_dim = width
+        if not span and len(widths) == len(pool):
+            stacked.append(qid)
+        elif not span:
+            pool = shared.setdefault(id(pools[qid]), tuple(pool))
+        sorted_pools[qid] = ids, pool
+    if stacked:
+        docs = [d for qid in stacked for d in sorted_pools[qid][1]]
+        matrix = np.array([d.features for d in docs])
+        matrix.flags.writeable = False
+        rows = Document.rows([d.id for d in docs], matrix, [d.tokens for d in docs])
+        start = 0
+        for qid in stacked:
+            ids = sorted_pools[qid][0]
+            sorted_pools[qid], start = (ids, rows[start:start + len(ids)]), start + len(ids)
 
-    relevance: dict[QueryId, dict[str, int]] = {}
+    relevance: dict[QueryId, dict[str, tuple[int, int]]] = {}
     ordered: list[Judgment] = []
     for j in sorted(judgments, key=lambda j: (j.query, j.doc)):
         if j.query not in sorted_pools:
@@ -313,17 +386,20 @@ def build_dataset(
             raise DuplicateJudgmentError(
                 f"duplicate judgment for query {j.query!r}, doc {j.doc!r}"
             )
-        if j.doc not in pool_ids[j.query]:
+        ids = sorted_pools[j.query][0]
+        row = bisect_left(ids, j.doc)
+        if row == len(ids) or ids[row] != j.doc:
             raise JudgedDocNotInPoolError(
                 f"judged doc {j.doc!r} missing from pool of query {j.query!r}"
             )
-        per_query[j.doc] = j.relevance
+        per_query[j.doc] = row, j.relevance
         ordered.append(j)
 
     groups = {}
-    for qid, pool in sorted_pools.items():
-        judged = relevance.get(qid, {})
-        grades = np.array([judged.get(d.id, 0) for d in pool], dtype=np.int64)
+    for qid, (ids, pool) in sorted_pools.items():
+        grades = np.zeros(len(ids), dtype=np.int64)
+        for row, grade in relevance.get(qid, {}).values():
+            grades[row] = grade
         grades.flags.writeable = False
         groups[qid] = QueryGroup(
             query=Query(qid, tuple(query_tokens[qid]) if qid in query_tokens else None),
@@ -336,7 +412,7 @@ def build_dataset(
 
 def candidate_pool(
     dataset: Dataset, query_id: QueryId, exclude_positives: bool = False
-) -> tuple[Document, ...]:
+) -> Sequence[Document]:
     """The query's candidate documents, optionally minus known-relevant ones.
 
     Order is the dataset's deterministic pool order.  May be empty when every

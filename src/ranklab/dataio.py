@@ -86,22 +86,28 @@ def synth_retrieval(spec: SyntheticSpec) -> tuple[Dataset, PlantedTruth]:
     n_rel = math.ceil(spec.relevant_fraction * spec.pool_size)
     q_digits = max(3, len(str(spec.num_queries - 1)))
     d_digits = max(3, len(str(spec.pool_size - 1)))
-    doc_suffixes = [f"_d{di:0{d_digits}d}" for di in range(spec.pool_size)]
+    qids = [f"q{qi:0{q_digits}d}" for qi in range(spec.num_queries)]
+    suffixes = [f"_d{di:0{d_digits}d}" for di in range(spec.pool_size)]
+    ids = [qid + suffix for qid in qids for suffix in suffixes]
 
-    pools: dict[str, Sequence[Document]] = {}
+    # Each query's rows are one slice of the dataset's matrix.  The stream
+    # gives each query its features, then its noise, query by query.
+    matrix = np.empty((len(ids), spec.feature_dim))
     judgments: list[Judgment] = []
-    for qi in range(spec.num_queries):
-        qid = f"q{qi:0{q_digits}d}"
-        X = rng.normal(size=(spec.pool_size, spec.feature_dim))
-        X.flags.writeable = False
+    for qi, qid in enumerate(qids):
+        start = qi * spec.pool_size
+        X = matrix[start:start + spec.pool_size]
+        X[...] = rng.normal(size=X.shape)
         noisy = X @ w_star + (
             rng.normal(scale=spec.noise_sigma, size=spec.pool_size)
             if spec.noise_sigma > 0
             else 0.0
         )
-        pools[qid] = docs = Document.rows([qid + suffix for suffix in doc_suffixes], X)
-        judgments += [Judgment(qid, docs[di].id, 1) for di in np.argsort(-noisy)[:n_rel]]
-
+        judgments += [Judgment(qid, ids[start + di], 1) for di in np.argsort(-noisy)[:n_rel]]
+    matrix.flags.writeable = False
+    rows = Document.rows(ids, matrix)
+    pools = {qid: rows[qi * spec.pool_size:(qi + 1) * spec.pool_size]
+             for qi, qid in enumerate(qids)}
     dataset = build_dataset(pools, judgments, DatasetKind.SYNTHETIC)
     return dataset, PlantedTruth(weights=w_star)
 

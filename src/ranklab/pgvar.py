@@ -113,7 +113,8 @@ def _state_policy(instance: MDPInstance, policy: SoftmaxPolicy, s: int):
     probs = policy_probs(policy, query, pool)
     gradlog = policy.scorer.gradient_matrix(query, pool)
     gradlog -= probs @ gradlog
-    gradlog /= policy.temperature
+    if policy.temperature != 1.0:  # x / 1.0 == x for every float: skip the pass
+        gradlog /= policy.temperature
     return probs, gradlog
 
 

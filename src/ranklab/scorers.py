@@ -50,7 +50,8 @@ class NumericError(RuntimeError):
 
 def sigmoid(x):
     """Clamped logistic function; never underflows to 0 or saturates to 1."""
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -SIGMOID_CLAMP, SIGMOID_CLAMP)))
+    # np.minimum(np.maximum(...)) is np.clip's value without its wrapper calls.
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -SIGMOID_CLAMP), SIGMOID_CLAMP)))
 
 
 def log_sigmoid(x):
@@ -222,8 +223,8 @@ class Scorer:
 
 def _feature_matrix(docs: Sequence[Document], kind: str) -> np.ndarray:
     """Document features as rows, shape (len(docs), feature_dim)."""
-    if isinstance(docs, GroupDocs) and docs.matrix is not None:
-        return docs.matrix if docs.positions is None else docs.matrix[docs.positions]
+    if isinstance(docs, GroupDocs):
+        return docs.features
     for doc in docs:
         if doc.features is None:
             raise RepresentationError(f"{kind} scorer needs features; doc {doc.id!r} has none")

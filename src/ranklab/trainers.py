@@ -266,7 +266,8 @@ def discriminator_step(model: Scorer, positives, negatives, lr: float) -> float:
 
     ``positives`` and ``negatives`` are (query, documents) groups, the shape
     ``forward`` takes, and each non-empty group costs one forward; a kind that
-    ignores the query joins each side's groups, in order, into one forward.
+    ignores the query joins each side's groups, in order, into one forward,
+    which gathers the side's rows from their row space at once.
     """
     if not any(docs for _, docs in [*positives, *negatives]):
         raise ValueError("discriminator step needs at least one sample")
@@ -274,7 +275,7 @@ def discriminator_step(model: Scorer, positives, negatives, lr: float) -> float:
     grad = np.zeros(model.params.layout.size)
     for groups, positive in ((positives, True), (negatives, False)):
         if not model.uses_query:
-            groups = [(None, [d for _, docs in groups for d in docs])]
+            groups = [(None, core.join([docs for _, docs in groups]))]
         for fwd in (model.forward(query, docs) for query, docs in groups if docs):
             s = fwd.scores
             objective += float(log_sigmoid(s if positive else -s).sum())
@@ -462,14 +463,37 @@ def irgan_pairwise_epoch(generator: SoftmaxPolicy, discriminator: Scorer,
     ]
 
 
-def _contrastive_batches(model: Scorer, table, entries, cfg, rng):
-    """Shared inner loop for single-d and dual-d: positives from judgments,
-    negatives drawn from the sampler ``table`` (qid -> CDF over the pool)."""
+def _contrastive_batches(model: Scorer, table, entries, cfg, rng) -> float:
+    """Shared inner loop for single-d and dual-d: per batch, one step on the
+    positives from judgments against negatives drawn from the sampler
+    ``table`` (qid -> CDF over the negative pool); returns the mean
+    per-example objective.
 
-    def draw(q, pos, neg_pool):
-        return take(neg_pool, _draw_from_cdf(table[q.id], len(pos), rng))
-
-    return _negative_epoch(model, entries, draw, cfg)
+    When the kind ignores the query and every pool is a group of one row
+    space, the draws are positions in it and each side of a step is one
+    group of rows.  The epoch's uniforms then come from one ``rng.random``
+    call, which yields the values of the per-query calls and leaves the
+    generator in their state."""
+    batches = list(_active_batches(entries, cfg.batch_size))
+    spaces = {getattr(p, "base", None) for active in batches for _, pos, neg in active
+              for p in (pos, neg)}
+    if model.uses_query or len(spaces) != 1 or None in spaces:
+        return _negative_epoch(model, entries, lambda q, pos, neg_pool: take(
+            neg_pool, _draw_from_cdf(table[q.id], len(pos), rng)), cfg)
+    (space,) = spaces
+    uniforms = rng.random(sum(len(pos.positions) for active in batches for _, pos, _ in active))
+    at, objs = 0, []
+    for active in batches:
+        rows = []
+        for q, pos, neg_pool in active:
+            u, at = uniforms[at:at + len(pos.positions)], at + len(pos.positions)
+            rows.append(neg_pool.positions[table[q.id].searchsorted(u, side="right")])
+        positives, negatives = (core.GroupDocs(space, np.concatenate(r)) for r in
+                                ([pos.positions for _, pos, _ in active], rows))
+        obj = discriminator_step(model, [(None, positives)], [(None, negatives)],
+                                 cfg.learning_rate)
+        objs.append(obj / (len(positives) + len(negatives)))
+    return _mean(objs)
 
 
 def _sampler_table(sampler: Scorer, entries):
@@ -530,10 +554,10 @@ def dns_epoch(model: Scorer, dataset: Dataset, cfg: TrainConfig,
     def draw(q, pos, neg_pool):
         k = min(cfg.dns_k, len(neg_pool))
         hardest = []
-        for _ in pos:
-            cand = take(neg_pool, rng.choice(len(neg_pool), size=k, replace=False))
-            hardest.append(cand[int(np.argmax(model.score_many(q, cand)))])
-        return hardest
+        for _ in range(len(pos)):
+            cand = rng.choice(len(neg_pool), size=k, replace=False)
+            hardest.append(cand[np.argmax(model.score_many(q, take(neg_pool, cand)))])
+        return take(neg_pool, hardest)
 
     return [
         RunRow(epoch, "D", "objective_mean", _negative_epoch(model, entries, draw, cfg)),

@@ -3,6 +3,7 @@
 import filecmp
 import importlib.util
 import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -823,6 +824,49 @@ class TestRunDirectory:
         assert run(["train", "--config", config, "--out", out]) == 0
         assert run(["train", "--config", config, "--out", fresh]) == 0
         assert tree(out) == tree(fresh)
+
+    @staticmethod
+    def finished_pid():
+        """The pid of a child process that has exited and been waited for."""
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait()
+        return child.pid
+
+    @staticmethod
+    def leave(out, entry, text):
+        (out / entry).mkdir(parents=True)
+        (out / entry / "study.csv").write_text(text)
+
+    def test_killed_runs_are_cleared(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        config = write_config(tmp_path, self.SINGLE_D)
+        assert run(["train", "--config", config, "--out", out]) == 0
+        self.leave(out, f".run.{self.finished_pid()}.tmp", "staged")
+        self.leave(out, f".run.{self.finished_pid()}.old", "set aside")
+        assert run(["train", "--config", config, "--out", out]) == 0
+        assert run(["train", "--config", config, "--out", fresh]) == 0
+        assert tree(out) == tree(fresh)
+
+    def test_run_set_aside_by_a_killed_swap_comes_back(self, tmp_path, monkeypatch):
+        # Killed between the swap's two renames: the earlier run is only the
+        # .old entry.  A later run that fails leaves it back in place.
+        out = tmp_path / "out"
+        self.leave(out, f".run.{self.finished_pid()}.old", "earlier run")
+        monkeypatch.setattr(cli, "save_checkpoint", disk_full)
+        assert run(["train", "--config", write_config(tmp_path, self.SINGLE_D),
+                    "--out", out]) == 2
+        assert tree(out) == {"run/study.csv": b"earlier run"}
+
+    def test_entries_of_live_runs_and_other_names_are_left_alone(self, tmp_path):
+        out, live, dead = tmp_path / "out", os.getppid(), self.finished_pid()
+        kept = [f".run.{live}.tmp", f".run.{live}.old", f".other.{dead}.tmp",
+                f".run.x{dead}.tmp", f".run.{dead}.tmp.keep"]
+        for entry in kept:
+            self.leave(out, entry, entry)
+        assert run(["train", "--config", write_config(tmp_path, self.SINGLE_D),
+                    "--out", out]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(kept + ["run"])
+        assert all((out / entry / "study.csv").read_text() == entry for entry in kept)
 
     @pytest.mark.parametrize("outcome,code", [
         ("success", 0), ("numeric", 3), ("write-fails", 2), ("name-is-a-file", 2)])

@@ -106,7 +106,7 @@ class TestDocumentRows:
     def test_each_document_views_its_row(self):
         m = read_only(np.arange(6.0).reshape(3, 2).copy())
         docs = Document.rows(["a", "b", "c"], m)
-        assert docs.matrix is m and docs.positions is None
+        assert docs.features is m and docs.positions.tolist() == [0, 1, 2]
         assert list(docs) == [Document(i, features=row) for i, row in zip("abc", m)]
         assert all(d.features.base is m and d.tokens is None for d in docs)
 

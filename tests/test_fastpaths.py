@@ -4,15 +4,17 @@ The fast paths are the per-query groups (``Dataset.groups``) and the
 feature matrix each group's documents read their rows from, sampling
 with replacement from a precomputed CDF (``policy._sampling_cdf`` /
 ``policy._draw_from_cdf``), the argsort ranking of ``evaluate_model``,
-the variance lab's two-sweep state pass, the synthetic generator's
-documents made as rows of one matrix (``Document.rows``),
-``build_dataset``'s one decision per pool of the matrix it keeps or makes,
-and each scorer's ``backward`` adding into a caller's buffer (the ``text``
-and ``matfac`` kinds touching only the rows their forward saw).
+the variance lab's two-sweep state pass, the synthetic generator's pools
+as slices of one dataset matrix (``Document.rows``), ``build_dataset``'s
+one decision per pool of the matrix it keeps or makes, the contrastive
+epoch's one gather per step side, and each scorer's ``backward`` adding into
+a caller's buffer (the ``text`` and ``matfac`` kinds touching only the rows
+their forward saw).
 Each reference here is written from the definitions: each document's grade
 looked up in ``judgments``, features stacked from plain lists of documents,
 a synthetic task built from one ``Document`` per row copy, pools checked and
-stacked document by document, ``Generator.choice`` with
+stacked document by document, per-query draws over plain tuples of
+documents, ``Generator.choice`` with
 ``p=``, ``sorted(..., key=(-score, id))`` over RankedLists, and exact
 enumeration over a list that holds every visited state's policy and
 grad-log-prob matrix at once, and a dense gradient of every table.  The edge shapes are pools
@@ -22,6 +24,7 @@ partitions with no action below the baseline, and tokens or document rows
 repeated within one backward.
 """
 
+import gc
 import math
 import tracemalloc
 
@@ -39,8 +42,10 @@ from ranklab.core import (
     Judgment,
     Query,
     QueryGroup,
+    RowSpace,
     build_dataset,
     candidate_pool,
+    join,
     relevant_fraction,
     take,
 )
@@ -309,6 +314,13 @@ def mixed_datasets(draw):
     return dataset, scorers
 
 
+def views_its_rows(g):
+    """Each document of the group is a read-only view of its row of the
+    group's features."""
+    return all(np.shares_memory(d.features, g.features[i]) and not d.features.flags.writeable
+               for i, d in enumerate(g.pool))
+
+
 def outcome(call):
     """The bytes of a kernel's result, or the type of what it raised."""
     try:
@@ -354,8 +366,8 @@ class TestGroupMatrix:
             assert g.features.shape == (len(g.pool), FEATURE_DIM)
             assert g.features.dtype == np.float64 and not g.features.flags.writeable
             for i, d in enumerate(g.pool):
-                assert d.features.base is g.features and not d.features.flags.writeable
                 assert np.shares_memory(d.features, g.features[i])
+                assert not d.features.flags.writeable
                 assert np.array_equal(d.features, g.features[i])
 
     @settings(max_examples=100)
@@ -377,7 +389,7 @@ class TestGroupMatrix:
         for dataset in (first, again, part):
             for g in dataset.groups.values():
                 if g.features is not None:
-                    assert all(d.features.base is g.features for d in g.pool)
+                    assert views_its_rows(g)
 
     @settings(max_examples=50)
     @given(mixed_datasets())
@@ -398,7 +410,7 @@ class TestGroupMatrix:
                           "synthetic").groups["q"]
         assert g.features is not m
         np.testing.assert_array_equal(g.features, [[2.0, 3.0], [0.0, 1.0]])
-        assert [d.features.base is g.features for d in g.pool] == [True, True]
+        assert views_its_rows(g)
 
     @staticmethod
     def pools_that_do_not_view_their_matrix_in_id_order():
@@ -411,9 +423,8 @@ class TestGroupMatrix:
         return {
             "out-of-id-order": (Document.rows(["c", "b", "a"], m), m, m[::-1]),
             "positions-set": (g.positives, m, m[[0, 2]]),
-            "writeable-matrix": (GroupDocs([Document(i, features=row)
-                                            for i, row in zip("abc", writeable)], writeable),
-                                 writeable, writeable),
+            "writeable-matrix": (GroupDocs(RowSpace(list("abc"), writeable), np.arange(3),
+                                           writeable), writeable, writeable),
         }
 
     @pytest.mark.parametrize("case", ["out-of-id-order", "positions-set", "writeable-matrix"])
@@ -422,7 +433,7 @@ class TestGroupMatrix:
         g = build_dataset({"q": pool}, [], "synthetic").groups["q"]
         assert g.features is not matrix and not g.features.flags.writeable
         np.testing.assert_array_equal(g.features, rows)
-        assert all(d.features.base is g.features for d in g.pool)
+        assert views_its_rows(g)
 
     def test_whole_group_docs_in_id_order_keep_their_matrix(self):
         m = np.arange(6.0).reshape(3, 2).copy()
@@ -553,7 +564,7 @@ class TestBuildDatasetPerDocument:
             assert g.features.dtype == matrix.dtype and g.features.shape == matrix.shape
             assert g.features.tobytes() == matrix.tobytes()
             assert not g.features.flags.writeable
-            assert all(d.features.base is g.features for d in g.pool)
+            assert views_its_rows(g)
 
     @staticmethod
     def caller_pools():
@@ -579,7 +590,8 @@ class TestBuildDatasetPerDocument:
         assert [d.id for d in g.pool] == ["a", "b", "c"]
         for d in g.pool:
             assert d is not by_id[d.id] and d == by_id[d.id]
-            assert d.features.base is g.features and d.tokens == by_id[d.id].tokens
+            assert d.tokens == by_id[d.id].tokens
+        assert views_its_rows(g)
         assert not g.features.flags.writeable
 
 
@@ -636,8 +648,111 @@ class TestSynthRetrievalRows:
                 assert ([d.id for d in getattr(g, part)]
                         == [d.id for d in getattr(want, part)]), part
             assert not g.features.flags.writeable
-            for d in g.pool:
-                assert d.features.base is g.features and not d.features.flags.writeable
+            assert views_its_rows(g)
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.8])
+    def test_equals_the_document_by_document_build(self, noise_sigma):
+        spec = SyntheticSpec(num_queries=6, pool_size=40, relevant_fraction=0.1,
+                             feature_dim=5, noise_sigma=noise_sigma, seed=7)
+        dataset, _ = synth_retrieval(spec)
+        reference, _ = reference_synth(spec)
+        assert dataset == reference
+        assert dataset.judgments == reference.judgments
+        noiseless, _ = synth_retrieval(SyntheticSpec(**{**spec.__dict__, "noise_sigma": 0.0}))
+        # The noise moves some labels, so the two cases test different draws.
+        assert (dataset.judgments == noiseless.judgments) == (noise_sigma == 0.0)
+
+
+def live_documents():
+    gc.collect()
+    return sum(isinstance(obj, Document) for obj in gc.get_objects())
+
+
+class TestRowSpace:
+    """A dataset's feature pools are positions in one row space: trainers
+    gather a step side's rows at once and make no documents."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=10), st.integers(1, 8),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_gathered_side_matches_the_stacked_list(self, sizes, dim, seed, data):
+        """A side of a step is one group per batch query: some positions of
+        the query's pool, or of a subset of it (a negative pool).  Joined, it
+        gathers the rows the list of its documents stacks, and linear and
+        mlp1 score it and take its gradient with the same bits."""
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(sum(sizes), dim))
+        matrix.flags.writeable = False
+        rows = Document.rows([f"d{i:03d}" for i in range(sum(sizes))], matrix)
+        ends = np.cumsum(sizes)
+        pools = [rows[end - size:end] for size, end in zip(sizes, ends)]
+        side = []
+        for _ in range(data.draw(st.integers(1, 8), label="batch size")):
+            pool = pools[data.draw(st.integers(0, len(pools) - 1))]
+            if data.draw(st.booleans()):
+                pool = take(pool, data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                                     min_size=1, unique=True)))
+            side.append(take(pool, data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                                      min_size=1, max_size=6))))
+        gathered = join(side)
+        documents = [d for docs in side for d in docs]
+        assert gathered.features.tobytes() == np.array([d.features for d in documents]).tobytes()
+        weights = rng.normal(size=len(documents))
+        for kind, dims in (("linear", {"feature_dim": dim}),
+                           ("mlp1", {"feature_dim": dim, "hidden": 5})):
+            model = build_scorer(kind, dims, scale=0.7, seed=seed % 1000)
+            for kernel, args in (("score_many", ()), ("grad_weighted_sum", (weights,))):
+                fn = getattr(model, kernel)
+                assert (fn(None, gathered, *args).tobytes()
+                        == fn(None, documents, *args).tobytes()), (kind, kernel)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(2, 40), st.floats(0.05, 0.6), st.integers(1, 8),
+           st.sampled_from(["linear", "mlp1"]), st.integers(0, 2**32 - 1))
+    def test_contrastive_epoch_matches_the_list_path(self, num_queries, pool_size, fraction,
+                                                     batch_size, kind, seed):
+        """An epoch on row-space pools, one gather per step side and one draw
+        of the epoch's uniforms, against the same pools as plain tuples, per
+        query draws and stacked lists: the same objective, parameters and
+        generator state."""
+        dataset, _ = synth_retrieval(SyntheticSpec(num_queries, pool_size, fraction, 3,
+                                                   seed=seed))
+        cfg = TrainConfig(learning_rate=0.3, batch_size=batch_size)
+        entries, _ = trainers._negative_entries(dataset, cfg)
+        plain = [e and (e[0], tuple(e[1]), tuple(e[2])) for e in entries]
+        results = []
+        for each in (entries, plain):
+            model = build_scorer(kind, {"feature_dim": 3, "hidden": 4}, scale=0.6,
+                                 seed=seed % 1000)
+            rng = np.random.default_rng(seed)
+            table = trainers._sampler_table(model, each)
+            objective = trainers._contrastive_batches(model, table, each, cfg, rng)
+            results.append((objective, model.params.values.tobytes(), rng.random()))
+        assert results[0] == results[1]
+
+    def test_synthetic_build_and_single_d_epoch_make_no_more_documents_than_drawn(self):
+        before = live_documents()
+        dataset, _ = synth_retrieval(SyntheticSpec(num_queries=8, pool_size=60,
+                                                   relevant_fraction=0.05, feature_dim=5,
+                                                   seed=3))
+        model = build_scorer("mlp1", {"feature_dim": 5, "hidden": 4}, scale=0.3, seed=1)
+        single_d_epoch(model, dataset, TrainConfig(learning_rate=0.1, batch_size=3),
+                       np.random.default_rng(0))
+        drawn = sum(len(g.positives) for g in dataset.groups.values())
+        assert 0 < drawn < 8 * 60
+        assert live_documents() - before <= drawn
+
+    def test_one_matrix_per_dataset(self):
+        dataset, _ = synth_retrieval(SyntheticSpec(num_queries=4, pool_size=5,
+                                                   relevant_fraction=0.2, feature_dim=3))
+        base = dataset.group("q000").pool.base
+        assert all(g.pool.base is base for g in dataset.groups.values())
+        assert base.matrix.shape == (20, 3)
+        assert all(g.features.base is base.matrix for g in dataset.groups.values())
+        rebuilt = build_dataset({qid: list(g.pool) for qid, g in dataset.groups.items()},
+                                dataset.judgments, "synthetic")
+        assert rebuilt == dataset
+        assert len({id(g.pool.base) for g in rebuilt.groups.values()}) == 1
 
 
 class TestNoRelevanceLookups:

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ranklab import pgvar
 from ranklab.baselines import ConstantBaseline, ValueFunctionBaseline
 from ranklab.core import Document, Query, build_dataset
 from ranklab.pgvar import (
@@ -465,6 +466,25 @@ class TestPolicyPasses:
         calls = self.count_passes(monkeypatch, mc_variance, instance, policy,
                                   ConstantBaseline(0.5), 3, np.random.default_rng(4))
         assert calls == 2 * [q.id for q, k in zip(instance.states, drawn) if k]
+
+
+class TestStatePolicyTemperature:
+    """At temperature 1 the state pass skips its division by T; the matrix
+    keeps the bits of the divided one."""
+
+    @pytest.mark.parametrize("kind,temperature", [("mlp1", 1.0), ("linear", 1.0),
+                                                  ("mlp1", 0.7), ("linear", 2.0)])
+    def test_matches_the_divided_matrix(self, kind, temperature):
+        instance, _ = random_instance(11, max_actions=30)
+        dims = {"feature_dim": 3, "hidden": 4} if kind == "mlp1" else {"feature_dim": 3}
+        policy = SoftmaxPolicy(build_scorer(kind, dims, scale=0.8, seed=2), temperature)
+        for s, (query, pool) in enumerate(zip(instance.states, instance.pools)):
+            probs, gradlog = pgvar._state_policy(instance, policy, s)
+            want = policy.scorer.gradient_matrix(query, pool)
+            want -= policy_probs(policy, query, pool) @ want
+            want /= temperature
+            assert probs.tobytes() == policy_probs(policy, query, pool).tobytes()
+            assert gradlog.tobytes() == want.tobytes()
 
 
 class TestPeakMemory:
