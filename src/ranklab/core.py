@@ -205,7 +205,7 @@ def take(docs: Sequence[Document], idx) -> Sequence[Document]:
     """``docs[i]`` for each i in ``idx``, as a tuple, or for a group as
     positions in the group's row space."""
     if not isinstance(docs, GroupDocs):
-        return tuple([docs[i] for i in idx])
+        return tuple([docs[i] for i in np.asarray(idx).tolist()])
     return GroupDocs(docs.base, docs.positions[idx])
 
 
@@ -328,8 +328,9 @@ def build_dataset(
     a read-only row space (``Document.rows`` or a slice of it) in id order is
     kept as it is; every other pool whose documents all have features is
     stacked into one new read-only matrix, the row space of the dataset's
-    other feature pools.  Any other pool is the tuple of its documents, one
-    tuple for pools given as one object.
+    other feature pools, once per query it is given for.  Any other pool is
+    the tuple of its documents, one tuple for pools given as one object.  A
+    pool given as one object for several queries is sorted and checked once.
     """
     kind = DatasetKind(kind)
     if not pools:
@@ -337,35 +338,36 @@ def build_dataset(
     query_tokens = dict(query_tokens or {})
 
     sorted_pools: dict[QueryId, tuple[list[str], Sequence[Document]]] = {}
-    stacked, shared = [], {}
+    stacked, seen = [], {}
     feature_dim: int | None = None
     for qid in sorted(pools):
-        pool = pools[qid]
-        span = (isinstance(pool, GroupDocs) and pool._span is not None
-                and not pool._span.flags.writeable)
-        ids = pool.ids() if span else None
-        if not span or not all(map(lt, ids, ids[1:])):
-            span, pool = False, sorted(pool, key=attrgetter("id"))
-            ids = [d.id for d in pool]
-        if not ids:
-            raise EmptyPoolError(f"query {qid!r} has an empty pool")
-        if not all(map(lt, ids, ids[1:])):
-            twice = next(a for a, b in zip(ids, ids[1:]) if not a < b)
-            raise DatasetError(f"query {qid!r} pool lists document {twice!r} twice")
-        # Every row of a span has its width, so its first document stands for all.
-        widths = ([(ids[0], pool.features.shape[1])] if span else
-                  [(d.id, len(d.features)) for d in pool if d.features is not None])
-        for doc_id, width in widths:
-            if width != feature_dim:
-                if feature_dim is not None:
-                    raise FeatureDimensionError(
-                        f"document {doc_id!r} has {width} features, expected {feature_dim}")
-                feature_dim = width
-        if not span and len(widths) == len(pool):
+        key = id(pools[qid])
+        if key not in seen:  # a pool given for several queries is checked once
+            pool = pools[qid]
+            span = (isinstance(pool, GroupDocs) and pool._span is not None
+                    and not pool._span.flags.writeable)
+            ids = pool.ids() if span else None
+            if not span or not all(map(lt, ids, ids[1:])):
+                span, pool = False, sorted(pool, key=attrgetter("id"))
+                ids = [d.id for d in pool]
+            if not ids:
+                raise EmptyPoolError(f"query {qid!r} has an empty pool")
+            if not all(map(lt, ids, ids[1:])):
+                twice = next(a for a, b in zip(ids, ids[1:]) if not a < b)
+                raise DatasetError(f"query {qid!r} pool lists document {twice!r} twice")
+            # Every row of a span has its width, so its first document stands for all.
+            widths = ([(ids[0], pool.features.shape[1])] if span else
+                      [(d.id, len(d.features)) for d in pool if d.features is not None])
+            for doc_id, width in widths:
+                if width != feature_dim:
+                    if feature_dim is not None:
+                        raise FeatureDimensionError(
+                            f"document {doc_id!r} has {width} features, expected {feature_dim}")
+                    feature_dim = width
+            seen[key] = ids, pool if span or len(widths) == len(pool) else tuple(pool)
+        sorted_pools[qid] = seen[key]
+        if isinstance(seen[key][1], list):  # a sorted feature pool, stacked below
             stacked.append(qid)
-        elif not span:
-            pool = shared.setdefault(id(pools[qid]), tuple(pool))
-        sorted_pools[qid] = ids, pool
     if stacked:
         docs = [d for qid in stacked for d in sorted_pools[qid][1]]
         matrix = np.array([d.features for d in docs])

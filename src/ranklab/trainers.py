@@ -464,36 +464,10 @@ def irgan_pairwise_epoch(generator: SoftmaxPolicy, discriminator: Scorer,
 
 
 def _contrastive_batches(model: Scorer, table, entries, cfg, rng) -> float:
-    """Shared inner loop for single-d and dual-d: per batch, one step on the
-    positives from judgments against negatives drawn from the sampler
-    ``table`` (qid -> CDF over the negative pool); returns the mean
-    per-example objective.
-
-    When the kind ignores the query and every pool is a group of one row
-    space, the draws are positions in it and each side of a step is one
-    group of rows.  The epoch's uniforms then come from one ``rng.random``
-    call, which yields the values of the per-query calls and leaves the
-    generator in their state."""
-    batches = list(_active_batches(entries, cfg.batch_size))
-    spaces = {getattr(p, "base", None) for active in batches for _, pos, neg in active
-              for p in (pos, neg)}
-    if model.uses_query or len(spaces) != 1 or None in spaces:
-        return _negative_epoch(model, entries, lambda q, pos, neg_pool: take(
-            neg_pool, _draw_from_cdf(table[q.id], len(pos), rng)), cfg)
-    (space,) = spaces
-    uniforms = rng.random(sum(len(pos.positions) for active in batches for _, pos, _ in active))
-    at, objs = 0, []
-    for active in batches:
-        rows = []
-        for q, pos, neg_pool in active:
-            u, at = uniforms[at:at + len(pos.positions)], at + len(pos.positions)
-            rows.append(neg_pool.positions[table[q.id].searchsorted(u, side="right")])
-        positives, negatives = (core.GroupDocs(space, np.concatenate(r)) for r in
-                                ([pos.positions for _, pos, _ in active], rows))
-        obj = discriminator_step(model, [(None, positives)], [(None, negatives)],
-                                 cfg.learning_rate)
-        objs.append(obj / (len(positives) + len(negatives)))
-    return _mean(objs)
+    """The epoch of single-d and dual-d: ``_negative_epoch`` with each query's
+    negatives drawn from its CDF in the sampler ``table`` (qid -> CDF)."""
+    return _negative_epoch(model, entries, lambda q, pos, neg_pool: take(
+        neg_pool, _draw_from_cdf(table[q.id], len(pos), rng)), cfg)
 
 
 def _sampler_table(sampler: Scorer, entries):

@@ -6,20 +6,21 @@ with replacement from a precomputed CDF (``policy._sampling_cdf`` /
 ``policy._draw_from_cdf``), the argsort ranking of ``evaluate_model``,
 the variance lab's two-sweep state pass, the synthetic generator's pools
 as slices of one dataset matrix (``Document.rows``), ``build_dataset``'s
-one decision per pool of the matrix it keeps or makes, the contrastive
-epoch's one gather per step side, and each scorer's ``backward`` adding into
-a caller's buffer (the ``text`` and ``matfac`` kinds touching only the rows
-their forward saw).
+one decision per pool of the matrix it keeps or makes, made once for a pool
+given to several queries, a contrastive step's one gather per side (``take``
+keeps positions, ``discriminator_step`` joins them), and each scorer's
+``backward`` adding into a caller's buffer (the ``text`` and ``matfac``
+kinds touching only the rows their forward saw).
 Each reference here is written from the definitions: each document's grade
 looked up in ``judgments``, features stacked from plain lists of documents,
 a synthetic task built from one ``Document`` per row copy, pools checked and
-stacked document by document, per-query draws over plain tuples of
-documents, ``Generator.choice`` with
-``p=``, ``sorted(..., key=(-score, id))`` over RankedLists, and exact
-enumeration over a list that holds every visited state's policy and
-grad-log-prob matrix at once, and a dense gradient of every table.  The edge shapes are pools
-of one document, all-relevant pools, queries with no relevant document,
-``dns_k`` above the size of the negative pool, unvisited states,
+stacked document by document, a copy of a shared pool per query, draws and
+steps over plain tuples of documents, ``Generator.choice`` with ``p=``,
+``sorted(..., key=(-score, id))`` over RankedLists, and exact enumeration
+over a list that holds every visited state's policy and grad-log-prob
+matrix at once, and a dense gradient of every table.  The edge shapes are
+pools of one document, all-relevant pools, queries with no relevant
+document, ``dns_k`` above the size of the negative pool, unvisited states,
 partitions with no action below the baseline, and tokens or document rows
 repeated within one backward.
 """
@@ -595,6 +596,61 @@ class TestBuildDatasetPerDocument:
         assert not g.features.flags.writeable
 
 
+def shared_pool(kind, ids, rng):
+    """A pool of ``kind`` over ``ids``, in their order, and a function that
+    makes a copy of it: the same documents in a new list, or for rows of a
+    read-only matrix new rows of that matrix."""
+    if kind == "rows":
+        matrix = rng.normal(size=(len(ids), 2))
+        matrix.flags.writeable = False
+        return Document.rows(ids, matrix), lambda: Document.rows(ids, matrix)
+    has = {"features": ["f"], "tokens": ["t"], "mixed": ["f", "t"]}[kind]
+    docs = [Document(i, rng.normal(size=2) if has[k % len(has)] == "f" else None,
+                     (k,) if has[k % len(has)] == "t" else None)
+            for k, i in enumerate(ids)]
+    return docs, lambda: list(docs)
+
+
+def row_space(g):
+    """The ids, matrix bytes and tokens of the row space of a group's pool, or
+    None for a tuple pool."""
+    base = getattr(g.pool, "base", None)
+    return base and (base.ids, base.matrix.tobytes(), base.tokens)
+
+
+class TestSharedPoolObject:
+    """A pool given as one object for several queries is checked once, and
+    the dataset equals the one built from a copy of it per query."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["rows", "features", "tokens", "mixed"]),
+           st.lists(st.booleans(), min_size=2, max_size=5), st.integers(1, 6),
+           st.booleans(), st.integers(0, 2**32 - 1), st.data())
+    def test_equals_a_copy_per_query(self, kind, shares, size, id_order, seed, data):
+        """Rows of a read-only matrix in id order are a span the dataset keeps;
+        out of id order they are stacked like any feature pool."""
+        rng = np.random.default_rng(seed)
+        ids = [f"d{i}" for i in range(size)]
+        pool, copy = shared_pool(kind, ids if id_order else ids[::-1], rng)
+        qids = [f"q{i}" for i in range(len(shares))]
+        judgments = [Judgment(qid, f"d{i}", g) for qid in qids for i in range(size)
+                     if (g := data.draw(st.sampled_from([None, 0, 1, 2]))) is not None]
+        shared = build_dataset({q: pool if s else copy() for q, s in zip(qids, shares)},
+                               judgments, "qa")
+        copies = build_dataset({q: copy() for q in qids}, judgments, "qa")
+        assert shared == copies and shared.judgments == copies.judgments
+        assert shared.feature_dim == copies.feature_dim
+        for qid, g in shared.groups.items():
+            h = copies.group(qid)
+            assert type(g.pool) is type(h.pool)
+            assert (g.features is None) == (h.features is None)
+            assert g.features is None or g.features.tobytes() == h.features.tobytes()
+            assert row_space(g) == row_space(h)
+            assert g.grades.tolist() == h.grades.tolist()
+            for part in ("positives", "negatives"):
+                assert tuple(getattr(g, part)) == tuple(getattr(h, part)), part
+
+
 def reference_synth(spec):
     """``synth_retrieval``'s task from the same draws in the same order, each
     document made on its own from a copy of its row and the pools built
@@ -711,9 +767,10 @@ class TestRowSpace:
            st.sampled_from(["linear", "mlp1"]), st.integers(0, 2**32 - 1))
     def test_contrastive_epoch_matches_the_list_path(self, num_queries, pool_size, fraction,
                                                      batch_size, kind, seed):
-        """An epoch on row-space pools, one gather per step side and one draw
-        of the epoch's uniforms, against the same pools as plain tuples, per
-        query draws and stacked lists: the same objective, parameters and
+        """An epoch on row-space pools, whose draws stay positions and whose
+        step sides are gathered once, against the same pools as plain tuples,
+        whose draws are tuples and whose sides are stacked lists: through the
+        one sampled-negative loop, the same objective, parameters and
         generator state."""
         dataset, _ = synth_retrieval(SyntheticSpec(num_queries, pool_size, fraction, 3,
                                                    seed=seed))
@@ -729,6 +786,40 @@ class TestRowSpace:
             objective = trainers._contrastive_batches(model, table, each, cfg, rng)
             results.append((objective, model.params.values.tobytes(), rng.random()))
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("epoch", ["single-d", "dual-d"])
+    def test_each_step_forward_gets_one_group_per_side(self, epoch, monkeypatch):
+        """The sampled negatives of a query are positions in its pool's row
+        space and a step joins each side's queries, so each step of a
+        contrastive epoch makes one forward per side, over one group."""
+        dataset, _ = synth_retrieval(SyntheticSpec(num_queries=10, pool_size=30,
+                                                   relevant_fraction=0.1, feature_dim=4,
+                                                   seed=5))
+        cfg = TrainConfig(learning_rate=0.1, batch_size=3, epochs_inner=2)
+        models = [build_scorer("mlp1", {"feature_dim": 4, "hidden": 3}, scale=0.3, seed=s)
+                  for s in (1, 2)]
+        steps, step = [], trainers.discriminator_step
+
+        def recording_step(model, positives, negatives, lr):
+            sides = []
+            model.forward = lambda q, docs: sides.append(docs) or type(model).forward(
+                model, q, docs)
+            try:
+                return step(model, positives, negatives, lr)
+            finally:
+                del model.forward
+                steps.append(sides)
+
+        monkeypatch.setattr(trainers, "discriminator_step", recording_step)
+        rng = np.random.default_rng(0)
+        if epoch == "single-d":
+            single_d_epoch(models[0], dataset, cfg, rng)
+        else:
+            dual_d_outer_epoch(*models, dataset, cfg, rng)
+        assert steps
+        for sides in steps:
+            assert len(sides) == 2
+            assert all(isinstance(docs, GroupDocs) for docs in sides)
 
     def test_synthetic_build_and_single_d_epoch_make_no_more_documents_than_drawn(self):
         before = live_documents()
