@@ -140,21 +140,32 @@ def gradient_sample(instance: MDPInstance, policy: SoftmaxPolicy,
 
 class _StatePass:
     """A pass over an enumerable instance that can be swept more than once.
-    Each sweep recomputes (s, weight, probs, gradlog) state by state, so one
-    state's gradlog is alive at a time and the consumer may overwrite it.
-    Weights are the visitation unless given; states of weight 0 are skipped."""
+    Each sweep computes (probs, gradlog) state by state, calls ``work(s,
+    weight, probs, gradlog)`` and yields what it returns.  ``work`` may
+    overwrite gradlog but returns nothing that holds it, so one state's
+    matrix is freed before the next state's is built.  Weights are the
+    visitation unless given; states of weight 0 are skipped."""
 
     def __init__(self, instance: MDPInstance, policy: SoftmaxPolicy):
         _check_enumerable(instance)
         self.instance, self.policy = instance, policy
 
-    def __iter__(self):
-        return self.sweep(self.instance.visitation)
-
-    def sweep(self, weights):
+    def sweep(self, work, weights=None):
+        weights = self.instance.visitation if weights is None else weights
         for s, w in enumerate(weights):
             if w != 0:
-                yield (s, w, *_state_policy(self.instance, self.policy, s))
+                yield work(s, w, *_state_policy(self.instance, self.policy, s))
+
+
+def _sums(terms, width: int) -> list:
+    """Termwise sums of the ``width``-tuples a sweep yields, each added to
+    0.0 in state order (not ``sum``, which compensates floats from Python
+    3.12 on and so would change the bits)."""
+    totals = [0.0] * width
+    for row in terms:
+        for i, t in enumerate(row):
+            totals[i] += t
+    return totals
 
 
 def _advantage_rows(instance, baseline: BaselineSpec, s: int, probs, gradlog):
@@ -170,12 +181,24 @@ def _sq_norms(rows, center) -> np.ndarray:
     return rows.sum(axis=1)
 
 
+_NORM_ROWS = 16  # rows that _sq_norms_of copies at a time
+
+
+def _sq_norms_of(matrix, rows, center) -> np.ndarray:
+    """``_sq_norms(matrix[rows], center)``, each row's norm with the same
+    bits, copying ``_NORM_ROWS`` rows at a time instead of all of them."""
+    out = np.empty(len(rows))
+    for i in range(0, len(rows), _NORM_ROWS):
+        out[i:i + _NORM_ROWS] = _sq_norms(matrix[rows[i:i + _NORM_ROWS]], center)
+    return out
+
+
 def _mean_gradient(instance, states, baseline: BaselineSpec) -> np.ndarray:
-    mean = 0.0
-    for s, rho, probs, gradlog in states:
+    def term(s, rho, probs, gradlog):
         b = _baseline_value(instance, baseline, probs, s)
-        mean += rho * (gradlog.T @ (probs * (instance.q_values[s] - b)))
-    return mean
+        return (rho * (gradlog.T @ (probs * (instance.q_values[s] - b))),)
+
+    return _sums(states.sweep(term), 1)[0]
 
 
 def exact_gradient_mean(instance: MDPInstance, policy: SoftmaxPolicy,
@@ -189,11 +212,12 @@ def exact_variance(instance: MDPInstance, policy: SoftmaxPolicy,
     """E[||g(b) - E[g(b)]||^2] by full enumeration, in two sweeps."""
     states = _StatePass(instance, policy)
     mean = _mean_gradient(instance, states, baseline)
-    total = 0.0
-    for s, rho, probs, gradlog in states:
+
+    def deviation(s, rho, probs, gradlog):
         g = _advantage_rows(instance, baseline, s, probs, gradlog)
-        total += rho * float(probs @ _sq_norms(g, mean))
-    return total
+        return (rho * float(probs @ _sq_norms(g, mean)),)
+
+    return _sums(states.sweep(deviation), 1)[0]
 
 
 def mc_variance(instance: MDPInstance, policy: SoftmaxPolicy,
@@ -210,19 +234,26 @@ def mc_variance(instance: MDPInstance, policy: SoftmaxPolicy,
         raise ValueError(f"mc_variance needs n >= {MC_MIN_SAMPLES}")
     states = _StatePass(instance, policy)
     state_counts = rng.multinomial(n, instance.visitation)
-    draws, g_sum = [], None
-    for s, count, probs, gradlog in states.sweep(state_counts):
+    draws = []
+
+    def tally(s, count, probs, gradlog):
         action_counts = rng.multinomial(count, probs)
         draws.append(action_counts)
-        contrib = action_counts @ _advantage_rows(instance, baseline, s, probs, gradlog)
+        return action_counts @ _advantage_rows(instance, baseline, s, probs, gradlog)
+
+    g_sum = None
+    for contrib in states.sweep(tally, state_counts):
         g_sum = contrib if g_sum is None else g_sum + contrib
     mean = g_sum / n
-    sq_sum = 0.0   # sum over draws of ||g - mean||^2
-    quad_sum = 0.0  # sum over draws of ||g - mean||^4
-    for (s, _, probs, gradlog), action_counts in zip(states.sweep(state_counts), draws):
+    counts = iter(draws)
+
+    def moments(s, _, probs, gradlog):
+        # sum over the state's draws of ||g - mean||^2 and of ||g - mean||^4
         sq = _sq_norms(_advantage_rows(instance, baseline, s, probs, gradlog), mean)
-        sq_sum += float(action_counts @ sq)
-        quad_sum += float(action_counts @ sq**2)
+        action_counts = next(counts)
+        return float(action_counts @ sq), float(action_counts @ sq**2)
+
+    sq_sum, quad_sum = _sums(states.sweep(moments, state_counts), 2)
     estimate = sq_sum / (n - 1)
     mean_sq = sq_sum / n
     var_of_sq = max(quad_sum / n - mean_sq**2, 0.0) * n / (n - 1)
@@ -344,19 +375,23 @@ def _bound_report(instance, policy, part: BaselinePartition) -> BoundCheckReport
     then the deviations and the gradient-log term."""
     b = part.b
     states = _StatePass(instance, policy)
-    mean = nu = below_mass = 0.0
-    for s, rho, probs, gradlog in states:
-        mean += rho * (gradlog.T @ (probs * (instance.q_values[s] - b)))
-        nu += rho * (gradlog.T @ probs)
-        below_mass += float(rho) * float(probs[part.below[s]].sum())
-    below_term = above_term = centered = uncentered = 0.0
-    for s, rho, probs, gradlog in states:
+
+    def first(s, rho, probs, gradlog):
+        return (rho * (gradlog.T @ (probs * (instance.q_values[s] - b))),
+                rho * (gradlog.T @ probs),
+                float(rho) * float(probs[part.below[s]].sum()))
+
+    mean, nu, below_mass = _sums(states.sweep(first), 3)
+
+    def second(s, rho, probs, gradlog):
         lo, hi = part.below[s], part.above[s]
-        centered += rho * float(probs[lo] @ _sq_norms(gradlog[lo], nu))
-        uncentered += rho * float(probs[lo] @ _sq_norms(gradlog[lo], 0.0))
+        centered = rho * float(probs[lo] @ _sq_norms_of(gradlog, lo, nu))
+        uncentered = rho * float(probs[lo] @ _sq_norms_of(gradlog, lo, 0.0))
         sq = _sq_norms(_advantage_rows(instance, ConstantBaseline(b), s, probs, gradlog), mean)
-        below_term += rho * float(probs[lo] @ sq[lo])
-        above_term += rho * float(probs[hi] @ sq[hi])
+        return (rho * float(probs[lo] @ sq[lo]), rho * float(probs[hi] @ sq[hi]),
+                centered, uncentered)
+
+    below_term, above_term, centered, uncentered = _sums(states.sweep(second), 4)
     exact = below_term + above_term
     pointwise_ok = True
     term = bound = None

@@ -379,13 +379,35 @@ class TextAvgEmbedScorer(Scorer):
             raise RepresentationError(f"{who} has token id outside vocabulary")
         return idx
 
+    def _pool_token_ids(self, docs) -> tuple[np.ndarray, list[int]]:
+        """Every document's token ids in one array, range-checked once, and
+        each document's token count.  When a document has no tokens or an id
+        is out of range, the per-document check names the first at fault."""
+        tokens = [d.tokens for d in docs]
+        lengths = [0 if t is None else len(t) for t in tokens]
+        flat = [t for toks in tokens if toks is not None for t in toks]
+        ids = np.array(flat) if flat else np.empty(0, np.intp)
+        if 0 in lengths or (len(ids) and (ids.min() < 0 or ids.max() >= self.vocab_size)):
+            for d in docs:
+                self._token_ids(d.tokens, f"doc {d.id!r}")
+        return ids, lengths
+
     def forward(self, query, docs):
         if query is None:
             raise RepresentationError("text scorer needs a query with tokens")
         q_idx = self._token_ids(query.tokens, f"query {query.id!r}")
-        d_ids = [self._token_ids(d.tokens, f"doc {d.id!r}") for d in docs]
+        ids, lengths = self._pool_token_ids(docs)
         eq = self._embed[q_idx].mean(axis=0)
-        eds = [self._embed[idx].mean(axis=0) for idx in d_ids]
+        # Each document's mean is its rows' sum along axis 0 over its count,
+        # the bits of ``.mean(axis=0)``, taken from one gather of every row.
+        rows = self._embed[ids]
+        eds = np.empty((len(lengths), rows.shape[1]))
+        d_ids, start = [], 0
+        for i, n in enumerate(lengths):
+            d_ids.append(ids[start:start + n])
+            np.add.reduce(rows[start:start + n], axis=0, out=eds[i])
+            start += n
+        eds /= np.array(lengths, dtype=np.float64)[:, None]
         lhs = self._bilinear.T @ eq
         return Forward(np.array([ed @ lhs for ed in eds]), (q_idx, eq, d_ids, eds))
 
@@ -394,7 +416,7 @@ class TextAvgEmbedScorer(Scorer):
         M = self._bilinear
         w = np.asarray(weights, dtype=np.float64)
         v, k = self._embed.shape
-        ed_weighted = np.stack(eds).T @ w  # sum_i w_i ed_i
+        ed_weighted = eds.T @ w  # sum_i w_i ed_i
         # Each query token receives (M sum_i w_i ed_i) / len(q) (row 0 of
         # ``rows``), then each token of doc i receives w_i M^T eq / len(d_i)
         # (row i + 1).
@@ -482,30 +504,36 @@ def save_checkpoint(scorer: Scorer, path) -> None:
 
 
 def load_checkpoint(path) -> Scorer:
-    """Read a checkpoint written by ``save_checkpoint``.  A truncated file, a
-    malformed line, or segments and values that disagree with the header's
-    kind and dims raise ``CheckpointError`` naming the path."""
+    """Read a checkpoint written by ``save_checkpoint``.  The values block is
+    parsed as a stream from the open file, so no line of it is kept as a
+    string.  A truncated file, a malformed line, too few or too many values,
+    or segments and values that disagree with the header's kind and dims
+    raise ``CheckpointError`` naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version in {path}")
-    try:
-        if len(lines) < 2:
-            raise ValueError("missing header line")
-        meta = json.loads(lines[1])
-        segments, i = [], 2
-        while i < len(lines) and lines[i].startswith("segment "):
-            fields = lines[i].split()
-            if len(fields) != 4:
-                raise ValueError(f"line {i + 1} is not 'segment <name> <offset> <length>'")
-            segments.append((fields[1], int(fields[2]), int(fields[3])))
-            i += 1
-        if i >= len(lines) or lines[i] != "values":
-            raise ValueError("missing values block")
-        values = np.fromiter(map(float, lines[i + 1:]), np.float64, count=len(lines) - i - 1)
-        params = ParamVector(values, Layout(tuple(segments)))
-        return build_scorer(meta["kind"], meta["dims"], params)
-    except KeyError as exc:
-        raise CheckpointError(f"malformed checkpoint {path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed checkpoint {path}: {exc}") from None
+        if fh.readline().rstrip("\n") != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version in {path}")
+        try:
+            header = fh.readline()
+            if not header:
+                raise ValueError("missing header line")
+            meta = json.loads(header)
+            segments, lineno = [], 3
+            line = fh.readline()
+            while line.startswith("segment "):
+                fields = line.split()
+                if len(fields) != 4:
+                    raise ValueError(f"line {lineno} is not 'segment <name> <offset> <length>'")
+                segments.append((fields[1], int(fields[2]), int(fields[3])))
+                line, lineno = fh.readline(), lineno + 1
+            if line.rstrip("\n") != "values":
+                raise ValueError("missing values block")
+            layout = Layout(tuple(segments))
+            values = np.fromiter(map(float, fh), np.float64, count=max(layout.size, 0))
+            if fh.readline():
+                raise ValueError(f"values block has more than the layout's {layout.size} values")
+            params = ParamVector(values, layout)
+            return build_scorer(meta["kind"], meta["dims"], params)
+        except KeyError as exc:
+            raise CheckpointError(f"malformed checkpoint {path}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed checkpoint {path}: {exc}") from None

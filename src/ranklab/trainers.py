@@ -519,19 +519,31 @@ def dual_d_outer_epoch(model_a: Scorer, model_b: Scorer, dataset: Dataset,
     return rows
 
 
+_DNS_TIE_TOL = 1e-9  # relative gap under which a row's two best scores count as tied
+
+
 def dns_epoch(model: Scorer, dataset: Dataset, cfg: TrainConfig,
               rng: np.random.Generator, epoch: int = 1) -> list[RunRow]:
     """Hardest-of-k negative sampling: per positive, draw dns_k uniform
-    candidates (without replacement) and keep the one the model scores highest."""
+    candidates (without replacement) and keep the one the model scores highest.
+
+    A query's candidates are scored in one forward.  A stacked forward may
+    differ from a k-row forward in the last bits, so a row whose two best
+    scores lie within ``_DNS_TIE_TOL`` is scored again alone, and every pick
+    is the one a k-row forward per positive makes."""
     entries, skipped = _negative_entries(dataset, cfg)
 
     def draw(q, pos, neg_pool):
         k = min(cfg.dns_k, len(neg_pool))
-        hardest = []
-        for _ in range(len(pos)):
-            cand = rng.choice(len(neg_pool), size=k, replace=False)
-            hardest.append(cand[np.argmax(model.score_many(q, take(neg_pool, cand)))])
-        return take(neg_pool, hardest)
+        cand = np.array([rng.choice(len(neg_pool), size=k, replace=False) for _ in pos])
+        scores = model.score_many(q, take(neg_pool, cand.ravel())).reshape(len(pos), k)
+        best = np.argmax(scores, axis=1)
+        if k > 1:
+            top2 = np.partition(scores, k - 2, axis=1)[:, k - 2:]
+            tied = top2[:, 1] - top2[:, 0] <= _DNS_TIE_TOL * (1.0 + np.abs(top2[:, 1]))
+            for i in np.flatnonzero(tied):
+                best[i] = np.argmax(model.score_many(q, take(neg_pool, cand[i])))
+        return take(neg_pool, cand[np.arange(len(pos)), best])
 
     return [
         RunRow(epoch, "D", "objective_mean", _negative_epoch(model, entries, draw, cfg)),

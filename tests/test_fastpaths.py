@@ -8,9 +8,10 @@ the variance lab's two-sweep state pass, the synthetic generator's pools
 as slices of one dataset matrix (``Document.rows``), ``build_dataset``'s
 one decision per pool of the matrix it keeps or makes, made once for a pool
 given to several queries, a contrastive step's one gather per side (``take``
-keeps positions, ``discriminator_step`` joins them), and each scorer's
-``backward`` adding into a caller's buffer (the ``text`` and ``matfac``
-kinds touching only the rows their forward saw).
+keeps positions, ``discriminator_step`` joins them), dns scoring a query's
+hardest-of-k candidates in one forward, the ``text`` forward's one token
+array per pool, and each scorer's ``backward`` adding into a caller's buffer
+(the ``text`` and ``matfac`` kinds touching only the rows their forward saw).
 Each reference here is written from the definitions: each document's grade
 looked up in ``judgments``, features stacked from plain lists of documents,
 a synthetic task built from one ``Document`` per row copy, pools checked and
@@ -18,11 +19,13 @@ stacked document by document, a copy of a shared pool per query, draws and
 steps over plain tuples of documents, ``Generator.choice`` with ``p=``,
 ``sorted(..., key=(-score, id))`` over RankedLists, and exact enumeration
 over a list that holds every visited state's policy and grad-log-prob
-matrix at once, and a dense gradient of every table.  The edge shapes are
-pools of one document, all-relevant pools, queries with no relevant
-document, ``dns_k`` above the size of the negative pool, unvisited states,
-partitions with no action below the baseline, and tokens or document rows
-repeated within one backward.
+matrix at once, one k-row forward per dns positive, one token array and one
+``mean`` per text document, and a dense gradient of every table.  The edge
+shapes are pools of one document, all-relevant pools, queries with no
+relevant document, ``dns_k`` above the size of the negative pool, repeated
+documents that tie a dns row, unvisited states, partitions with no action
+below the baseline, and tokens or document rows repeated within one
+backward.
 """
 
 import gc
@@ -65,6 +68,7 @@ from ranklab.policy import (
     sample_docs,
 )
 from ranklab.scorers import (
+    Forward,
     LinearScorer,
     ParamVector,
     RepresentationError,
@@ -278,6 +282,90 @@ class TestTrainersOnReferencePaths:
             reference = run_epochs(reference_dataset(dataset), seed, dns_k)
         for a, b in zip(fast, reference):
             assert np.array_equal(a, b)
+
+
+def reference_dns_epoch(model, dataset, cfg, rng):
+    """``dns_epoch`` as one k-row forward per positive, each pick the argmax
+    of its own forward."""
+    entries, _ = trainers._negative_entries(dataset, cfg)
+
+    def draw(q, pos, neg_pool):
+        k = min(cfg.dns_k, len(neg_pool))
+        hardest = []
+        for _ in range(len(pos)):
+            cand = rng.choice(len(neg_pool), size=k, replace=False)
+            hardest.append(cand[np.argmax(model.score_many(q, take(neg_pool, cand)))])
+        return take(neg_pool, hardest)
+
+    return trainers._negative_epoch(model, entries, draw, cfg)
+
+
+@st.composite
+def dns_cases(draw):
+    """(model, dataset) of one kind.  Feature pools hold small integer
+    features, so documents repeat and scores tie; a matfac catalog repeats
+    one item's embedding row and bias under another id."""
+    kind = draw(st.sampled_from(["linear", "mlp1", "matfac"]))
+    seed = draw(st.integers(0, 10_000))
+    if kind != "matfac":
+        dims = {"feature_dim": FEATURE_DIM, **({"hidden": 3} if kind == "mlp1" else {})}
+        return build_scorer(kind, dims, scale=0.8, seed=seed), draw(datasets())
+    users, items = ("u0", "u1", "u2"), tuple(f"i{i}" for i in range(draw(st.integers(2, 10))))
+    catalog = [Document(i, tokens=(0,)) for i in items]
+    judgments = [Judgment(u, i, 1) for u in users for i in items if draw(st.booleans())]
+    dataset = build_dataset({u: catalog for u in users}, judgments, "recommendation")
+    model = build_scorer("matfac", {"query_ids": users, "doc_ids": items, "embed_dim": 3},
+                         scale=0.8, seed=seed)
+    a, b = draw(st.permutations(range(len(items))))[:2]
+    doc_embed = model.params.segment("doc_embed").reshape(len(items), -1)
+    doc_embed[b] = doc_embed[a]
+    model.params.segment("doc_bias")[b] = model.params.segment("doc_bias")[a]
+    return model, dataset
+
+
+class TestDnsOneForwardPerQuery:
+    """A query's hardest-of-k candidates are scored in one forward; the picks,
+    objectives, parameters and generator state must be those of one k-row
+    forward per positive."""
+
+    @staticmethod
+    def check(model, dataset, cfg, epochs=3):
+        reference = model.clone()
+        rng, expected_rng = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed)
+        for _ in range(epochs):
+            got = dns_epoch(model, dataset, cfg, rng)[0].value
+            assert got == reference_dns_epoch(reference, dataset, cfg, expected_rng)
+            assert model.params.values.tobytes() == reference.params.values.tobytes()
+        assert rng.random() == expected_rng.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(dns_cases(), st.integers(0, 1000), st.integers(1, 9), st.booleans())
+    def test_matches_per_positive_forwards(self, case, seed, dns_k, exclude_positives):
+        model, dataset = case
+        cfg = TrainConfig(learning_rate=0.3, batch_size=2, dns_k=dns_k, seed=seed,
+                          exclude_positives=exclude_positives)
+        self.check(model, dataset, cfg)
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp1"])
+    def test_tied_rows_are_scored_again_alone(self, kind, monkeypatch):
+        # Every negative is one repeated document, so each positive's row
+        # ties and is scored again: one stacked forward per query, then one
+        # k-row forward per positive.
+        docs = [Document("p0", np.array([1.0, 2.0])), Document("p1", np.array([0.0, 1.0]))]
+        docs += [Document(f"n{i}", np.array([-1.0, 0.5])) for i in range(6)]
+        dataset = build_dataset({"q": docs}, [Judgment("q", "p0", 1), Judgment("q", "p1", 2)],
+                                "synthetic")
+        dims = {"feature_dim": 2, **({"hidden": 3} if kind == "mlp1" else {})}
+        model = build_scorer(kind, dims, scale=0.8, seed=4)
+        cfg = TrainConfig(learning_rate=0.3, dns_k=4, seed=5)
+        sizes = []
+        forward = type(model).forward
+        monkeypatch.setattr(type(model), "forward",
+                            lambda self, q, d: sizes.append(len(d)) or forward(self, q, d))
+        dns_epoch(model.clone(), dataset, cfg, np.random.default_rng(5))
+        assert sizes[:3] == [8, 4, 4]
+        monkeypatch.undo()
+        self.check(model, dataset, cfg)
 
 
 @st.composite
@@ -1194,6 +1282,70 @@ class TestBackwardIntoBuffer:
     def test_named_edge_shapes(self, kind, query, docs, weights):
         check_backward_matches_reference(kind_scorer(kind, 5), query, docs,
                                          np.array(weights), 5)
+
+
+def per_document_text_forward(scorer, query, docs):
+    """The text forward with one token array and one ``mean`` per document."""
+    k = scorer.dims["embed_dim"]
+    E = scorer.params.segment("embed").reshape(-1, k)
+    M = scorer.params.segment("bilinear").reshape(k, k)
+    q_idx = np.asarray(query.tokens)
+    d_ids = [np.asarray(d.tokens) for d in docs]
+    eq = E[q_idx].mean(axis=0)
+    eds = [E[idx].mean(axis=0) for idx in d_ids]
+    lhs = M.T @ eq
+    return Forward(np.array([ed @ lhs for ed in eds]), (q_idx, eq, d_ids, eds))
+
+
+@st.composite
+def text_pools(draw):
+    """A text scorer, a query and a pool of zero to eight documents of one
+    to sixteen tokens, parameters spread over several magnitudes."""
+    vocab, k = draw(st.integers(1, 40)), draw(st.sampled_from([1, 2, 3, 100]))
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-4, 4, size=(vocab + k, 1))
+    values = (rng.normal(size=(vocab + k, k)) * scale).ravel()
+    scorer = build_scorer("text", {"vocab_size": vocab, "embed_dim": k},
+                          ParamVector(values, layout_for("text", {"vocab_size": vocab,
+                                                                  "embed_dim": k})))
+    tokens = st.lists(st.integers(0, vocab - 1), min_size=1, max_size=16).map(tuple)
+    query = Query("q", tokens=draw(tokens))
+    docs = [Document(f"d{i}", tokens=draw(tokens)) for i in range(draw(st.integers(0, 8)))]
+    return scorer, query, docs, seed
+
+
+class TestTextForwardOneTokenArray:
+    """The text forward checks and gathers a pool's tokens once per call;
+    scores, saved means and backward must be those of one ``mean`` per
+    document."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text_pools())
+    def test_matches_per_document_means(self, case):
+        scorer, query, docs, seed = case
+        fwd, reference = scorer.forward(query, docs), per_document_text_forward(scorer, query, docs)
+        assert fwd.scores.dtype == reference.scores.dtype
+        assert fwd.scores.tobytes() == reference.scores.tobytes()
+        assert [i.tolist() for i in fwd.saved[2]] == [i.tolist() for i in reference.saved[2]]
+        assert np.reshape(fwd.saved[3], -1).tobytes() == np.reshape(
+            reference.saved[3], -1).tobytes()
+        if docs:
+            weights = np.random.default_rng(seed).normal(size=len(docs))
+            out = np.random.default_rng(seed + 1).normal(size=scorer.params.layout.size)
+            expected = out + reference_backward(scorer, reference, weights)
+            assert scorer.backward(fwd, weights, out).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("tokens, message", [
+        ([(1,), (7,), (-1,)], "doc 'd1' has token id outside vocabulary"),
+        ([(1,), (2, -1), (9,)], "doc 'd1' has token id outside vocabulary"),
+        ([(1,), None, (9,)], "text scorer needs tokens; doc 'd1' has none"),
+    ], ids=["above-range", "below-range", "no-tokens"])
+    def test_error_names_the_first_document_at_fault(self, tokens, message):
+        scorer = kind_scorer("text", 3)
+        docs = [Document(f"d{i}", np.zeros(1), tokens=t) for i, t in enumerate(tokens)]
+        with pytest.raises(RepresentationError, match=message):
+            scorer.forward(Query("q", tokens=(0,)), docs)
 
 
 def peak_bytes(call) -> int:

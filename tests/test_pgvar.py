@@ -488,9 +488,12 @@ class TestStatePolicyTemperature:
 
 
 class TestPeakMemory:
-    """Enumeration keeps one state's gradient matrix alive, not one per state."""
+    """Enumeration keeps one state's gradient matrix alive, not one per state
+    and not two: each state's matrix is freed before the next state's is
+    built, and the bound check takes its below-baseline norms a few rows at
+    a time."""
 
-    def test_peak_below_four_gradient_matrices(self):
+    def test_peak_below_two_gradient_matrices(self):
         rng = np.random.default_rng(11)
         n_states, n_docs, dim = 30, 100, 20
         scorer = build_scorer("mlp1", {"feature_dim": dim, "hidden": 20}, scale=0.3, seed=2)
@@ -515,7 +518,7 @@ class TestPeakMemory:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 4 * matrix_bytes, (name, peak / matrix_bytes)
+            assert peak < 2 * matrix_bytes, (name, peak / matrix_bytes)
 
 
 class TestSparsityStudy:

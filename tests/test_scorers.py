@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ranklab.core import Document, Query
 from ranklab.scorers import (
     CheckpointError,
+    Layout,
     LinearScorer,
     ParamVector,
     RepresentationError,
@@ -360,6 +362,23 @@ class TestSnapshots:
         assert scorer.params.values[0] != twin.params.values[0]
 
 
+def whole_file_load(path):
+    """The checkpoint reader as it was before the values block was streamed:
+    every line of the file read into a list of strings first."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines and lines[0] == "1"
+    meta = json.loads(lines[1])
+    segments, i = [], 2
+    while lines[i].startswith("segment "):
+        _, name, offset, length = lines[i].split()
+        segments.append((name, int(offset), int(length)))
+        i += 1
+    assert lines[i] == "values"
+    values = np.fromiter(map(float, lines[i + 1:]), np.float64, count=len(lines) - i - 1)
+    return build_scorer(meta["kind"], meta["dims"], ParamVector(values, Layout(tuple(segments))))
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_round_trip(self, kind, tmp_path):
@@ -405,12 +424,47 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         save_checkpoint(scorer, path)
         assert load_checkpoint(path).params.values.tobytes() == values.tobytes()
+        assert whole_file_load(path).params.values.tobytes() == values.tobytes()
         values[[0, 8193, len(values) - 1]] = [float("nan"), float("inf"), float("-inf")]
         save_checkpoint(scorer, path)
         expected = ["1", json.dumps({"kind": "linear", "dims": scorer.dims}, sort_keys=True),
                     *(f"segment {n} {o} {k}" for n, o, k in scorer.params.layout.segments),
                     "values", *(repr(float(v)) for v in values)]
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+    def test_extra_value_line_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "linear")
+        self.assert_rejected(path, lines + ["0.5"])
+
+    def test_missing_value_line_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "linear")
+        self.assert_rejected(path, lines[:-1])
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_stream_matches_whole_file_reader(self, kind, tmp_path):
+        scorer = make_kind(kind, np.random.default_rng(11), seed=21)[0]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(scorer, path)
+        loaded, reference = load_checkpoint(path), whole_file_load(path)
+        assert (loaded.kind, loaded.dims) == (reference.kind, reference.dims)
+        assert loaded.params.values.tobytes() == reference.params.values.tobytes()
+
+    def test_load_peak_stays_near_the_values(self, tmp_path):
+        # The QA benchmark's text model: 2001 x 100 embeddings and a 100 x 100
+        # bilinear form, 210,100 values.  Each value kept as a line string
+        # would peak near 12x the values' bytes.
+        scorer = build_scorer("text", {"vocab_size": 2001, "embed_dim": 100}, seed=7)
+        path = tmp_path / "text.ckpt"
+        save_checkpoint(scorer, path)
+        load_checkpoint(path)
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.params.values.tobytes() == scorer.params.values.tobytes()
+        assert peak < 3 * scorer.params.values.nbytes, peak / scorer.params.values.nbytes
 
     def test_version_line_only_rejected(self, tmp_path):
         path, lines = self.saved_lines(tmp_path, "linear")
