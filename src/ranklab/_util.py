@@ -40,6 +40,15 @@ def atomic_write(path):
         raise
 
 
+def _fold_sum(values) -> float:
+    """``values`` added to 0.0 in order: ``sum``'s bits up to Python 3.11, which
+    3.12's ``sum`` changes by compensating float additions."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """UTF-8, LF line endings, repr'd floats; plain enough to parse anywhere."""
     with atomic_write(path) as fh:

@@ -236,11 +236,6 @@ class QueryGroup:
     positives: Sequence[Document]
     negatives: Sequence[Document]
 
-    @property
-    def features(self) -> np.ndarray | None:
-        """The pool's read-only feature rows; None unless every document has features."""
-        return getattr(self.pool, "features", None)
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import Dataset, Document, EmptyPoolError, Query
 from .scorers import Scorer
-from ._util import write_csv
+from ._util import _fold_sum, write_csv
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,11 @@ def _precision(grades: Sequence[int], k: int) -> float:
 def _ndcg(grades: Sequence[int], k: int, query: str) -> float:
     if not any(g > 0 for g in grades):
         raise ValueError(f"query {query!r} has no relevant document")
-    dcg = sum(
+    dcg = _fold_sum(
         (2.0 ** g - 1.0) / math.log2(i + 2) for i, g in enumerate(grades[:k])
     )
     ideal = sorted(grades, reverse=True)
-    idcg = sum(
+    idcg = _fold_sum(
         (2.0 ** g - 1.0) / math.log2(i + 2) for i, g in enumerate(ideal[:k])
     )
     return dcg / idcg

@@ -33,7 +33,7 @@ from .baselines import BaselineSpec, ConstantBaseline, ValueFunctionBaseline
 from .dataio import SyntheticSpec, synth_retrieval
 from .policy import SoftmaxPolicy, policy_probs
 from .scorers import Scorer, build_scorer, check_init_scale
-from .trainers import InvalidConfigError, TrainConfig, make_reward, run_trainer
+from .trainers import REWARD_NAMES, InvalidConfigError, TrainConfig, make_reward, run_trainer
 from ._util import write_csv
 
 ENUMERATION_LIMIT = 1_000_000
@@ -88,23 +88,13 @@ class MDPInstance:
 def build_instance(dataset: Dataset, model: Scorer,
                    reward_kind: str = "sigmoid") -> MDPInstance:
     """States are the dataset's queries, actions its pools, values the model's
-    reward on each pair ('sigmoid' or 'raw'), visitation uniform over queries.
+    ``make_reward(reward_kind)`` on each pair, visitation uniform over queries.
     Judgments are not consulted: the value table needs only the model."""
-    if reward_kind not in ("sigmoid", "raw"):
-        raise ValueError("reward_kind must be 'sigmoid' or 'raw'")
     reward = make_reward(reward_kind)
     groups = tuple(dataset.groups.values())
     return MDPInstance(tuple(g.query for g in groups), tuple(g.pool for g in groups),
                        tuple(reward(model, g.query, g.pool) for g in groups),
                        np.full(len(groups), 1.0 / len(groups)))
-
-
-def _check_enumerable(instance: MDPInstance) -> None:
-    if instance.total_pairs > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"instance has {instance.total_pairs} state-action pairs; "
-            f"exact enumeration is capped at {ENUMERATION_LIMIT}"
-        )
 
 
 def _state_policy(instance: MDPInstance, policy: SoftmaxPolicy, s: int):
@@ -138,33 +128,29 @@ def gradient_sample(instance: MDPInstance, policy: SoftmaxPolicy,
     return gradlog[a] * (instance.q_values[s][a] - b)
 
 
-class _StatePass:
-    """A pass over an enumerable instance that can be swept more than once.
-    Each sweep computes (probs, gradlog) state by state, calls ``work(s,
-    weight, probs, gradlog)`` and yields what it returns.  ``work`` may
-    overwrite gradlog but returns nothing that holds it, so one state's
-    matrix is freed before the next state's is built.  Weights are the
-    visitation unless given; states of weight 0 are skipped."""
-
-    def __init__(self, instance: MDPInstance, policy: SoftmaxPolicy):
-        _check_enumerable(instance)
-        self.instance, self.policy = instance, policy
-
-    def sweep(self, work, weights=None):
-        weights = self.instance.visitation if weights is None else weights
-        for s, w in enumerate(weights):
-            if w != 0:
-                yield work(s, w, *_state_policy(self.instance, self.policy, s))
+def _sweep(instance: MDPInstance, policy: SoftmaxPolicy, work, weights=None):
+    """A pass over an enumerable instance, checked when it is made: it
+    computes (probs, gradlog) state by state, calls ``work(s, weight, probs,
+    gradlog)`` and yields what it returns.  ``work`` may overwrite gradlog
+    but returns nothing that holds it, so one state's matrix is freed before
+    the next state's is built.  Weights are the visitation unless given, and
+    read as the pass reaches them; states of weight 0 are skipped."""
+    if instance.total_pairs > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            f"instance has {instance.total_pairs} state-action pairs; "
+            f"exact enumeration is capped at {ENUMERATION_LIMIT}"
+        )
+    weights = instance.visitation if weights is None else weights
+    return (work(s, w, *_state_policy(instance, policy, s))
+            for s, w in enumerate(weights) if w != 0)
 
 
 def _sums(terms, width: int) -> list:
-    """Termwise sums of the ``width``-tuples a sweep yields, each added to
-    0.0 in state order (not ``sum``, which compensates floats from Python
-    3.12 on and so would change the bits)."""
+    """Termwise sums of the ``width``-tuples a sweep yields, each folded from
+    0.0 in state order, as ``_util._fold_sum`` adds."""
     totals = [0.0] * width
     for row in terms:
-        for i, t in enumerate(row):
-            totals[i] += t
+        totals = [total + t for total, t in zip(totals, row)]
     return totals
 
 
@@ -193,31 +179,26 @@ def _sq_norms_of(matrix, rows, center) -> np.ndarray:
     return out
 
 
-def _mean_gradient(instance, states, baseline: BaselineSpec) -> np.ndarray:
+def exact_gradient_mean(instance: MDPInstance, policy: SoftmaxPolicy,
+                        baseline: BaselineSpec) -> np.ndarray:
+    """E[g(b)] by full enumeration over states and actions."""
     def term(s, rho, probs, gradlog):
         b = _baseline_value(instance, baseline, probs, s)
         return (rho * (gradlog.T @ (probs * (instance.q_values[s] - b))),)
 
-    return _sums(states.sweep(term), 1)[0]
-
-
-def exact_gradient_mean(instance: MDPInstance, policy: SoftmaxPolicy,
-                        baseline: BaselineSpec) -> np.ndarray:
-    """E[g(b)] by full enumeration over states and actions."""
-    return _mean_gradient(instance, _StatePass(instance, policy), baseline)
+    return _sums(_sweep(instance, policy, term), 1)[0]
 
 
 def exact_variance(instance: MDPInstance, policy: SoftmaxPolicy,
                    baseline: BaselineSpec) -> float:
     """E[||g(b) - E[g(b)]||^2] by full enumeration, in two sweeps."""
-    states = _StatePass(instance, policy)
-    mean = _mean_gradient(instance, states, baseline)
+    mean = exact_gradient_mean(instance, policy, baseline)
 
     def deviation(s, rho, probs, gradlog):
         g = _advantage_rows(instance, baseline, s, probs, gradlog)
         return (rho * float(probs @ _sq_norms(g, mean)),)
 
-    return _sums(states.sweep(deviation), 1)[0]
+    return _sums(_sweep(instance, policy, deviation), 1)[0]
 
 
 def mc_variance(instance: MDPInstance, policy: SoftmaxPolicy,
@@ -232,8 +213,6 @@ def mc_variance(instance: MDPInstance, policy: SoftmaxPolicy,
     """
     if n < MC_MIN_SAMPLES:
         raise ValueError(f"mc_variance needs n >= {MC_MIN_SAMPLES}")
-    states = _StatePass(instance, policy)
-    state_counts = rng.multinomial(n, instance.visitation)
     draws = []
 
     def tally(s, count, probs, gradlog):
@@ -241,8 +220,12 @@ def mc_variance(instance: MDPInstance, policy: SoftmaxPolicy,
         draws.append(action_counts)
         return action_counts @ _advantage_rows(instance, baseline, s, probs, gradlog)
 
+    # The sweep checks the instance before any draw and reads counts as it goes.
+    state_counts = np.zeros(len(instance.states), dtype=np.int64)
+    tallies = _sweep(instance, policy, tally, state_counts)
+    state_counts[:] = rng.multinomial(n, instance.visitation)
     g_sum = None
-    for contrib in states.sweep(tally, state_counts):
+    for contrib in tallies:
         g_sum = contrib if g_sum is None else g_sum + contrib
     mean = g_sum / n
     counts = iter(draws)
@@ -253,7 +236,7 @@ def mc_variance(instance: MDPInstance, policy: SoftmaxPolicy,
         action_counts = next(counts)
         return float(action_counts @ sq), float(action_counts @ sq**2)
 
-    sq_sum, quad_sum = _sums(states.sweep(moments, state_counts), 2)
+    sq_sum, quad_sum = _sums(_sweep(instance, policy, moments, state_counts), 2)
     estimate = sq_sum / (n - 1)
     mean_sq = sq_sum / n
     var_of_sq = max(quad_sum / n - mean_sq**2, 0.0) * n / (n - 1)
@@ -374,14 +357,13 @@ def _bound_report(instance, policy, part: BaselinePartition) -> BoundCheckReport
     mean gradient, the mean grad-log-prob nu and the below-baseline mass;
     then the deviations and the gradient-log term."""
     b = part.b
-    states = _StatePass(instance, policy)
 
     def first(s, rho, probs, gradlog):
         return (rho * (gradlog.T @ (probs * (instance.q_values[s] - b))),
                 rho * (gradlog.T @ probs),
                 float(rho) * float(probs[part.below[s]].sum()))
 
-    mean, nu, below_mass = _sums(states.sweep(first), 3)
+    mean, nu, below_mass = _sums(_sweep(instance, policy, first), 3)
 
     def second(s, rho, probs, gradlog):
         lo, hi = part.below[s], part.above[s]
@@ -391,7 +373,7 @@ def _bound_report(instance, policy, part: BaselinePartition) -> BoundCheckReport
         return (rho * float(probs[lo] @ sq[lo]), rho * float(probs[hi] @ sq[hi]),
                 centered, uncentered)
 
-    below_term, above_term, centered, uncentered = _sums(states.sweep(second), 4)
+    below_term, above_term, centered, uncentered = _sums(_sweep(instance, policy, second), 4)
     exact = below_term + above_term
     pointwise_ok = True
     term = bound = None
@@ -448,6 +430,10 @@ class StudyConfig:
         self.synthetic_spec(1.0, seed=0)
         self.train_config(seed=0)
         check_init_scale(self.init_scale)
+        try:
+            make_reward(self.reward_kind)
+        except InvalidConfigError:
+            raise InvalidConfigError(f"reward_kind must be one of {REWARD_NAMES}") from None
         if self.mc_samples < MC_MIN_SAMPLES:
             raise InvalidConfigError(f"mc_samples must be >= {MC_MIN_SAMPLES}")
         if not math.isfinite(self.b):

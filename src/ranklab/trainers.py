@@ -41,14 +41,12 @@ from .policy import (
     _sampling_cdf,
     _softmax,
     discriminator_sampling_probs,
-    log_policy_probs,
     policy_probs,
     sample_docs,
 )
 from .scorers import NumericError, Scorer, log_sigmoid, sigmoid, softplus
-from ._util import write_csv, read_csv
+from ._util import _fold_sum, write_csv, read_csv
 
-TRAINER_NAMES = ("irgan-pointwise", "irgan-pairwise", "single-d", "dual-d", "dns")
 # Model roles each trainer trains.  Without a chosen model (dual-d picks A or
 # B by seed), the first role is the one that gets evaluated.
 TRAINER_ROLES = {
@@ -58,11 +56,67 @@ TRAINER_ROLES = {
     "dual-d": ("A", "B"),
     "dns": ("D",),
 }
-REWARD_NAMES = ("raw", "sigmoid", "sigmoid-baselined")
+TRAINER_NAMES = tuple(TRAINER_ROLES)
 
 
 class InvalidConfigError(ValueError):
     """A training-config field is missing or out of range; names the field."""
+
+
+# -- rewards ------------------------------------------------------------------
+
+
+# A reward maps (model, query, docs) to one reward per document.
+RewardFn = Callable[[Scorer, Query | None, Sequence[Document]], np.ndarray]
+
+
+def _raw_reward(model, query, docs):
+    """softplus(f): the reward attached to the raw policy-gradient update."""
+    return softplus(model.score_many(query, docs))
+
+
+def _sigmoid_reward(model, query, docs):
+    """sigmoid(f) with no embedded baseline."""
+    return sigmoid(model.score_many(query, docs))
+
+
+def _centered_sigmoid(x):
+    """2 * (sigmoid(x) - 0.5), in (-1, 1)."""
+    return 2.0 * (sigmoid(x) - 0.5)
+
+
+def _sigmoid_baselined_reward(model, query, docs):
+    """2 * (sigmoid(f) - 0.5): the training-friendly reward, range (-1, 1)."""
+    return _centered_sigmoid(model.score_many(query, docs))
+
+
+_REWARDS = {
+    "raw": _raw_reward,
+    "sigmoid": _sigmoid_reward,
+    "sigmoid-baselined": _sigmoid_baselined_reward,
+}
+REWARD_NAMES = tuple(_REWARDS)
+
+
+def make_reward(kind: str) -> RewardFn:
+    if kind not in _REWARDS:
+        raise InvalidConfigError(f"reward must be one of {REWARD_NAMES}")
+    return _REWARDS[kind]
+
+
+def _pairwise_reward(model: Scorer, query: Query | None, anchor: Document) -> RewardFn:
+    """2 * (sigmoid(f(d) - f(anchor)) - 0.5): pairwise analog of the pointwise
+    baselined reward, where the anchor is the paired relevant document, scored
+    once, here: ``model`` must not move while the reward is in use."""
+    f_anchor = model.score(query, anchor)
+
+    def reward(model, query, docs):
+        return _centered_sigmoid(model.score_many(query, docs) - f_anchor)
+
+    return reward
+
+
+# -- configuration ------------------------------------------------------------
 
 
 @dataclass
@@ -93,8 +147,7 @@ class TrainConfig:
                 raise InvalidConfigError(f"{name} must be >= 1")
         if not 0 < self.temperature < np.inf:
             raise InvalidConfigError("temperature must be > 0 and finite")
-        if self.reward not in REWARD_NAMES:
-            raise InvalidConfigError(f"reward must be one of {REWARD_NAMES}")
+        make_reward(self.reward)
         if self.pretrain_epochs < 0:
             raise InvalidConfigError("pretrain_epochs must be >= 0")
         if self.seed < 0:
@@ -169,53 +222,6 @@ class RunRecord:
 
     def __eq__(self, other):
         return isinstance(other, RunRecord) and self.rows == other.rows
-
-
-# -- rewards ------------------------------------------------------------------
-
-
-# A reward maps (model, query, docs) to one reward per document.
-RewardFn = Callable[[Scorer, Query | None, Sequence[Document]], np.ndarray]
-
-
-def _raw_reward(model, query, docs):
-    """softplus(f): the reward attached to the raw policy-gradient update."""
-    return softplus(model.score_many(query, docs))
-
-
-def _sigmoid_reward(model, query, docs):
-    """sigmoid(f) with no embedded baseline."""
-    return sigmoid(model.score_many(query, docs))
-
-
-def _sigmoid_baselined_reward(model, query, docs):
-    """2 * (sigmoid(f) - 0.5): the training-friendly reward, range (-1, 1)."""
-    return 2.0 * (sigmoid(model.score_many(query, docs)) - 0.5)
-
-
-_REWARDS = {
-    "raw": _raw_reward,
-    "sigmoid": _sigmoid_reward,
-    "sigmoid-baselined": _sigmoid_baselined_reward,
-}
-
-
-def make_reward(kind: str) -> RewardFn:
-    if kind not in _REWARDS:
-        raise InvalidConfigError(f"reward must be one of {REWARD_NAMES}")
-    return _REWARDS[kind]
-
-
-def _pairwise_reward(model: Scorer, query: Query | None, anchor: Document) -> RewardFn:
-    """2 * (sigmoid(f(d) - f(anchor)) - 0.5): pairwise analog of the pointwise
-    baselined reward, where the anchor is the paired relevant document, scored
-    once, here: ``model`` must not move while the reward is in use."""
-    f_anchor = model.score(query, anchor)
-
-    def reward(model, query, docs):
-        return 2.0 * (sigmoid(model.score_many(query, docs) - f_anchor) - 0.5)
-
-    return reward
 
 
 # -- baselines over pools ------------------------------------------------------
@@ -313,8 +319,9 @@ def pretrain_mle(policy: SoftmaxPolicy, dataset: Dataset, cfg: TrainConfig) -> R
 
     Mutates the policy's scorer in place; the returned record carries the
     post-step mean log-likelihood per epoch and the count of queries skipped
-    for having no relevant document.  Per epoch, each usable query takes one
-    forward for the step and one scores-only pass for the likelihood.
+    for having no relevant document.  Pass p reads epoch p's likelihood from
+    the forward that takes step p + 1, and a last pass reads the last epoch's:
+    each usable query costs E + 1 forwards for E epochs.
     """
     record = RunRecord()
     usable = []
@@ -328,22 +335,24 @@ def pretrain_mle(policy: SoftmaxPolicy, dataset: Dataset, cfg: TrainConfig) -> R
     if not usable:
         raise core.DatasetError("no query has a relevant document to pretrain on")
 
+    scorer, epochs = policy.scorer, cfg.epochs_outer
     n_pairs = sum(len(pos_idx) for _, _, pos_idx in usable)
-    for epoch in range(1, cfg.epochs_outer + 1):
-        grad = np.zeros(policy.scorer.params.layout.size)
+    for epoch in range(epochs + 1):
+        grad, total = np.zeros(scorer.params.layout.size), 0.0
         for q, pool, pos_idx in usable:
-            fwd = policy.scorer.forward(q, pool)
-            weights = -len(pos_idx) * _softmax(fwd.scores, policy.temperature)
-            np.add.at(weights, pos_idx, 1.0)
-            policy.scorer.backward(fwd, weights, grad)
-        grad /= n_pairs * policy.temperature
-        policy.scorer.params.values += cfg.learning_rate * grad
-        total = 0.0
-        for q, pool, pos_idx in usable:
-            logp = log_policy_probs(policy, q, pool)
-            total += float(logp[pos_idx].sum())
-        record.append(epoch, "G", "log_likelihood", total / n_pairs)
-        record.append(epoch, "G", "queries_skipped", skipped)
+            fwd = scorer.forward(q, pool)
+            if epoch:
+                total += float(_softmax(fwd.scores, policy.temperature, log=True)[pos_idx].sum())
+            if epoch < epochs:
+                weights = -len(pos_idx) * _softmax(fwd.scores, policy.temperature)
+                np.add.at(weights, pos_idx, 1.0)
+                scorer.backward(fwd, weights, grad)
+        if epoch:
+            record.append(epoch, "G", "log_likelihood", total / n_pairs)
+            record.append(epoch, "G", "queries_skipped", skipped)
+        if epoch < epochs:
+            grad /= n_pairs * policy.temperature
+            scorer.params.values += cfg.learning_rate * grad
     return record
 
 
@@ -396,14 +405,14 @@ def _generator_step(generator: SoftmaxPolicy, discriminator: Scorer, units,
 
 
 def _mean(values) -> float:
-    return sum(values) / len(values) if values else 0.0
+    return _fold_sum(values) / len(values) if values else 0.0
 
 
 def _reward_mean(rewards) -> float:
     """Mean over every document of a list of per-draw reward arrays."""
     if not rewards:
         return 0.0
-    return sum(float(r.sum()) for r in rewards) / sum(len(r) for r in rewards)
+    return _fold_sum(float(r.sum()) for r in rewards) / sum(len(r) for r in rewards)
 
 
 def irgan_pointwise_epoch(generator: SoftmaxPolicy, discriminator: Scorer,
@@ -451,7 +460,7 @@ def irgan_pairwise_epoch(generator: SoftmaxPolicy, discriminator: Scorer,
             obj, deltas = discriminator_pair_step(discriminator, triples, cfg.learning_rate)
             d_objs.append(obj / len(triples))
             # The sampled document's pairwise reward, from f(anchor) - f(sampled).
-            rewards.extend(2.0 * (sigmoid(-delta) - 0.5) for delta in deltas)
+            rewards.extend(_centered_sigmoid(-delta) for delta in deltas)
         units = [(q, neg_pool, _pairwise_reward(discriminator, q, anchor))
                  for q, anchor, neg_pool in pairs]
         for _ in range(cfg.g_steps):

@@ -405,9 +405,9 @@ def mixed_datasets(draw):
 
 def views_its_rows(g):
     """Each document of the group is a read-only view of its row of the
-    group's features."""
-    return all(np.shares_memory(d.features, g.features[i]) and not d.features.flags.writeable
-               for i, d in enumerate(g.pool))
+    pool's features."""
+    return all(np.shares_memory(d.features, g.pool.features[i])
+               and not d.features.flags.writeable for i, d in enumerate(g.pool))
 
 
 def outcome(call):
@@ -449,15 +449,15 @@ class TestGroupMatrix:
     def test_rows_are_read_only_views_of_the_group_matrix(self, case):
         dataset, _ = case
         for g in dataset.groups.values():
-            assert (g.features is None) == any(d.features is None for d in g.pool)
-            if g.features is None:
+            assert isinstance(g.pool, GroupDocs) == all(d.features is not None for d in g.pool)
+            if not isinstance(g.pool, GroupDocs):
                 continue
-            assert g.features.shape == (len(g.pool), FEATURE_DIM)
-            assert g.features.dtype == np.float64 and not g.features.flags.writeable
+            assert g.pool.features.shape == (len(g.pool), FEATURE_DIM)
+            assert g.pool.features.dtype == np.float64 and not g.pool.features.flags.writeable
             for i, d in enumerate(g.pool):
-                assert np.shares_memory(d.features, g.features[i])
+                assert np.shares_memory(d.features, g.pool.features[i])
                 assert not d.features.flags.writeable
-                assert np.array_equal(d.features, g.features[i])
+                assert np.array_equal(d.features, g.pool.features[i])
 
     @settings(max_examples=100)
     @given(mixed_datasets(), st.data())
@@ -477,7 +477,7 @@ class TestGroupMatrix:
         assert again == first
         for dataset in (first, again, part):
             for g in dataset.groups.values():
-                if g.features is not None:
+                if isinstance(g.pool, GroupDocs):
                     assert views_its_rows(g)
 
     @settings(max_examples=50)
@@ -489,7 +489,8 @@ class TestGroupMatrix:
                               query_tokens={qid: g.query.tokens
                                             for qid, g in dataset.groups.items()})
         for qid, g in dataset.groups.items():
-            assert again.group(qid).features is g.features
+            assert type(again.pool(qid)) is type(g.pool)
+            assert not isinstance(g.pool, GroupDocs) or again.pool(qid).features is g.pool.features
             assert all(a is b for a, b in zip(again.pool(qid), g.pool))
 
     def test_rows_of_a_read_only_matrix_out_of_pool_order_get_a_new_matrix(self):
@@ -497,8 +498,8 @@ class TestGroupMatrix:
         m.flags.writeable = False
         g = build_dataset({"q": [Document("a", m[1]), Document("b", m[0])]}, [],
                           "synthetic").groups["q"]
-        assert g.features is not m
-        np.testing.assert_array_equal(g.features, [[2.0, 3.0], [0.0, 1.0]])
+        assert g.pool.features is not m
+        np.testing.assert_array_equal(g.pool.features, [[2.0, 3.0], [0.0, 1.0]])
         assert views_its_rows(g)
 
     @staticmethod
@@ -520,8 +521,8 @@ class TestGroupMatrix:
     def test_group_docs_not_whole_and_in_id_order_get_a_new_matrix(self, case):
         pool, matrix, rows = self.pools_that_do_not_view_their_matrix_in_id_order()[case]
         g = build_dataset({"q": pool}, [], "synthetic").groups["q"]
-        assert g.features is not matrix and not g.features.flags.writeable
-        np.testing.assert_array_equal(g.features, rows)
+        assert g.pool.features is not matrix and not g.pool.features.flags.writeable
+        np.testing.assert_array_equal(g.pool.features, rows)
         assert views_its_rows(g)
 
     def test_whole_group_docs_in_id_order_keep_their_matrix(self):
@@ -529,7 +530,7 @@ class TestGroupMatrix:
         m.flags.writeable = False
         pool = Document.rows(["a", "b", "c"], m)
         g = build_dataset({"q": pool}, [Judgment("q", "b", 1)], "synthetic").groups["q"]
-        assert g.features is m
+        assert g.pool.features is m
         assert all(a is b for a, b in zip(g.pool, pool))
 
 
@@ -648,11 +649,12 @@ class TestBuildDatasetPerDocument:
             assert [d.tokens for d in g.pool] == tokens
             assert g.grades.dtype == np.int64 and g.grades.tolist() == grades
             if matrix is None:
-                assert g.features is None
+                assert not isinstance(g.pool, GroupDocs)
                 continue
-            assert g.features.dtype == matrix.dtype and g.features.shape == matrix.shape
-            assert g.features.tobytes() == matrix.tobytes()
-            assert not g.features.flags.writeable
+            assert g.pool.features.dtype == matrix.dtype
+            assert g.pool.features.shape == matrix.shape
+            assert g.pool.features.tobytes() == matrix.tobytes()
+            assert not g.pool.features.flags.writeable
             assert views_its_rows(g)
 
     @staticmethod
@@ -681,7 +683,7 @@ class TestBuildDatasetPerDocument:
             assert d is not by_id[d.id] and d == by_id[d.id]
             assert d.tokens == by_id[d.id].tokens
         assert views_its_rows(g)
-        assert not g.features.flags.writeable
+        assert not g.pool.features.flags.writeable
 
 
 def shared_pool(kind, ids, rng):
@@ -731,8 +733,9 @@ class TestSharedPoolObject:
         for qid, g in shared.groups.items():
             h = copies.group(qid)
             assert type(g.pool) is type(h.pool)
-            assert (g.features is None) == (h.features is None)
-            assert g.features is None or g.features.tobytes() == h.features.tobytes()
+            assert isinstance(g.pool, GroupDocs) == isinstance(h.pool, GroupDocs)
+            assert (not isinstance(g.pool, GroupDocs)
+                    or g.pool.features.tobytes() == h.pool.features.tobytes())
             assert row_space(g) == row_space(h)
             assert g.grades.tolist() == h.grades.tolist()
             for part in ("positives", "negatives"):
@@ -783,15 +786,15 @@ class TestSynthRetrievalRows:
         assert list(dataset.groups) == list(reference.groups)
         for qid, g in dataset.groups.items():
             want = reference.group(qid)
-            assert g.features.dtype == want.features.dtype == np.float64
-            assert g.features.shape == want.features.shape
-            assert g.features.tobytes() == want.features.tobytes()
+            assert g.pool.features.dtype == want.pool.features.dtype == np.float64
+            assert g.pool.features.shape == want.pool.features.shape
+            assert g.pool.features.tobytes() == want.pool.features.tobytes()
             assert g.grades.dtype == want.grades.dtype
             np.testing.assert_array_equal(g.grades, want.grades)
             for part in ("pool", "positives", "negatives"):
                 assert ([d.id for d in getattr(g, part)]
                         == [d.id for d in getattr(want, part)]), part
-            assert not g.features.flags.writeable
+            assert not g.pool.features.flags.writeable
             assert views_its_rows(g)
 
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.8])
@@ -927,7 +930,7 @@ class TestRowSpace:
         base = dataset.group("q000").pool.base
         assert all(g.pool.base is base for g in dataset.groups.values())
         assert base.matrix.shape == (20, 3)
-        assert all(g.features.base is base.matrix for g in dataset.groups.values())
+        assert all(g.pool.features.base is base.matrix for g in dataset.groups.values())
         rebuilt = build_dataset({qid: list(g.pool) for qid, g in dataset.groups.items()},
                                 dataset.judgments, "synthetic")
         assert rebuilt == dataset

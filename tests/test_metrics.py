@@ -112,6 +112,24 @@ class TestNdcgAtK:
             assert ndcg_at_k(r, rel, 5) == pytest.approx(oracle_ndcg(list(perm), 5), abs=1e-12)
             assert precision_at_k(r, rel, 5) == pytest.approx(oracle_precision(list(perm), 5), abs=1e-12)
 
+    def test_dcg_folds_in_rank_order(self):
+        """Each DCG is its terms added to 0.0 in rank order, the oracle's
+        fold.  Many binary gradings of ten positions tell that fold apart
+        from a compensated sum, which the builtin ``sum`` is from Python 3.12
+        on."""
+        def gains(grades):
+            return [(2.0 ** g - 1.0) / math.log2(i + 2) for i, g in enumerate(grades)]
+
+        differs = 0
+        for grades in itertools.product((0, 1), repeat=10):
+            if any(grades):
+                r, rel = ranked(list(grades))
+                want = oracle_ndcg(list(grades), 10)
+                assert ndcg_at_k(r, rel, 10) == want
+                ideal = sorted(grades, reverse=True)
+                differs += want != math.fsum(gains(grades)) / math.fsum(gains(ideal))
+        assert differs > 0
+
     def test_one_iff_ideal_prefix(self):
         for perm in itertools.permutations([1, 1, 0, 0]):
             r, rel = ranked(list(perm))

@@ -29,6 +29,7 @@ from ranklab.pgvar import (
 )
 from ranklab.policy import SoftmaxPolicy, log_prob_gradient, policy_probs
 from ranklab.scorers import LinearScorer, ParamVector, build_scorer, layout_for
+from ranklab.trainers import InvalidConfigError, make_reward
 from ranklab._util import read_csv
 
 
@@ -125,6 +126,21 @@ class TestBuildInstance:
         scorer = build_scorer("linear", {"feature_dim": 1}, zero=True)
         instance = build_instance(ds, scorer, "raw")
         assert instance.q_values[0][0] == pytest.approx(math.log(2.0))
+
+    @pytest.mark.parametrize("kind", ["raw", "sigmoid", "sigmoid-baselined"])
+    def test_every_reward_kind_holds_make_rewards_values(self, kind):
+        ds = build_dataset({"q": [Document(i, np.array([x])) for i, x in
+                                  (("a", -2.0), ("b", 0.0), ("c", 1.5))]}, [], "synthetic")
+        scorer = build_scorer("linear", {"feature_dim": 1}, scale=0.7, seed=3)
+        g = ds.group("q")
+        want = make_reward(kind)(scorer, g.query, g.pool)
+        assert build_instance(ds, scorer, kind).q_values[0].tobytes() == want.tobytes()
+
+    def test_unknown_reward_kind_rejected(self):
+        ds = build_dataset({"q": [Document("a", np.array([0.0]))]}, [], "synthetic")
+        scorer = build_scorer("linear", {"feature_dim": 1}, zero=True)
+        with pytest.raises(InvalidConfigError, match="reward must be one of"):
+            build_instance(ds, scorer, "bogus")
 
 
 class TestGradientSample:
@@ -264,6 +280,14 @@ class TestMcVariance:
         b = mc_variance(instance, policy, ConstantBaseline(0.1), 5000,
                         np.random.default_rng(21))
         assert a == b
+
+    def test_over_limit_instance_leaves_the_generator_untouched(self, monkeypatch):
+        instance, policy = random_instance(9)
+        monkeypatch.setattr(pgvar, "ENUMERATION_LIMIT", instance.total_pairs - 1)
+        rng = np.random.default_rng(5)
+        with pytest.raises(EnumerationLimitError):
+            mc_variance(instance, policy, ConstantBaseline(0.0), 100, rng)
+        assert rng.random() == np.random.default_rng(5).random()
 
     def test_needs_two_samples(self):
         instance, policy = two_action_hand_instance()
@@ -534,6 +558,11 @@ class TestSparsityStudy:
     def test_untrained_study_rejected(self, epochs):
         with pytest.raises(ValueError, match="train_epochs must be >= 1"):
             StudyConfig(train_epochs=epochs)
+
+    def test_unknown_reward_kind_rejected_before_training(self, monkeypatch):
+        monkeypatch.setattr(pgvar, "run_trainer", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(InvalidConfigError, match="reward_kind must be one of"):
+            StudyConfig(reward_kind="bogus")
 
     def test_single_fraction_single_row(self):
         rows = sparsity_vs_bound_study([0.01], self.CFG, seed=5)

@@ -18,7 +18,13 @@ from ranklab.baselines import (
 from ranklab.core import Document, Judgment, Query, build_dataset
 from ranklab.dataio import SyntheticSpec, synth_retrieval
 from ranklab.metrics import evaluate_model, pairwise_accuracy
-from ranklab.policy import SoftmaxPolicy, policy_probs, log_prob_gradient, sample_docs
+from ranklab.policy import (
+    SoftmaxPolicy,
+    log_policy_probs,
+    log_prob_gradient,
+    policy_probs,
+    sample_docs,
+)
 from ranklab.scorers import (
     LinearScorer,
     ParamVector,
@@ -420,6 +426,32 @@ def small_planted(seed=11, num_queries=10, pool_size=12, fraction=0.25, dim=4):
     return dataset
 
 
+def two_loop_pretrain_mle(policy, dataset, cfg):
+    """``pretrain_mle`` with a second loop per epoch: the step's forwards,
+    then one ``log_policy_probs`` per usable query at the new parameters."""
+    record = RunRecord()
+    usable = [(g.query, g.pool, np.flatnonzero(g.grades > 0))
+              for g in dataset.groups.values() if g.positives]
+    skipped = len(dataset.groups) - len(usable)
+    n_pairs = sum(len(pos_idx) for _, _, pos_idx in usable)
+    scorer = policy.scorer
+    for epoch in range(1, cfg.epochs_outer + 1):
+        grad = np.zeros(scorer.params.layout.size)
+        for q, pool, pos_idx in usable:
+            fwd = scorer.forward(q, pool)
+            weights = -len(pos_idx) * policy_probs(policy, q, pool)
+            np.add.at(weights, pos_idx, 1.0)
+            scorer.backward(fwd, weights, grad)
+        grad /= n_pairs * policy.temperature
+        scorer.params.values += cfg.learning_rate * grad
+        total = 0.0
+        for q, pool, pos_idx in usable:
+            total += float(log_policy_probs(policy, q, pool)[pos_idx].sum())
+        record.append(epoch, "G", "log_likelihood", total / n_pairs)
+        record.append(epoch, "G", "queries_skipped", skipped)
+    return record
+
+
 class TestPretrainMle:
     def test_pool_of_one_relevant_doc_keeps_params(self):
         docs = make_docs([[0.5, 0.5]])
@@ -449,14 +481,34 @@ class TestPretrainMle:
             results.append(scorer.params.values.copy())
         assert np.array_equal(results[0], results[1])
 
-    def test_one_forward_and_one_scoring_pass_per_query_per_epoch(self, monkeypatch):
+    def test_one_forward_per_query_per_epoch_and_one_scoring_pass(self, monkeypatch):
         docs = {q: make_docs([[1.0], [2.0], [0.5]], prefix=q) for q in ("a", "b", "c")}
         ds = build_dataset(docs, [Judgment("a", "a0", 1), Judgment("b", "b2", 1)],
                            "synthetic")
         scorer = build_scorer("linear", {"feature_dim": 1}, scale=0.2, seed=6)
         calls = count_forwards(monkeypatch, scorer)
         pretrain_mle(SoftmaxPolicy(scorer), ds, TrainConfig(epochs_outer=3))
-        assert len(calls) == 2 * 2 * 3  # (step + likelihood) x usable queries x epochs
+        # (3 epochs + the last likelihood's pass) x 2 usable queries
+        assert [q.id for q in calls] == (3 + 1) * ["a", "b"]
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp1", "text"])
+    @pytest.mark.parametrize("epochs", [1, 2, 5])
+    @pytest.mark.parametrize("temperature", [0.7, 1.0, 2.0])
+    def test_matches_the_two_loop_reference(self, kind, epochs, temperature):
+        """Reading each epoch's likelihood from the next step's forward gives
+        the record rows and parameter bytes of a second scoring loop."""
+        model, queries, docs = step_catalog(kind, seed=epochs)
+        pools = {q.id: docs for q in queries}
+        # u3 has no relevant document; u2 has two
+        judgments = [Judgment("u1", "i3", 1), Judgment("u2", "i1", 2), Judgment("u2", "i4", 1)]
+        dataset = build_dataset(pools, judgments, "qa", {q.id: q.tokens for q in queries})
+        cfg = TrainConfig(epochs_outer=epochs, learning_rate=0.3)
+        want_model = model.clone()
+        want = two_loop_pretrain_mle(SoftmaxPolicy(want_model, temperature), dataset, cfg)
+        got = pretrain_mle(SoftmaxPolicy(model, temperature), dataset, cfg)
+        assert got.rows == want.rows
+        assert got.series("G", "queries_skipped")[0][1] == 1.0
+        assert model.params.values.tobytes() == want_model.params.values.tobytes()
 
     def test_queries_without_positives_counted(self):
         docs_a = make_docs([[1.0], [2.0]], prefix="a")
@@ -887,6 +939,15 @@ class TestRunTrainer:
         tagged = [(r.epoch, r.metric, r.value) for r in result.record.rows
                   if r.model == "G-pretrain"]
         assert tagged == [(r.epoch, r.metric, r.value) for r in alone.rows]
+
+
+class TestFloatTotals:
+    def test_means_fold_in_order(self):
+        # a compensated sum, as the builtin sum is from Python 3.12 on, gives 1.0
+        values = [1e16, 1.0, -1e16]
+        assert math.fsum(values) == 1.0
+        assert trainers._mean(values) == 0.0
+        assert trainers._reward_mean([np.array([v]) for v in values]) == 0.0
 
 
 class TestRunRecord:
