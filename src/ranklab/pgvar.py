@@ -18,12 +18,17 @@ The lower bound is computed in both algebraic factorings, which must agree,
 and the checker reports it against both the below-baseline term (always
 expected to dominate it on low-reward instances) and the total variance
 (which additionally assumes the above-baseline mass is negligible).
+
+Enumeration never stacks a state's per-action gradients: each state's terms
+come from one policy forward and the scorer's ``backward``, ``jvp`` and
+``grad_sq_norms`` kernels (see ``_StatePolicy``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +36,7 @@ import numpy as np
 from .core import Dataset, DatasetError, Document, Query
 from .baselines import BaselineSpec, ConstantBaseline, ValueFunctionBaseline
 from .dataio import SyntheticSpec, synth_retrieval
-from .policy import SoftmaxPolicy, policy_probs
+from .policy import SoftmaxPolicy, _softmax
 from .scorers import Scorer, build_scorer, check_init_scale
 from .trainers import REWARD_NAMES, InvalidConfigError, TrainConfig, make_reward, run_trainer
 from ._util import write_csv
@@ -97,51 +102,72 @@ def build_instance(dataset: Dataset, model: Scorer,
                        np.full(len(groups), 1.0 / len(groups)))
 
 
-def _state_policy(instance: MDPInstance, policy: SoftmaxPolicy, s: int):
-    """(probs, grad-log-prob matrix) for one state; rows align with the pool."""
-    query, pool = instance.states[s], instance.pools[s]
-    probs = policy_probs(policy, query, pool)
-    gradlog = policy.scorer.gradient_matrix(query, pool)
-    gradlog -= probs @ gradlog
-    if policy.temperature != 1.0:  # x / 1.0 == x for every float: skip the pass
-        gradlog /= policy.temperature
-    return probs, gradlog
+class _StatePolicy:
+    """State s under a policy from one forward: its probabilities, its
+    advantages value - b, and its grad-log-prob rows (grad f_i - rbar) / T
+    with rbar = sum_i p_i grad f_i, reached only through the scorer's kernels."""
 
+    def __init__(self, policy: SoftmaxPolicy, instance: MDPInstance, s: int,
+                 baseline: BaselineSpec):
+        if not isinstance(baseline, (ConstantBaseline, ValueFunctionBaseline)):
+            raise TypeError(
+                "the variance lab supports constant and exact value-function baselines")
+        self.scorer, self.temperature = policy.scorer, policy.temperature
+        self.fwd = self.scorer.forward(instance.states[s], instance.pools[s])
+        self.probs = _softmax(self.fwd.scores, self.temperature)
+        q = instance.q_values[s]
+        b = baseline.value if isinstance(baseline, ConstantBaseline) else float(self.probs @ q)
+        self.adv = q - b
 
-def _baseline_value(instance, baseline: BaselineSpec, probs, s: int) -> float:
-    if isinstance(baseline, ConstantBaseline):
-        return baseline.value
-    if isinstance(baseline, ValueFunctionBaseline):
-        return float(probs @ instance.q_values[s])
-    raise TypeError(
-        "the variance lab supports constant and exact value-function baselines"
-    )
+    def _backward(self, weights) -> np.ndarray:
+        return self.scorer.backward(self.fwd, weights, np.zeros(self.scorer.params.layout.size))
+
+    def weighted_sum(self, weights) -> np.ndarray:
+        """sum_i weights[i] * grad log pi_i, from one backward."""
+        return self._backward(weights - weights.sum() * self.probs) / self.temperature
+
+    @cached_property
+    def _centering(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rbar, ||grad f_i - rbar||^2 for every action, expanded)."""
+        rbar = self._backward(self.probs)
+        return rbar, (self.scorer.grad_sq_norms(self.fwd)
+                      - 2.0 * self.scorer.jvp(self.fwd, rbar) + rbar @ rbar)
+
+    def sq_dist(self, scale, center) -> np.ndarray:
+        """||scale_i * grad log pi_i - center||^2 for every action, expanded as
+        scale_i^2 ||grad f_i - rbar||^2 / T^2 - 2 scale_i (grad f_i - rbar) .
+        center / T + ||center||^2 (center None is 0).  Rounding can take the
+        sum below 0 (a one-action pool has grad f_0 = rbar); it is cut to 0."""
+        (rbar, spread), t = self._centering, self.temperature
+        sq = scale * scale * spread / (t * t)
+        if center is not None:
+            cross = (self.scorer.jvp(self.fwd, center) - rbar @ center) / t
+            sq = sq - 2.0 * scale * cross + center @ center
+        return np.maximum(sq, 0.0)
 
 
 def gradient_sample(instance: MDPInstance, policy: SoftmaxPolicy,
                     baseline: BaselineSpec, rng: np.random.Generator) -> np.ndarray:
     """One draw of g(b): sample a state by visitation, an action by policy."""
     s = int(rng.choice(len(instance.states), p=instance.visitation))
-    probs, gradlog = _state_policy(instance, policy, s)
-    a = int(rng.choice(len(probs), p=probs))
-    b = _baseline_value(instance, baseline, probs, s)
-    return gradlog[a] * (instance.q_values[s][a] - b)
+    state = _StatePolicy(policy, instance, s, baseline)
+    a = int(rng.choice(len(state.probs), p=state.probs))
+    return state.weighted_sum(np.arange(len(state.probs)) == a) * state.adv[a]
 
 
-def _sweep(instance: MDPInstance, policy: SoftmaxPolicy, work, weights=None):
-    """A pass over an enumerable instance, checked when it is made: it
-    computes (probs, gradlog) state by state, calls ``work(s, weight, probs,
-    gradlog)`` and yields what it returns.  ``work`` may overwrite gradlog
-    but returns nothing that holds it, so one state's matrix is freed before
-    the next state's is built.  Weights are the visitation unless given, and
-    read as the pass reaches them; states of weight 0 are skipped."""
+def _sweep(instance: MDPInstance, policy: SoftmaxPolicy, baseline: BaselineSpec, work,
+           weights=None):
+    """A pass over an enumerable instance, checked when it is made: it yields
+    ``work(s, weight, state)`` state by state, each ``_StatePolicy`` freed
+    before the next one's forward runs.  Weights are the visitation unless
+    given, and read as the pass reaches them; states of weight 0 are skipped."""
     if instance.total_pairs > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"instance has {instance.total_pairs} state-action pairs; "
             f"exact enumeration is capped at {ENUMERATION_LIMIT}"
         )
     weights = instance.visitation if weights is None else weights
-    return (work(s, w, *_state_policy(instance, policy, s))
+    return (work(s, w, _StatePolicy(policy, instance, s, baseline))
             for s, w in enumerate(weights) if w != 0)
 
 
@@ -154,39 +180,13 @@ def _sums(terms, width: int) -> list:
     return totals
 
 
-def _advantage_rows(instance, baseline: BaselineSpec, s: int, probs, gradlog):
-    """g(b) = grad log pi * (value - b) for every action, written over gradlog."""
-    gradlog *= (instance.q_values[s] - _baseline_value(instance, baseline, probs, s))[:, None]
-    return gradlog
-
-
-def _sq_norms(rows, center) -> np.ndarray:
-    """||row - center||^2 for every row, computed in the rows' own storage."""
-    rows -= center
-    np.square(rows, out=rows)
-    return rows.sum(axis=1)
-
-
-_NORM_ROWS = 16  # rows that _sq_norms_of copies at a time
-
-
-def _sq_norms_of(matrix, rows, center) -> np.ndarray:
-    """``_sq_norms(matrix[rows], center)``, each row's norm with the same
-    bits, copying ``_NORM_ROWS`` rows at a time instead of all of them."""
-    out = np.empty(len(rows))
-    for i in range(0, len(rows), _NORM_ROWS):
-        out[i:i + _NORM_ROWS] = _sq_norms(matrix[rows[i:i + _NORM_ROWS]], center)
-    return out
-
-
 def exact_gradient_mean(instance: MDPInstance, policy: SoftmaxPolicy,
                         baseline: BaselineSpec) -> np.ndarray:
     """E[g(b)] by full enumeration over states and actions."""
-    def term(s, rho, probs, gradlog):
-        b = _baseline_value(instance, baseline, probs, s)
-        return (rho * (gradlog.T @ (probs * (instance.q_values[s] - b))),)
+    def term(s, rho, state):
+        return (rho * state.weighted_sum(state.probs * state.adv),)
 
-    return _sums(_sweep(instance, policy, term), 1)[0]
+    return _sums(_sweep(instance, policy, baseline, term), 1)[0]
 
 
 def exact_variance(instance: MDPInstance, policy: SoftmaxPolicy,
@@ -194,11 +194,10 @@ def exact_variance(instance: MDPInstance, policy: SoftmaxPolicy,
     """E[||g(b) - E[g(b)]||^2] by full enumeration, in two sweeps."""
     mean = exact_gradient_mean(instance, policy, baseline)
 
-    def deviation(s, rho, probs, gradlog):
-        g = _advantage_rows(instance, baseline, s, probs, gradlog)
-        return (rho * float(probs @ _sq_norms(g, mean)),)
+    def deviation(s, rho, state):
+        return (rho * float(state.probs @ state.sq_dist(state.adv, mean)),)
 
-    return _sums(_sweep(instance, policy, deviation), 1)[0]
+    return _sums(_sweep(instance, policy, baseline, deviation), 1)[0]
 
 
 def mc_variance(instance: MDPInstance, policy: SoftmaxPolicy,
@@ -215,28 +214,25 @@ def mc_variance(instance: MDPInstance, policy: SoftmaxPolicy,
         raise ValueError(f"mc_variance needs n >= {MC_MIN_SAMPLES}")
     draws = []
 
-    def tally(s, count, probs, gradlog):
-        action_counts = rng.multinomial(count, probs)
+    def tally(s, count, state):
+        action_counts = rng.multinomial(count, state.probs)
         draws.append(action_counts)
-        return action_counts @ _advantage_rows(instance, baseline, s, probs, gradlog)
+        return (state.weighted_sum(action_counts * state.adv),)
 
     # The sweep checks the instance before any draw and reads counts as it goes.
     state_counts = np.zeros(len(instance.states), dtype=np.int64)
-    tallies = _sweep(instance, policy, tally, state_counts)
+    tallies = _sweep(instance, policy, baseline, tally, state_counts)
     state_counts[:] = rng.multinomial(n, instance.visitation)
-    g_sum = None
-    for contrib in tallies:
-        g_sum = contrib if g_sum is None else g_sum + contrib
-    mean = g_sum / n
+    mean = _sums(tallies, 1)[0] / n
     counts = iter(draws)
 
-    def moments(s, _, probs, gradlog):
+    def moments(s, _, state):
         # sum over the state's draws of ||g - mean||^2 and of ||g - mean||^4
-        sq = _sq_norms(_advantage_rows(instance, baseline, s, probs, gradlog), mean)
+        sq = state.sq_dist(state.adv, mean)
         action_counts = next(counts)
         return float(action_counts @ sq), float(action_counts @ sq**2)
 
-    sq_sum, quad_sum = _sums(_sweep(instance, policy, moments, state_counts), 2)
+    sq_sum, quad_sum = _sums(_sweep(instance, policy, baseline, moments, state_counts), 2)
     estimate = sq_sum / (n - 1)
     mean_sq = sq_sum / n
     var_of_sq = max(quad_sum / n - mean_sq**2, 0.0) * n / (n - 1)
@@ -259,6 +255,7 @@ class BaselinePartition:
 
 
 def partition_actions(instance: MDPInstance, b: float) -> BaselinePartition:
+    ConstantBaseline(b)  # a non-finite b fails here, before any forward
     below, above = [], []
     max_below: float | None = None
     for q in instance.q_values:
@@ -316,6 +313,7 @@ class BoundCheckReport:
 
     def bound_at(self, b: float) -> float:
         """The lower bound at baseline b with the partition frozen at ``self.b``."""
+        ConstantBaseline(b)  # a non-finite b fails here, before any forward
         if not self.defined:
             raise UndefinedBoundError(
                 "no action is valued below the baseline; the bound anchor is undefined"
@@ -333,6 +331,7 @@ def variance_lower_bound(instance: MDPInstance, policy: SoftmaxPolicy,
     rescaled to b; the equivalent factoring b^2 * (max_below / b - 1)^2 is
     computed alongside and asserted identical.
     """
+    ConstantBaseline(b)  # a non-finite b fails here, before any forward
     if not partition.defined:
         raise UndefinedBoundError(
             "no action is valued below the baseline; the bound anchor is undefined"
@@ -355,25 +354,25 @@ def verify_variance_bound(instance: MDPInstance, policy: SoftmaxPolicy,
 def _bound_report(instance, policy, part: BaselinePartition) -> BoundCheckReport:
     """The bound chain at the partition's own baseline, in two sweeps: the
     mean gradient, the mean grad-log-prob nu and the below-baseline mass;
-    then the deviations and the gradient-log term."""
+    then the deviations and the gradient-log term, centered on nu and not."""
     b = part.b
 
-    def first(s, rho, probs, gradlog):
-        return (rho * (gradlog.T @ (probs * (instance.q_values[s] - b))),
-                rho * (gradlog.T @ probs),
+    def first(s, rho, state):
+        probs = state.probs
+        return (rho * state.weighted_sum(probs * state.adv), rho * state.weighted_sum(probs),
                 float(rho) * float(probs[part.below[s]].sum()))
 
-    mean, nu, below_mass = _sums(_sweep(instance, policy, first), 3)
+    mean, nu, below_mass = _sums(_sweep(instance, policy, ConstantBaseline(b), first), 3)
 
-    def second(s, rho, probs, gradlog):
-        lo, hi = part.below[s], part.above[s]
-        centered = rho * float(probs[lo] @ _sq_norms_of(gradlog, lo, nu))
-        uncentered = rho * float(probs[lo] @ _sq_norms_of(gradlog, lo, 0.0))
-        sq = _sq_norms(_advantage_rows(instance, ConstantBaseline(b), s, probs, gradlog), mean)
+    def second(s, rho, state):
+        lo, hi, probs = part.below[s], part.above[s], state.probs
+        sq = state.sq_dist(state.adv, mean)
         return (rho * float(probs[lo] @ sq[lo]), rho * float(probs[hi] @ sq[hi]),
-                centered, uncentered)
+                rho * float(probs[lo] @ state.sq_dist(1.0, nu)[lo]),
+                rho * float(probs[lo] @ state.sq_dist(1.0, None)[lo]))
 
-    below_term, above_term, centered, uncentered = _sums(_sweep(instance, policy, second), 4)
+    below_term, above_term, centered, uncentered = _sums(
+        _sweep(instance, policy, ConstantBaseline(b), second), 4)
     exact = below_term + above_term
     pointwise_ok = True
     term = bound = None

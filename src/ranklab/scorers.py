@@ -12,9 +12,11 @@ Four scorer kinds cover the three task families:
 
 Each kind defines one kernel pair (see ``Scorer``): ``forward``, a pure
 function of (params, input), and ``backward``, which adds a gradient into a
-buffer the caller owns.  Training code mutates ``scorer.params.values`` in
-place, which the segment views a scorer binds at construction see;
-``clone()`` hands out an independent copy.
+buffer the caller owns.  Two more kernels read a forward's per-document
+gradients without stacking them: ``jvp`` projects each onto a parameter
+vector and ``grad_sq_norms`` gives their squared norms.  Training code
+mutates ``scorer.params.values`` in place, which the segment views a scorer
+binds at construction see; ``clone()`` hands out an independent copy.
 
 The discriminator map is ``sigmoid(f)``.  Scores are clamped to [-30, 30]
 inside the sigmoid so probabilities never reach exact 0 or 1; the same clamp
@@ -171,6 +173,10 @@ class Scorer:
     discriminator updates, which need scores and a gradient at the same
     parameters from one forward.  ``score_many``, ``grad_weighted_sum``,
     ``score``, ``gradient`` and ``gradient_matrix`` are views of that pair.
+
+    ``jvp(fwd, v)`` gives grad f(docs[i], query) . v and ``grad_sq_norms(fwd)``
+    ||grad f(docs[i], query)||^2 for every document of a forward; the base
+    class runs one ``backward`` per document into one reused buffer.
     ``uses_query`` is False for kinds that score joint query-document
     features and ignore the query argument; batch updates may then lump
     documents across queries.
@@ -188,6 +194,21 @@ class Scorer:
 
     def backward(self, fwd: Forward, weights, out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def jvp(self, fwd: Forward, v: np.ndarray) -> np.ndarray:
+        return np.array([row @ v for row in self._gradient_rows(fwd)])
+
+    def grad_sq_norms(self, fwd: Forward) -> np.ndarray:
+        return np.array([row @ row for row in self._gradient_rows(fwd)])
+
+    def _gradient_rows(self, fwd: Forward):
+        """Each document's gradient in turn, from a one-hot ``backward`` into
+        one buffer that the next row overwrites."""
+        out, onehot = np.empty(self.params.layout.size), np.zeros(len(fwd.scores))
+        for i in range(len(onehot)):
+            out[:] = 0.0
+            onehot[i - 1], onehot[i] = 0.0, 1.0
+            yield self.backward(fwd, onehot, out)
 
     def score_many(self, query: Query | None, docs: Sequence[Document]) -> np.ndarray:
         return self.forward(query, docs).scores
@@ -256,6 +277,14 @@ class LinearScorer(Scorer):
         out[d] += w.sum()
         return out
 
+    def jvp(self, fwd, v):
+        (X,) = fwd.saved
+        return X @ v[:-1] + v[-1]
+
+    def grad_sq_norms(self, fwd):
+        (X,) = fwd.saved
+        return np.einsum("nd,nd->n", X, X) + 1.0
+
     def gradient_matrix(self, query, docs):
         X = _feature_matrix(docs, self.kind)
         return np.hstack([X, np.ones((len(docs), 1))])
@@ -280,14 +309,16 @@ class Mlp1Scorer(Scorer):
 
     def forward(self, query, docs):
         X = _feature_matrix(docs, self.kind)
-        H = np.tanh(X @ self._hidden_w.T + self._hidden_b)
+        H = X @ self._hidden_w.T
+        H += self._hidden_b
+        np.tanh(H, out=H)
         return Forward(H @ self._out_w + self._out_b[0], (X, H))
 
     def backward(self, fwd, weights, out):
-        # (1 - H^2) * out_w is d f / d(hidden pre-activation), one row per document.
         X, H = fwd.saved
         w = np.asarray(weights, dtype=np.float64)
-        aw = (1.0 - H * H) * self._out_w * w[:, None]
+        aw = self._pre_activation_grads(H)
+        aw *= w[:, None]
         hd, h = self._hidden_w.size, len(self._hidden_b)
         out[:hd] += (aw.T @ X).ravel()
         out[hd:hd + h] += aw.sum(axis=0)
@@ -295,10 +326,33 @@ class Mlp1Scorer(Scorer):
         out[-1] += w.sum()
         return out
 
+    def _pre_activation_grads(self, H):
+        """A = (1 - H^2) * out_w, d f / d(hidden pre-activation) per document,
+        with the bits of that expression and no temporary beside A."""
+        A = H * H
+        np.subtract(1.0, A, out=A)
+        A *= self._out_w
+        return A
+
+    # A row's gradient is (a x, a, h, 1) in layout order.
+    def jvp(self, fwd, v):
+        X, H = fwd.saved
+        A = self._pre_activation_grads(H)
+        hd, h = self._hidden_w.size, len(self._hidden_b)
+        projected = X @ v[:hd].reshape(h, -1).T
+        projected *= A
+        return projected.sum(axis=1) + A @ v[hd:hd + h] + H @ v[hd + h:hd + 2 * h] + v[-1]
+
+    def grad_sq_norms(self, fwd):
+        X, H = fwd.saved
+        A = self._pre_activation_grads(H)
+        a2 = np.einsum("nh,nh->n", A, A)
+        return a2 * np.einsum("nd,nd->n", X, X) + a2 + np.einsum("nh,nh->n", H, H) + 1.0
+
     def gradient_matrix(self, query, docs):
         # Each block is written into one preallocated matrix, in layout order.
         X, H = self.forward(query, docs).saved
-        A = (1.0 - H * H) * self._out_w
+        A = self._pre_activation_grads(H)
         (n, h), d = A.shape, X.shape[1]
         out = np.empty((n, h * d + 2 * h + 1))
         np.einsum("nh,nd->nhd", A, X, out=out[:, :h * d].reshape(n, h, d))
@@ -354,6 +408,20 @@ class MatFacScorer(Scorer):
                   np.outer(w, self._query_embed[qi]), each)
         _add_rows(out[(nq + nd) * k:], rows, w, each)
         return out
+
+    # A row's gradient holds v_doc in the query's row, u_query in the doc's
+    # row and 1 at the doc's bias.
+    def jvp(self, fwd, v):
+        qi, rows = fwd.saved
+        (nq, k), nd = self._query_embed.shape, len(self._doc_bias)
+        return (self._doc_embed[rows] @ v[qi * k:(qi + 1) * k]
+                + v[nq * k:(nq + nd) * k].reshape(nd, k)[rows] @ self._query_embed[qi]
+                + v[(nq + nd) * k:][rows])
+
+    def grad_sq_norms(self, fwd):
+        qi, rows = fwd.saved
+        u = self._query_embed[qi]
+        return np.einsum("nk,nk->n", self._doc_embed[rows], self._doc_embed[rows]) + u @ u + 1.0
 
 
 class TextAvgEmbedScorer(Scorer):

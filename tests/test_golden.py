@@ -9,12 +9,22 @@ swapped, because no shipped config trains the adversarial regimes.  The qa
 and interactions cases start from no shipped config: they train on tiny
 files the test writes, so that token pools (text scorer) and id pools over a
 shared catalog (matfac scorer) are pinned too.
+
+Run as a script, the module prints this host's digests in ``GOLDEN``'s
+literal layout, for every case or for the cases named, each run in a
+temporary directory; that output replaces ``GOLDEN``'s entries on a re-pin:
+
+    PYTHONPATH=src python tests/test_golden.py [case ...]
 """
 
+import ast
 import configparser
+import contextlib
 import ctypes
 import hashlib
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -190,9 +200,9 @@ GOLDEN = {
         "b_sweep.csv":
             "085a53db67823a57e7901088702b4f32cb71fc70079d91189c41d24f4e0d55c5",
         "bound_chain.csv":
-            "fe6f004918c05d810c0d92a525151190f9e731bebb99a3ace70ad4de403545ce",
+            "7610edee73873c120ba2128434b8a65be937864cf0bef16a7ecafaff0c97c268",
         "study.csv":
-            "9901c60e07ba0f36a2f8f47cf4f7f3f5a5a93a917784e065a6acca6f6dbadca2",
+            "7391be42e7febf93816ada033886c5c59a7f1180303207fade93fd07efdfc9fd",
     },
 }
 
@@ -250,8 +260,38 @@ def numpy_environment():
     return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}{suffix}"
 
 
+def format_golden(table) -> str:
+    """``table`` ({case: {file: digest}}) as ``GOLDEN``'s literal: cases and
+    files sorted, each digest on its own line under its file name."""
+    lines = ["GOLDEN = {"]
+    for case in sorted(table):
+        lines.append(f"    {json.dumps(case)}: {{")
+        for path, digest in sorted(table[case].items()):
+            lines += [f"        {json.dumps(path)}:", f"            {json.dumps(digest)},"]
+        lines.append("    },")
+    return "\n".join(lines + ["}"])
+
+
+def test_printed_table_is_golden_literal():
+    printed = format_golden(GOLDEN)
+    assert ast.literal_eval(printed.split(" = ", 1)[1]) == GOLDEN
+    assert printed in Path(__file__).read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_digests(tmp_path, case):
     assert run_case(tmp_path, case) == GOLDEN[case], (
         f"digests pinned with numpy 2.4.6 and scipy-openblas 0.3.31 on its SkylakeX "
         f"kernels; this run has {numpy_environment()}")
+
+
+if __name__ == "__main__":
+    names = sys.argv[1:] or sorted(CASES)
+    if unknown := sorted(set(names) - CASES.keys()):
+        sys.exit(f"unknown case(s) {unknown}; the cases are {sorted(CASES)}")
+    digests = {}
+    for case in names:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+            digests[case] = run_case(Path(tmp), case)
+    print(f"# {numpy_environment()}")
+    print(format_golden(digests))

@@ -234,6 +234,17 @@ class TestExactVariance:
                                (np.array([2.0]),), np.array([1.0]))
         assert exact_variance(instance, SoftmaxPolicy(scorer), ConstantBaseline(0.0)) == 0.0
 
+    def test_one_action_pool_zero_under_a_peaked_policy(self):
+        # grad f_0 = rbar in a one-action pool; expanded, the squared distance
+        # rounds to -2.4e-12 here, so it must be cut at 0.
+        policy = SoftmaxPolicy(build_scorer("mlp1", {"feature_dim": 3, "hidden": 4},
+                                            scale=5.0, seed=7), temperature=0.05)
+        doc = Document("d", np.random.default_rng(7).normal(size=3))
+        instance = MDPInstance((Query("s"),), ((doc,),), (np.array([0.2]),), np.array([1.0]))
+        assert exact_variance(instance, policy, ConstantBaseline(1.5)) == 0.0
+        report = verify_variance_bound(instance, policy, 1.5)
+        assert report.exact_var == report.lower_bound == 0.0
+
     def test_baseline_matching_all_values_zero(self):
         instance, policy = random_instance(5)
         flat = MDPInstance(instance.states, instance.pools,
@@ -442,19 +453,22 @@ class TestVerifyVarianceBound:
 
 class TestPolicyPasses:
     """Each public enumeration sweeps the states twice and keeps no state's
-    policy between sweeps: exactly two gradient_matrix calls per visited
-    state, in state order, and none for unvisited states."""
+    policy between sweeps: exactly two policy forwards per visited state, in
+    state order, none for unvisited states, and no gradient matrix."""
 
     def count_passes(self, monkeypatch, fn, *args):
-        calls = []
-        original = LinearScorer.gradient_matrix
+        calls, matrices = [], []
+        forward = LinearScorer.forward
 
         def spy(self, query, docs):
             calls.append(query.id)
-            return original(self, query, docs)
+            return forward(self, query, docs)
 
-        monkeypatch.setattr(LinearScorer, "gradient_matrix", spy)
+        monkeypatch.setattr(LinearScorer, "forward", spy)
+        monkeypatch.setattr(LinearScorer, "gradient_matrix",
+                            lambda self, query, docs: matrices.append(query.id))
         fn(*args)
+        assert matrices == []
         return calls
 
     def instance_with_unvisited_state(self):
@@ -493,22 +507,37 @@ class TestPolicyPasses:
 
 
 class TestStatePolicyTemperature:
-    """At temperature 1 the state pass skips its division by T; the matrix
-    keeps the bits of the divided one."""
+    """A state's weighted sums and squared distances of grad-log-prob rows,
+    taken from one forward through the scorer's kernels, match the rows of
+    the divided matrix (grad f_i - rbar) / T within 1e-12 of the size the
+    expanded terms have, (|scale_i| (||grad f_i|| + ||rbar||) / T + ||c||)^2
+    for a squared distance.  Temperature 0.05 makes the policy peaked, where
+    the expansion cancels the most."""
 
     @pytest.mark.parametrize("kind,temperature", [("mlp1", 1.0), ("linear", 1.0),
-                                                  ("mlp1", 0.7), ("linear", 2.0)])
+                                                  ("mlp1", 0.7), ("linear", 2.0),
+                                                  ("mlp1", 0.05), ("linear", 0.05)])
     def test_matches_the_divided_matrix(self, kind, temperature):
         instance, _ = random_instance(11, max_actions=30)
         dims = {"feature_dim": 3, "hidden": 4} if kind == "mlp1" else {"feature_dim": 3}
         policy = SoftmaxPolicy(build_scorer(kind, dims, scale=0.8, seed=2), temperature)
+        rng = np.random.default_rng(3)
         for s, (query, pool) in enumerate(zip(instance.states, instance.pools)):
-            probs, gradlog = pgvar._state_policy(instance, policy, s)
-            want = policy.scorer.gradient_matrix(query, pool)
-            want -= policy_probs(policy, query, pool) @ want
-            want /= temperature
-            assert probs.tobytes() == policy_probs(policy, query, pool).tobytes()
-            assert gradlog.tobytes() == want.tobytes()
+            state = pgvar._StatePolicy(policy, instance, s, ConstantBaseline(0.0))
+            probs = policy_probs(policy, query, pool)
+            assert state.probs.tobytes() == probs.tobytes()
+            matrix = policy.scorer.gradient_matrix(query, pool)
+            rbar = probs @ matrix
+            gradlog = (matrix - rbar) / temperature
+            reach = (np.linalg.norm(matrix, axis=1) + np.linalg.norm(rbar)) / temperature
+            weights, center = rng.normal(size=len(pool)), rng.normal(size=matrix.shape[1])
+            size = np.abs(weights) @ (np.abs(matrix) + np.abs(rbar)) / temperature
+            assert np.all(np.abs(state.weighted_sum(weights) - weights @ gradlog) <= 1e-12 * size)
+            for scale, c in ((weights, center), (1.0, None)):
+                want = ((scale * gradlog.T).T - (0.0 if c is None else c)) ** 2
+                c_norm = 0.0 if c is None else np.linalg.norm(c)
+                size = (np.abs(scale) * reach + c_norm) ** 2
+                assert np.all(np.abs(state.sq_dist(scale, c) - want.sum(axis=1)) <= 1e-12 * size)
 
 
 class TestPeakMemory:
@@ -543,6 +572,71 @@ class TestPeakMemory:
             finally:
                 tracemalloc.stop()
             assert peak < 2 * matrix_bytes, (name, peak / matrix_bytes)
+
+
+class TestNoGradientMatrix:
+    """At TestPeakMemory's shape no pool x parameters array is formed.  The
+    two exact_variance calls peak below a quarter of one state's gradient
+    matrix.  verify_variance_bound keeps the partition's index arrays and
+    mc_variance each drawn state's action counts for both sweeps (0.11 and
+    0.08 of a matrix here), so they are held to 0.4: one state's forward,
+    two pool x hidden arrays and the ufunc buffer numpy allocates for a
+    broadcast multiply fill the rest."""
+
+    def test_peak_below_a_fraction_of_one_gradient_matrix(self):
+        rng = np.random.default_rng(11)
+        n_states, n_docs, dim = 30, 100, 20
+        scorer = build_scorer("mlp1", {"feature_dim": dim, "hidden": 20}, scale=0.3, seed=2)
+        policy = SoftmaxPolicy(scorer, temperature=1.0)
+        instance = MDPInstance(
+            tuple(Query(f"s{s}") for s in range(n_states)),
+            tuple(tuple(Document(f"s{s}d{a}", rng.normal(size=dim)) for a in range(n_docs))
+                  for s in range(n_states)),
+            tuple(rng.uniform(0.0, 1.0, size=n_docs) for _ in range(n_states)),
+            np.full(n_states, 1.0 / n_states))
+        matrix_bytes = n_docs * scorer.params.layout.size * 8
+        calls = {
+            "exact_variance": (0.25, lambda: exact_variance(instance, policy,
+                                                            ConstantBaseline(0.5))),
+            "exact_variance value": (0.25, lambda: exact_variance(instance, policy,
+                                                                  ValueFunctionBaseline())),
+            "verify_variance_bound": (0.4, lambda: verify_variance_bound(instance, policy, 0.5)),
+            "mc_variance": (0.4, lambda: mc_variance(instance, policy, ConstantBaseline(0.5),
+                                                     10_000, np.random.default_rng(0))),
+        }
+        for name, (share, call) in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < share * matrix_bytes, (name, peak / matrix_bytes)
+
+
+class TestNonFiniteBaseline:
+    """A non-finite b fails with ConstantBaseline's message before any
+    policy forward runs."""
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    def test_rejected_before_any_forward(self, monkeypatch, b):
+        instance, policy = low_reward_instance(4)
+        part = partition_actions(instance, 0.5)
+        report = verify_variance_bound(instance, policy, 0.5)
+        forwards = []
+        monkeypatch.setattr(LinearScorer, "forward",
+                            lambda self, query, docs: forwards.append(query.id))
+        calls = {
+            "partition_actions": lambda: partition_actions(instance, b),
+            "variance_lower_bound": lambda: variance_lower_bound(instance, policy, b, part),
+            "verify_variance_bound": lambda: verify_variance_bound(instance, policy, b),
+            "variance_decomposition": lambda: variance_decomposition(instance, policy, b),
+            "bound_at": lambda: report.bound_at(b),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match="constant baseline must be finite, got"):
+                call()
+        assert forwards == []
 
 
 class TestSparsityStudy:

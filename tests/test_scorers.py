@@ -261,7 +261,15 @@ class TestScoreGradient:
         assert scorer.backward(fwd, weights, out) is out
         for grad in (scorer.grad_weighted_sum(q, docs, weights), out):
             np.testing.assert_allclose(grad, weights @ ref_grads, atol=1e-10)
-        np.testing.assert_allclose(scorer.gradient_matrix(q, docs), ref_grads, atol=1e-12)
+        matrix = scorer.gradient_matrix(q, docs)
+        np.testing.assert_allclose(matrix, ref_grads, atol=1e-12)
+        # jvp and grad_sq_norms against the stacked rows: a projection sums
+        # signed products, so its rounding is taken relative to |G| @ |v|.
+        v = rng.normal(size=matrix.shape[1])
+        assert np.all(np.abs(scorer.jvp(fwd, v) - matrix @ v)
+                      <= 1e-12 * (np.abs(matrix) @ np.abs(v)))
+        np.testing.assert_allclose(scorer.grad_sq_norms(fwd), (matrix * matrix).sum(axis=1),
+                                   rtol=1e-12, atol=0)
         assert scorer.score(q, docs[0]) == pytest.approx(ref_scores[0], abs=1e-12)
         np.testing.assert_allclose(scorer.gradient(q, docs[0]), ref_grads[0], atol=1e-12)
 
