@@ -25,6 +25,7 @@ is applied everywhere a sigmoid is taken.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -548,13 +549,15 @@ def build_scorer(kind: str, dims: Mapping, params: ParamVector | None = None, *,
 
 # -- checkpoints ----------------------------------------------------------
 # Text format, version marker first:
-#   line 1: "1"
+#   line 1: "2"
 #   line 2: JSON {"kind": ..., "dims": {...}}
 #   then:   "segment <name> <offset> <length>" per layout segment
-#   then:   "values" followed by one repr'd float per line.
+#   then:   "values" and one line of standard base64 (RFC 4648) of the
+#           values' little-endian float64 bytes (version 1: one repr per line).
 
-CHECKPOINT_VERSION = "1"
-_CHECKPOINT_SLICE = 8192  # values joined per write
+CHECKPOINT_VERSION = "2"
+_CHECKPOINT_SLICE = 3 * 8192  # values per write: whole 24-byte groups, no padding mid-line
+_CHECKPOINT_READ = 32 * 2048  # base64 characters decoded per read: whole values
 
 
 def save_checkpoint(scorer: Scorer, path) -> None:
@@ -564,23 +567,41 @@ def save_checkpoint(scorer: Scorer, path) -> None:
         for name, offset, length in scorer.params.layout.segments:
             fh.write(f"segment {name} {offset} {length}\n")
         fh.write("values\n")
-        # Joined in slices: one string of every value would hold a second
-        # copy of the file in memory.
-        values = scorer.params.values
+        values = scorer.params.values.astype("<f8", copy=False)
         for i in range(0, len(values), _CHECKPOINT_SLICE):
-            fh.write("\n".join(map(repr, values[i:i + _CHECKPOINT_SLICE].tolist())) + "\n")
+            fh.write(base64.b64encode(values[i:i + _CHECKPOINT_SLICE].tobytes()).decode("ascii"))
+        fh.write("\n")
+
+
+def _read_base64_values(fh, size: int) -> np.ndarray:
+    """The version-2 values line, decoded ``_CHECKPOINT_READ`` characters at
+    a time into one preallocated array."""
+    raw, filled, padded, chunk = np.empty(8 * size, np.uint8), 0, False, ""
+    while not chunk.endswith("\n") and (chunk := fh.readline(_CHECKPOINT_READ)):
+        data = base64.b64decode(chunk.rstrip("\n"), validate=True)
+        if padded and data:
+            raise ValueError("base64 padding before the end of the values line")
+        if filled + len(data) > raw.size:
+            raise ValueError(f"values line decodes to more than 8 x {size} bytes")
+        raw[filled:filled + len(data)] = np.frombuffer(data, np.uint8)
+        filled, padded = filled + len(data), chunk.endswith("=")
+    if filled != raw.size:
+        raise ValueError(f"values line decodes to {filled} bytes, not 8 x {size}")
+    return raw.view("<f8")
 
 
 def load_checkpoint(path) -> Scorer:
-    """Read a checkpoint written by ``save_checkpoint``.  The values block is
-    parsed as a stream from the open file, so no line of it is kept as a
-    string.  A truncated file, a malformed line, too few or too many values,
-    or segments and values that disagree with the header's kind and dims
-    raise ``CheckpointError`` naming the path."""
+    """Read a checkpoint written by ``save_checkpoint``, or a version-1 file.
+    The values are read as a stream from the open file, so no string of them
+    all is kept.  A file that is not UTF-8 or of another version, a truncated
+    file, a malformed line, too few or too many values, or segments and values
+    that disagree with the header's kind and dims raise ``CheckpointError``
+    naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version in {path}")
         try:
+            version = fh.readline().rstrip("\n")
+            if version not in ("1", "2"):
+                raise ValueError(f"unsupported version {version!r}; versions read: 1, 2")
             header = fh.readline()
             if not header:
                 raise ValueError("missing header line")
@@ -596,9 +617,11 @@ def load_checkpoint(path) -> Scorer:
             if line.rstrip("\n") != "values":
                 raise ValueError("missing values block")
             layout = Layout(tuple(segments))
-            values = np.fromiter(map(float, fh), np.float64, count=max(layout.size, 0))
+            size = max(layout.size, 0)
+            values = (np.fromiter(map(float, fh), np.float64, count=size) if version == "1"
+                      else _read_base64_values(fh, size))
             if fh.readline():
-                raise ValueError(f"values block has more than the layout's {layout.size} values")
+                raise ValueError(f"a line follows the layout's {layout.size} values")
             params = ParamVector(values, layout)
             return build_scorer(meta["kind"], meta["dims"], params)
         except KeyError as exc:

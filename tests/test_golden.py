@@ -132,9 +132,9 @@ GOLDEN = {
     },
     "dual-d": {
         "checkpoints/A.ckpt":
-            "1ae9e493a654a6e201ae3bff985df75da5681f143f1dd95b90e40b0517a61113",
+            "e60957118f66f359f477c0b6c6a13a7e82937cf2225f9dc7a5a1839f0393ce50",
         "checkpoints/B.ckpt":
-            "dd6b7b50214ad15529c601121924d293cbfd4fc39827a25b4236b70c336b9daf",
+            "556a852de097d8d6076f2f16874c4e87739bb4a2a4675b85545b94c9b7d65c88",
         "checkpoints/chosen":
             "06f961b802bc46ee168555f066d28f4f0e9afdf3f88174c1ee6f9de004fc30a0",
         "curves.csv":
@@ -144,7 +144,7 @@ GOLDEN = {
     },
     "interactions-dns": {
         "checkpoints/D.ckpt":
-            "b748aefc6dc4b225091c7f1ae2cd416f4a3f45ee77c443f7f395ba3f71369f4b",
+            "ecffce9211aa80832b910021005997ef1e1cb5cec464f2522c753a0d0358cac3",
         "curves.csv":
             "e2c15257d554d73a0f91da9d30f695ea9221866bbd59acfd1ff20461d33d016d",
         "results.csv":
@@ -152,9 +152,9 @@ GOLDEN = {
     },
     "irgan-pairwise": {
         "checkpoints/D.ckpt":
-            "971b36302f2e093b9bb743e3749ea6bdbdf14b6346cffa18da11f15430da8285",
+            "ad1944a84466477e61dcb1a242bf29554520c19bf8ca3ff86b21b33e2dec8475",
         "checkpoints/G.ckpt":
-            "3b1167311ab2a2c6963196b8245e129057243718309738ee292fd06cee5d991e",
+            "6530e5c907c3f7978bc312a31f6a0575997e4d0cbdeaa24b8aa80687c26ad564",
         "curves.csv":
             "5662c5ccc2f5e10cd3831f5b1651a4124b6df83c987ddaf4f45584b067dac998",
         "results.csv":
@@ -162,9 +162,9 @@ GOLDEN = {
     },
     "irgan-pointwise": {
         "checkpoints/D.ckpt":
-            "20e3b833224da965d984e8c584fb8ae9941a97b27d76a0e9fc4a31578bb07c3d",
+            "36e8f81d548b50aafc7f340da1e96528026789dc198cbaece1b20bd1060e4a99",
         "checkpoints/G.ckpt":
-            "16c13dcaa97c712eaef6ebfc8afd24402d242dcc80f436cf576d239502f746ce",
+            "e0a7f98af0b9934fb8cd1f2c990bfbeb26c08d73f7784556e722b36bea964426",
         "curves.csv":
             "bedc250c858657a5ed7b91de2d08c9a50b0f9c82a20fe364ae4b736e3158cc65",
         "results.csv":
@@ -172,15 +172,15 @@ GOLDEN = {
     },
     "pretrain": {
         "checkpoints/G.ckpt":
-            "177ef0d51def66aa9bba6dc46c1fdef9d54794b4ec4c243920999ededdce3daa",
+            "1d3719dc93c62dff2520470ca39c347abf73cf98c92b5327877c1500ee44f6f7",
         "curves.csv":
             "125fbbfa668f4b1d708aea3bc52ffb32de0ef96d34c259a469eaade255f5381c",
     },
     "qa-dual-d": {
         "checkpoints/A.ckpt":
-            "4a1d1962989bae4718b446e8ba85d6a8c9f4f6b304791ac7156101fa9996be5e",
+            "de27c21653797ba702532f5dc649a89c613be89fe2acf4f3eac39472cca5ba14",
         "checkpoints/B.ckpt":
-            "be7543c4b84f0c155baa4d4ea906e49b07b24dade7e3e254614e3384f9e15d83",
+            "c5370eb3cd5157229321b651a6398718afa2e2d357ee89a12f60132a9c9a506a",
         "checkpoints/chosen":
             "06f961b802bc46ee168555f066d28f4f0e9afdf3f88174c1ee6f9de004fc30a0",
         "curves.csv":
@@ -190,7 +190,7 @@ GOLDEN = {
     },
     "single-d": {
         "checkpoints/M.ckpt":
-            "56a381bb386535a8ec7811118f466e7c638b52f2a5d9b794d784674aa084ed31",
+            "22c578fa953c3e272cce8e7f173ac7f1fd8147a0622e9f7a7981042135939e5b",
         "curves.csv":
             "423ab2c2903bc1e66a72b976e7ffbadf004aaf107fa9de6c36171d6b78d99661",
         "results.csv":

@@ -1,13 +1,16 @@
 """Scorer kernels against hand values and the finite-difference oracle."""
 
+import base64
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ranklab import scorers
 from ranklab.core import Document, Query
 from ranklab.scorers import (
     CheckpointError,
@@ -370,12 +373,24 @@ class TestSnapshots:
         assert scorer.params.values[0] != twin.params.values[0]
 
 
+def header_lines(scorer, version):
+    return [version, json.dumps({"kind": scorer.kind, "dims": scorer.dims}, sort_keys=True),
+            *(f"segment {n} {o} {k}" for n, o, k in scorer.params.layout.segments), "values"]
+
+
+def save_checkpoint_v1(scorer, path):
+    """The version-1 writer: the header lines, then one repr'd float per line."""
+    lines = header_lines(scorer, "1") + [repr(v) for v in scorer.params.values.tolist()]
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+
+
 def whole_file_load(path):
-    """The checkpoint reader as it was before the values block was streamed:
-    every line of the file read into a list of strings first."""
+    """A checkpoint reader that reads every line of the file into a list of
+    strings first and parses the values block whole: one float per line in
+    version 1, one base64 line in version 2."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    assert lines and lines[0] == "1"
+    assert lines and lines[0] in ("1", "2")
     meta = json.loads(lines[1])
     segments, i = [], 2
     while lines[i].startswith("segment "):
@@ -383,7 +398,11 @@ def whole_file_load(path):
         segments.append((name, int(offset), int(length)))
         i += 1
     assert lines[i] == "values"
-    values = np.fromiter(map(float, lines[i + 1:]), np.float64, count=len(lines) - i - 1)
+    if lines[0] == "1":
+        values = np.fromiter(map(float, lines[i + 1:]), np.float64, count=len(lines) - i - 1)
+    else:
+        assert len(lines) == i + 2
+        values = np.frombuffer(base64.b64decode(lines[i + 1], validate=True), "<f8")
     return build_scorer(meta["kind"], meta["dims"], ParamVector(values, Layout(tuple(segments))))
 
 
@@ -403,50 +422,136 @@ class TestCheckpoints:
         scorer = build_scorer("linear", {"feature_dim": 2}, scale=0.1, seed=1)
         path = tmp_path / "model.ckpt"
         save_checkpoint(scorer, path)
-        assert path.read_text().splitlines()[0] == "1"
+        assert path.read_text().splitlines()[0] == "2"
 
-    def saved_lines(self, tmp_path, kind):
+    def saved_lines(self, tmp_path, kind, save=save_checkpoint):
         scorer = make_kind(kind, np.random.default_rng(11), seed=21)[0]
         path = tmp_path / "model.ckpt"
-        save_checkpoint(scorer, path)
+        save(scorer, path)
         return path, path.read_text().splitlines()
 
-    def assert_rejected(self, path, lines):
+    def assert_rejected(self, path, lines, match=""):
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError, match=str(path)):
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*" + match):
             load_checkpoint(path)
 
     def test_non_numeric_value_rejected(self, tmp_path):
-        path, lines = self.saved_lines(tmp_path, "linear")
+        path, lines = self.saved_lines(tmp_path, "linear", save_checkpoint_v1)
         lines[-2] = "0.1x"
         self.assert_rejected(path, lines)
 
     def test_values_match_per_value_repr(self, tmp_path):
-        # 2 * 8192 + 101 values: the writer's slices end mid-file, and the
-        # special values sit on both sides of a slice boundary.
+        # Version 1 (one repr per value) still loads bit for bit: 2 * 8192 +
+        # 101 values, with the special values on both sides of the old
+        # writer's slice boundaries, load to the bytes of the version-2 file.
         scorer = build_scorer("linear", {"feature_dim": 2 * 8192 + 100}, seed=3)
         values = scorer.params.values
         special = {8190: -0.0, 8191: 1e-300, 8192: 5e-324, 16383: 2.5e-310, 16384: -1.0}
+        for i, v in special.items():
+            values[i] = v
+        v1, v2 = tmp_path / "v1.ckpt", tmp_path / "v2.ckpt"
+        save_checkpoint_v1(scorer, v1)
+        save_checkpoint(scorer, v2)
+        assert load_checkpoint(v1).params.values.tobytes() == values.tobytes()
+        assert whole_file_load(v1).params.values.tobytes() == values.tobytes()
+        assert load_checkpoint(v2).params.values.tobytes() == values.tobytes()
+
+    def test_values_match_base64_of_their_bytes(self, tmp_path):
+        # 2 * 24576 + 101 values: the writer's slices end mid-line, the special
+        # values sit on both sides of a slice boundary, and the last slice
+        # (808 bytes) ends in padding.
+        scorer = build_scorer("linear", {"feature_dim": 2 * 24576 + 100}, seed=3)
+        values = scorer.params.values
+        special = {24574: -0.0, 24575: 5e-324, 24576: 2.5e-310, 24577: -0.0,
+                   49151: 2.5e-310, 49152: 5e-324}
         for i, v in special.items():
             values[i] = v
         path = tmp_path / "model.ckpt"
         save_checkpoint(scorer, path)
         assert load_checkpoint(path).params.values.tobytes() == values.tobytes()
         assert whole_file_load(path).params.values.tobytes() == values.tobytes()
-        values[[0, 8193, len(values) - 1]] = [float("nan"), float("inf"), float("-inf")]
+        values[[24575, 24576, 24577, 49151, 49152]] = [float("nan"), float("inf"),
+                                                       float("-inf"), float("-inf"), float("nan")]
         save_checkpoint(scorer, path)
-        expected = ["1", json.dumps({"kind": "linear", "dims": scorer.dims}, sort_keys=True),
-                    *(f"segment {n} {o} {k}" for n, o, k in scorer.params.layout.segments),
-                    "values", *(repr(float(v)) for v in values)]
-        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        expected = "\n".join(header_lines(scorer, "2")) + "\n"
+        expected += base64.b64encode(values.astype("<f8").tobytes()).decode() + "\n"
+        assert path.read_bytes() == expected.encode()
 
     def test_extra_value_line_rejected(self, tmp_path):
-        path, lines = self.saved_lines(tmp_path, "linear")
-        self.assert_rejected(path, lines + ["0.5"])
+        path, lines = self.saved_lines(tmp_path, "linear", save_checkpoint_v1)
+        self.assert_rejected(path, lines + ["0.5"], "a line follows")
 
     def test_missing_value_line_rejected(self, tmp_path):
-        path, lines = self.saved_lines(tmp_path, "linear")
+        path, lines = self.saved_lines(tmp_path, "linear", save_checkpoint_v1)
         self.assert_rejected(path, lines[:-1])
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_version_1_file_loads_the_bytes_of_version_2(self, kind, tmp_path):
+        scorer = make_kind(kind, np.random.default_rng(11), seed=21)[0]
+        v1, v2 = tmp_path / "v1.ckpt", tmp_path / "v2.ckpt"
+        save_checkpoint_v1(scorer, v1)
+        save_checkpoint(scorer, v2)
+        old, new = load_checkpoint(v1), load_checkpoint(v2)
+        assert (old.kind, old.dims) == (new.kind, new.dims)
+        assert old.params.values.tobytes() == new.params.values.tobytes()
+        assert new.params.values.tobytes() == scorer.params.values.tobytes()
+
+    @pytest.mark.parametrize("version", ["3", "0", "", "1.0"])
+    def test_unsupported_version_rejected(self, version, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "linear")
+        lines[0] = version
+        self.assert_rejected(path, lines, f"unsupported version '{re.escape(version)}'; "
+                                          "versions read: 1, 2")
+
+    def test_file_not_utf8_rejected(self, tmp_path):
+        path, _ = self.saved_lines(tmp_path, "linear")
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*utf-8"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("values_line", ["one value short", "one value over", "missing"])
+    def test_decoded_length_not_the_layout_rejected(self, values_line, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "linear")
+        values = load_checkpoint(path).params.values
+        if values_line == "missing":
+            lines.pop()
+        else:
+            values = values[:-1] if values_line == "one value short" else np.append(values, 0.5)
+            lines[-1] = base64.b64encode(values.astype("<f8").tobytes()).decode()
+        self.assert_rejected(path, lines, "values line decodes to")
+
+    @pytest.mark.parametrize("char", ["-", "_", "*", " ", "\u00e9"])
+    def test_character_outside_the_alphabet_rejected(self, char, tmp_path):
+        # Inserted, not replacing one: a decoder that skipped the character
+        # would read the right values.
+        path, lines = self.saved_lines(tmp_path, "linear")
+        lines[-1] = lines[-1][:8] + char + lines[-1][8:]
+        self.assert_rejected(path, lines)
+
+    @pytest.mark.parametrize("split", ["first value", "first read"])
+    def test_padding_before_the_end_rejected(self, split, tmp_path):
+        # Each part alone is valid base64 with padding, and together they
+        # decode to exactly the layout's bytes.  Split after the first read,
+        # only the order of the reads shows the padding.
+        scorer = build_scorer("linear", {"feature_dim": 8000}, seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(scorer, path)
+        lines = path.read_text().splitlines()
+        raw = scorer.params.values.astype("<f8").tobytes()
+        at = 8 if split == "first value" else scorers._CHECKPOINT_READ // 4 * 3 - 1
+        head = base64.b64encode(raw[:at]).decode()
+        assert head.endswith("=") and (split == "first value" or len(head) == scorers._CHECKPOINT_READ)
+        lines[-1] = head + base64.b64encode(raw[at:]).decode()
+        self.assert_rejected(path, lines)
+
+    @pytest.mark.parametrize("feature_dim", [5, 6])
+    def test_line_after_the_values_line_rejected(self, feature_dim, tmp_path):
+        # 6 values (48 bytes) encode with no padding, 7 values with some.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_scorer("linear", {"feature_dim": feature_dim}, seed=3), path)
+        lines = path.read_text().splitlines()
+        assert lines[-1].endswith("=") == (feature_dim == 6)
+        self.assert_rejected(path, lines + [lines[-1]], "a line follows")
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_stream_matches_whole_file_reader(self, kind, tmp_path):
@@ -473,6 +578,22 @@ class TestCheckpoints:
             tracemalloc.stop()
         assert loaded.params.values.tobytes() == scorer.params.values.tobytes()
         assert peak < 3 * scorer.params.values.nbytes, peak / scorer.params.values.nbytes
+
+    def test_save_peak_stays_below_the_values(self, tmp_path):
+        # The same 210,100-value model.  Encoded in slices the save peaks near
+        # 0.4x the values' bytes; one base64 string of every value would peak
+        # near 3.7x.
+        scorer = build_scorer("text", {"vocab_size": 2001, "embed_dim": 100}, seed=7)
+        path = tmp_path / "text.ckpt"
+        save_checkpoint(scorer, path)
+        tracemalloc.start()
+        try:
+            save_checkpoint(scorer, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert load_checkpoint(path).params.values.tobytes() == scorer.params.values.tobytes()
+        assert peak < scorer.params.values.nbytes, peak / scorer.params.values.nbytes
 
     def test_version_line_only_rejected(self, tmp_path):
         path, lines = self.saved_lines(tmp_path, "linear")
